@@ -11,6 +11,27 @@ decision, so on small supports the counts are drawn directly from the
 corresponding multinomial law instead of materializing every sample; the
 resulting output distribution is identical and the draw accounting is
 unchanged.
+
+Three shortcuts skip work without changing any output or the generator
+state after a build.  They rest on two facts.  numpy draws the same stream
+whether values come one call at a time or in one batched call:
+``rng.random(k)`` equals k calls of ``rng.random()``,
+``rng.multinomial(q, p, size=h)`` equals h calls of ``rng.multinomial(q, p)``,
+and ``rng.random(out=block)`` over consecutive row blocks equals
+``rng.random((q, s))``.  And an iteration whose set equals A_{h-1} leaves
+the next iteration where it was, so only the iterations that change A need
+a new classification.
+
+* Absorbing tail (``ocrs_chain``): once a link's ground set C holds no
+  element with a positive marginal, the link's estimates are
+  deterministic; the link is span(∅) of M|C, and every later link, built on
+  that set, repeats it.  Only the cutoffs h̄ consume the generator, so they
+  are drawn in one call and no estimator or minor is built.
+* Multinomial iterations (``_SpanCountEstimator.link_sets``): all h̄ count
+  vectors are drawn at once and classified against the current A in one
+  product; the builder jumps to the first row whose set differs from A.
+* Uniform kernel (``_SpanCountEstimator._uniform_counts``): the q sample
+  rows are generated in reused blocks and only counted, never copied.
 """
 
 from __future__ import annotations
@@ -22,12 +43,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitset import ids_of, iter_ids
+from .bitset import ids_of, iter_ids, mask_of
 from .matroids import Matroid
 from .sampling import as_marginals, realization_weights, sample_active_set
 
 #: Support size up to which link counts are drawn from the exact multinomial.
 MULTINOMIAL_MAX_SUPPORT = 12
+
+#: Random values per block of uniform-path sample rows (1 MiB of float64):
+#: large enough that per-block call overhead is small, small enough that a
+#: rank-512 iteration no longer allocates q x 512 floats at once.
+UNIFORM_BLOCK_VALUES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +80,11 @@ class TruncationDistribution:
         u = rng.random()
         idx = int(np.searchsorted(self._cdf, u, side="right"))
         return min(idx + 1, self.eta)
+
+    def sample_many(self, rng: np.random.Generator, k: int) -> list[int]:
+        """k cutoffs; the same values and generator state as k ``sample`` calls."""
+        idx = np.searchsorted(self._cdf, rng.random(k), side="right")
+        return np.minimum(idx + 1, self.eta).tolist()
 
     def mean(self) -> float:
         return float(np.dot(self.pmf, np.arange(1, self.eta + 1)))
@@ -241,6 +272,12 @@ class SpanningChain:
 # ---------------------------------------------------------------------------
 
 
+def _bits(mask: int, n: int) -> np.ndarray:
+    """Bool membership vector of ``mask`` over ids 0..n-1, at any width."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 class _SpanCountEstimator:
     """Per-iteration estimator of |{p : e ∈ span(A ∪ S_p)}| over q samples.
 
@@ -256,6 +293,16 @@ class _SpanCountEstimator:
     * ``table``       -- materialize q sample rows, classify through the
                          dense span table.
     * ``oracle``      -- per-sample span() calls (correctness fallback).
+
+    ``link_sets`` runs a whole link and is exact against h̄ calls of
+    ``next_link_set``: it returns the same sets and leaves the generator in
+    the same state.  On the ``multinomial`` path it draws the h̄ count
+    vectors in one call, which numpy makes the same stream as h̄ single
+    draws, and reclassifies only after an iteration whose set differs from
+    A, because an iteration that keeps A leaves the next one unchanged.
+    On the ``uniform`` path ``_uniform_counts`` fills reused row blocks in
+    the row-major order of ``rng.random((q, s))``, so the stream is that of
+    one full draw.
     """
 
     def __init__(self, m: Matroid, x: np.ndarray, q: int):
@@ -272,6 +319,7 @@ class _SpanCountEstimator:
         self.lookup = m.span_lookup()
         self.cap = m.uniform_cap()
         self._member_cache: dict[int, np.ndarray] = {}
+        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
         if not sup_ids:
             self.path = "empty"
         elif len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT and self.lookup is not None:
@@ -290,6 +338,34 @@ class _SpanCountEstimator:
         else:
             self.path = "oracle"
 
+    def link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
+        """A_1, ..., A_h̄ from A_0 = ∅."""
+        if self.path == "empty":
+            # No element ever activates, so every estimate is deterministic
+            # and the iteration reaches its fixed point span(∅) at once.
+            return [self.next_link_set(0, threshold, rng)] * h_bar
+        if self.path != "multinomial":
+            a, sets = 0, []
+            for _ in range(h_bar):
+                a = self.next_link_set(a, threshold, rng)
+                sets.append(a)
+            return sets
+        cnt = rng.multinomial(self.q, self.pvals, size=h_bar)
+        bar = threshold * self.q
+        a, sets = 0, []
+        while len(sets) < h_bar:
+            above = cnt[len(sets):] @ self._member(a) > bar
+            in_a = _bits(a, self.m.n_universe)[self.ground_ids]
+            changed = np.flatnonzero((above != in_a).any(axis=1))
+            if not len(changed):
+                sets += [a] * len(above)
+                break
+            j = int(changed[0])
+            sets += [a] * j
+            a = self._set_of(above[j])
+            sets.append(a)
+        return sets
+
     def next_link_set(self, a_mask: int, threshold: float, rng: np.random.Generator) -> int:
         """A_h from A_{h-1}: elements whose estimated spanning frequency
         over q fresh samples strictly exceeds the threshold."""
@@ -299,13 +375,7 @@ class _SpanCountEstimator:
                 return 0
             return self.m.span(a_mask)
         if self.path == "multinomial":
-            cnt = rng.multinomial(self.q, self.pvals)
-            member = self._member_cache.get(a_mask)
-            if member is None:
-                spans = self.lookup(self.outcome_masks | np.int64(a_mask))
-                member = (spans[:, None] >> self.ground_ids[None, :]) & 1
-                self._member_cache[a_mask] = member
-            counts = cnt @ member
+            counts = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)
         elif self.path == "uniform":
             counts = self._uniform_counts(a_mask, rng)
         elif self.path == "table":
@@ -317,30 +387,47 @@ class _SpanCountEstimator:
             )
         else:
             counts = self._oracle_counts(a_mask, rng)
-        out = 0
-        for e, c in zip(self.ground_ids, counts):
-            if c > bar:
-                out |= 1 << int(e)
-        return out
+        return self._set_of(counts > bar)
+
+    def _set_of(self, in_set: np.ndarray) -> int:
+        """Mask of the ground elements flagged in ``in_set`` (ground order)."""
+        return mask_of(self.ground_ids[in_set].tolist())
+
+    def _member(self, a_mask: int) -> np.ndarray:
+        """0/1 matrix: outcome row spans ground column, given A = a_mask."""
+        member = self._member_cache.get(a_mask)
+        if member is None:
+            spans = self.lookup(self.outcome_masks | np.int64(a_mask))
+            member = (spans[:, None] >> self.ground_ids[None, :]) & 1
+            self._member_cache[a_mask] = member
+        return member
 
     def _uniform_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
-        rows = rng.random((self.q, len(self.sup_ids))) < self.sup_x
-        a_bit = (np.int64(a_mask) >> self.sup_ids) & 1
-        outside = a_bit == 0
-        extra = rows[:, outside].sum(axis=1)
-        full = a_mask.bit_count() + extra >= self.cap
-        n_full = int(full.sum())
-        sup_counts = rows[~full].sum(axis=0) + n_full
-        counts = np.empty(len(self.ground_ids), dtype=np.int64)
-        sup_pos = {int(e): i for i, e in enumerate(self.sup_ids)}
-        for i, e in enumerate(self.ground_ids):
-            e = int(e)
-            if (a_mask >> e) & 1:
-                counts[i] = self.q
-            elif e in sup_pos:
-                counts[i] = sup_counts[sup_pos[e]]
-            else:
-                counts[i] = n_full
+        # A row is full when |A| + (its active elements outside A) reaches
+        # the cap: it spans every element.  Other rows span A and their own
+        # active elements.  Elements of A count q whatever the rows hold, so
+        # their columns are compared against 0 and never count as active.
+        s = len(self.sup_ids)
+        in_a = _bits(a_mask, self.m.n_universe)
+        x_out = np.where(in_a[self.sup_ids], 0.0, self.sup_x)
+        need = self.cap - a_mask.bit_count()
+        if self._blocks is None:
+            rows = min(self.q, max(1, UNIFORM_BLOCK_VALUES // s))
+            self._blocks = (np.empty((rows, s)), np.empty((rows, s), dtype=bool))
+        values, active = self._blocks
+        n_full = 0
+        sup_counts = np.zeros(s, dtype=np.int64)
+        for start in range(0, self.q, len(values)):
+            b = min(len(values), self.q - start)
+            rng.random(out=values[:b])
+            act = np.less(values[:b], x_out, out=active[:b])
+            full = np.count_nonzero(act, axis=1) >= need
+            act[full] = False
+            n_full += int(np.count_nonzero(full))
+            sup_counts += np.count_nonzero(act, axis=0)
+        counts = np.full(len(self.ground_ids), n_full, dtype=np.int64)
+        counts[np.searchsorted(self.ground_ids, self.sup_ids)] = sup_counts + n_full
+        counts[in_a[self.ground_ids]] = self.q
         return counts
 
     def _oracle_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
@@ -382,18 +469,8 @@ def single_ocrs_link(
     trunc = truncation_distribution(params.eps, params.rho, params.eta)
     h_bar = trunc.sample(rng)
     est = _SpanCountEstimator(m, as_marginals(x), params.q)
-    a = 0
-    if est.path == "empty":
-        # No element ever activates, so every estimate is deterministic and
-        # the iteration reaches its fixed point span(∅) immediately.
-        a = est.next_link_set(0, params.threshold, rng)
-        a_sets = [a] * h_bar
-    else:
-        a_sets = []
-        for _ in range(h_bar):
-            a = est.next_link_set(a, params.threshold, rng)
-            a_sets.append(a)
-    return a, LinkTrace(
+    a_sets = est.link_sets(h_bar, params.threshold, rng)
+    return a_sets[-1], LinkTrace(
         h_bar=h_bar, a_sets=tuple(a_sets), draws=h_bar * params.q, ground_mask=m.ground_mask
     )
 
@@ -424,13 +501,30 @@ def ocrs_chain(
     params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
     conforming = conforming and params.conforming
 
+    x = as_marginals(x)
+    if len(x) != m.n_universe:
+        raise ValueError("marginal vector length must match the universe size")
+    positive = mask_of(np.flatnonzero(x > 0.0).tolist())
+
     links = [m.ground_mask]
     traces: list[LinkTrace] = []
     cur = m.ground_mask
-    for _ in range(zeta):
+    while len(traces) < zeta and cur & positive:
         cur, lt = single_ocrs_link(m.restrict(cur), x, params, rng)
         links.append(cur)
         traces.append(lt)
+    if len(traces) < zeta:
+        # Absorbing tail: C holds no element with a positive marginal, so
+        # this link is span(∅) of M|C (its loops; the threshold (1-eps)*tau
+        # is below 1) and every later link, built on that set, repeats it.
+        tail = m.span(0) & cur
+        trunc = truncation_distribution(params.eps, params.rho, params.eta)
+        for h_bar in trunc.sample_many(rng, zeta - len(traces)):
+            traces.append(LinkTrace(
+                h_bar=h_bar, a_sets=(tail,) * h_bar, draws=h_bar * params.q, ground_mask=cur
+            ))
+            links.append(tail)
+            cur = tail
     links.append(0)
     chain = SpanningChain(tuple(links))
     trace = BuildTrace(

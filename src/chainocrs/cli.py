@@ -294,7 +294,7 @@ def _run_ocrs(config, m, x, threads):
         config.trials,
         config.adversary,
         _stream(config),
-        config.overrides if config.overrides.any_set else None,
+        config.overrides,
         threads=threads,
     )
     results = report.to_jsonable()
@@ -313,7 +313,7 @@ def _run_verify_inlink(config, m, x, threads):
     tau = _chain_tau(config)
     verdict = verify_in_link_loss(
         m, x, rho, tau, config.eps, config.trials, _stream(config),
-        overrides=config.overrides if config.overrides.any_set else None,
+        overrides=config.overrides,
     )
     return _verify_common(config, verdict)
 
@@ -323,7 +323,7 @@ def _run_verify_progress(config, m, x, threads):
     tau = _chain_tau(config)
     verdict = verify_progress(
         m, x, config.lam, rho, tau, config.eps, config.trials, _stream(config),
-        overrides=config.overrides if config.overrides.any_set else None,
+        overrides=config.overrides,
     )
     return _verify_common(config, verdict)
 
@@ -331,7 +331,7 @@ def _run_verify_progress(config, m, x, threads):
 def _run_verify_spanning(config, m, x, threads):
     verdict = verify_spanning(
         m, x, config.lam, config.eps, config.trials, _stream(config),
-        overrides=config.overrides if config.overrides.any_set else None,
+        overrides=config.overrides,
     )
     return _verify_common(config, verdict)
 
@@ -339,7 +339,7 @@ def _run_verify_spanning(config, m, x, threads):
 def _run_verify_freeness(config, m, x, threads):
     verdict = verify_freeness_likely(
         m, x, config.lam, config.eps, config.trials, _stream(config),
-        overrides=config.overrides if config.overrides.any_set else None,
+        overrides=config.overrides,
     )
     return _verify_common(config, verdict)
 

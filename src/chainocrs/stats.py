@@ -5,10 +5,6 @@ from __future__ import annotations
 import math
 from statistics import NormalDist
 
-#: Two-sided tail mass of a 3-sigma normal check; all tolerance budgets
-#: are expressed as multiples of this baseline.
-THREE_SIGMA_P = 2.0 * (1.0 - NormalDist().cdf(3.0))
-
 
 def bonferroni_z(checks: int, base_z: float = 3.0) -> float:
     """z so that `checks` simultaneous z-tests match one base_z-sigma test.

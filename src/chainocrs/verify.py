@@ -149,9 +149,6 @@ def classify_element(
 # Monte Carlo guarantee checks
 # ---------------------------------------------------------------------------
 
-LinkBuilder = Callable[..., tuple[int, object]]
-
-
 def verify_in_link_loss(
     m: Matroid,
     x: np.ndarray,
@@ -160,7 +157,7 @@ def verify_in_link_loss(
     eps: float,
     trials: int,
     seed_stream: RngStream,
-    builder: LinkBuilder = single_ocrs_link,
+    builder: Callable[..., tuple[int, object]] = single_ocrs_link,
     overrides: ParamOverrides | None = None,
 ) -> VerifyReport:
     """Check: Pr[e bad] <= eps * Pr[e good] + 2 eps^3 / ln(rho), per element.

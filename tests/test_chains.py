@@ -1,13 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from chainocrs import (
+    GraphicMatroid,
     LinkParams,
+    LinkTrace,
     ParamOverrides,
     RngStream,
     SpanningChain,
+    UniformMatroid,
     as_marginals,
     balancedness_estimate,
     chain_freeness,
@@ -16,7 +20,9 @@ from chainocrs import (
     single_ocrs_link,
     truncation_distribution,
 )
+from chainocrs import chains
 from chainocrs.chains import _SpanCountEstimator
+from chainocrs.matroids import MinorMatroid
 from chainocrs.sampling import realization_weights
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
@@ -139,6 +145,142 @@ def test_estimator_paths_agree_in_distribution(u24):
             p = base[mask]
             sigma = math.sqrt(max(p * (1 - p), 1e-6) * 2 / trials)
             assert abs(hist[path][mask] - p) <= 4 * sigma
+
+
+# -- stream-exact fast paths --------------------------------------------------
+
+
+def _reference_uniform_counts(est, a_mask, rng, full_rows):
+    """The uniform path on one materialized (q, s) draw; records full rows."""
+    rows = rng.random((est.q, len(est.sup_ids))) < est.sup_x
+    in_a = np.array([(a_mask >> e) & 1 for e in est.sup_ids.tolist()], dtype=bool)
+    full = a_mask.bit_count() + rows[:, ~in_a].sum(axis=1) >= est.cap
+    n_full = int(full.sum())
+    full_rows.append((a_mask, n_full, est.q))
+    sup_counts = dict(zip(est.sup_ids.tolist(), rows[~full].sum(axis=0) + n_full))
+    return np.array([
+        est.q if (a_mask >> e) & 1 else sup_counts.get(e, n_full)
+        for e in est.ground_ids.tolist()
+    ])
+
+
+def _reference_link(m, x, params, rng, full_rows=None):
+    """The link builder one iteration at a time: h̄, then h̄ next_link_set calls."""
+    h_bar = truncation_distribution(params.eps, params.rho, params.eta).sample(rng)
+    est = _SpanCountEstimator(m, as_marginals(x), params.q)
+    if full_rows is not None:
+        est._uniform_counts = functools.partial(
+            _reference_uniform_counts, est, full_rows=full_rows
+        )
+    a, sets = 0, []
+    for _ in range(h_bar):
+        a = est.next_link_set(a, params.threshold, rng)
+        sets.append(a)
+    return a, LinkTrace(h_bar, tuple(sets), h_bar * params.q, m.ground_mask)
+
+
+def _reference_chain(m, x, tau, eps, rng, overrides=None, full_rows=None):
+    """ocrs_chain with a full reference link build for every link."""
+    rho = max(m.full_rank(), 3)
+    zeta = math.ceil(math.log(rho / eps) / eps)
+    if overrides is not None and overrides.zeta is not None:
+        zeta = overrides.zeta
+    params = LinkParams.from_formula(rho, (1 - eps) * tau, eps, overrides)
+    links, traces = [m.ground_mask], []
+    for _ in range(zeta):
+        a, lt = _reference_link(m.restrict(links[-1]), x, params, rng, full_rows)
+        links.append(a)
+        traces.append(lt)
+    return tuple(links) + (0,), tuple(traces)
+
+
+def _assert_chain_matches(m, x, tau, seed, overrides=None, full_rows=None):
+    rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+    chain, trace = ocrs_chain(m, x, tau, 0.05, rng, overrides)
+    links, traces = _reference_chain(m, x, tau, 0.05, ref_rng, overrides, full_rows)
+    assert chain.links == links
+    assert trace.link_traces == traces
+    assert rng.random() == ref_rng.random()
+    return traces
+
+
+def _assert_link_matches(m, x, params, seed):
+    rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+    assert single_ocrs_link(m, x, params, rng) == _reference_link(m, x, params, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+def _absorbing(x, ground):
+    return not any(x[e] > 0 for e in range(len(x)) if (ground >> e) & 1)
+
+
+def _grows_mid_link(lt):
+    return any(a != b for a, b in zip(lt.a_sets, lt.a_sets[1:]))
+
+
+def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
+    # K3 at the criterion-8 marginals: one multinomial link, then 81
+    # absorbing links.
+    x_k3 = as_marginals([1 / 6] * 3)
+    for seed in range(4):
+        traces = _assert_chain_matches(k3, x_k3, 0.7, seed)
+        assert sum(_absorbing(x_k3, lt.ground_mask) for lt in traces) >= 80
+
+    # U_{2,4} near the spanning probability 0.367: links grow mid-iteration,
+    # so the multinomial path jumps and reclassifies.
+    x_u24 = as_marginals([0.25] * 4)
+    small = ParamOverrides(q=60, eta=20, zeta=6)
+    grown = 0
+    for seed in range(6):
+        traces = _assert_chain_matches(u24, x_u24, 0.37, seed, small)
+        grown += sum(_grows_mid_link(lt) for lt in traces)
+    for threshold in (0.35, 1.0):
+        params = LinkParams(rho=3, threshold=threshold, eps=0.05, q=60, eta=20)
+        for seed in range(6):
+            _assert_link_matches(u24, x_u24, params, seed)
+            _assert_link_matches(u24, np.zeros(4), params, seed)
+            _, lt = _reference_link(u24, x_u24, params, RngStream(seed).generator())
+            grown += _grows_mid_link(lt)
+    assert grown > 0
+
+    # A self-loop edge: the absorbing tail is the loop, not ∅.
+    looped = GraphicMatroid(3, [(0, 1), (1, 2), (2, 2)])
+    for x in ([0.3, 0.3, 0.0], [0.0, 0.0, 0.0]):
+        for seed in range(3):
+            traces = _assert_chain_matches(looped, as_marginals(x), 0.7, seed, small)
+            assert traces[-1].a_sets[-1] == 0b100
+
+    # A minor with a contraction: contracting edges (0,1) and (1,2) of K4
+    # turns edge (0,2) into a loop and leaves parallel pairs.
+    minor = k4.contract(0b1001)
+    assert isinstance(minor, MinorMatroid)
+    x_minor = as_marginals([0.0, 0.0, 0.3, 0.0, 0.3, 0.0])
+    for seed in range(3):
+        traces = _assert_chain_matches(minor, x_minor, 0.7, seed, small)
+        assert traces[-1].a_sets[-1] == 0b10
+
+    # Uniform path, in small row blocks so a draw spans several of them.
+    # The likely elements enter A and the rest do not, so later iterations
+    # run with a proper nonempty A and a share of full rows; in U_{40,80}
+    # A holds ids past 63.  The sets sit far from the threshold, so the
+    # counts behind them are compared too, for every A the chains met.
+    monkeypatch.setattr(chains, "UNIFORM_BLOCK_VALUES", 7 * 30)
+    for m, x in (
+        (UniformMatroid(4, 30), [0.9] * 2 + [0.05] * 28),
+        (UniformMatroid(40, 80), [0.3] * 64 + [0.95] * 16),
+    ):
+        x = as_marginals(x)
+        full_rows = []
+        overrides = ParamOverrides(q=150, eta=30, zeta=2)
+        for seed in range(4):
+            _assert_chain_matches(m, x, 0.7, seed, overrides, full_rows)
+        assert any(a and 0 < n_full < q for a, n_full, q in full_rows)
+        est = _SpanCountEstimator(m, x, 150)
+        for seed, a in enumerate(sorted({a for a, _, _ in full_rows})):
+            rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+            counts = est._uniform_counts(a, rng)
+            assert counts.tolist() == _reference_uniform_counts(est, a, ref_rng, []).tolist()
+            assert rng.random() == ref_rng.random()
 
 
 # -- chain construction -----------------------------------------------------

@@ -210,6 +210,21 @@ def test_main_seed_and_trials_override(tmp_path):
     assert json.loads(out1.read_text())["config"]["seed"] == 99
 
 
+def test_main_chain_on_uniform_rank_above_63(tmp_path):
+    # Element ids past 63 in A used to overflow an int64 on the uniform path.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        matroid={"family": "uniform", "k": 70, "n": 140}, tau=0.2, trials=1, seed=3,
+        overrides={"q": 50, "zeta": 2},
+    )))
+    out = tmp_path / "rep.json"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+    links = json.loads(out.read_text())["results"]["per_trial"][0]["links"]
+    assert len(links) == 4 and links[0] == list(range(140)) and links[-1] == []
+    for hi, lo in zip(links, links[1:]):
+        assert set(lo) <= set(hi)
+
+
 def test_main_invalid_config_exit_one(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(mode="nope")))
