@@ -29,14 +29,11 @@ from .matroids import (
 )
 from .sampling import (
     RngStream,
-    SampleBatch,
     as_marginals,
-    empirical_probability,
     exact_event_probability,
     filter_actives,
     in_scaled_polytope,
     sample_active_set,
-    sample_batch,
     scale,
 )
 from .selection import (

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 
 def mask_of(ids: Iterable[int]) -> int:
     """Build a mask from an iterable of element ids."""
@@ -38,6 +40,12 @@ def iter_ids(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bits_of(mask: int, n: int) -> np.ndarray:
+    """Bool membership vector of ``mask`` over ids 0..n-1, at any width."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -7,10 +7,12 @@ law on {1, ..., η}.  Iterating the link builder over nested restrictions
 yields a spanning chain N = C_0 ⊇ C_1 ⊇ ... ⊇ C_{ζ+1} = ∅.
 
 Only the per-element spanning *counts* over the q samples enter a link
-decision, so on small supports the counts are drawn directly from the
-corresponding multinomial law instead of materializing every sample; the
-resulting output distribution is identical and the draw accounting is
-unchanged.
+decision, and the estimator computes them on one of three paths: ``empty``
+when no element can activate, ``multinomial`` on small supports, where the
+counts are drawn directly from the corresponding multinomial law instead
+of materializing every sample (the output distribution is identical and
+the draw accounting unchanged), and ``rows`` otherwise, where sample rows
+are drawn and the matroid counts them with the kernel of its family.
 
 Three shortcuts skip work without changing any output or the generator
 state after a build.  They rest on two facts.  numpy draws the same stream
@@ -30,8 +32,9 @@ a new classification.
 * Multinomial iterations (``_SpanCountEstimator.link_sets``): all h̄ count
   vectors are drawn at once and classified against the current A in one
   product; the builder jumps to the first row whose set differs from A.
-* Uniform kernel (``_SpanCountEstimator._uniform_counts``): the q sample
-  rows are generated in reused blocks and only counted, never copied.
+* Sample rows (``_SpanCountEstimator._row_counts``): the q sample rows are
+  generated in reused blocks and handed to the matroid's batched span
+  counter (``Matroid.span_counter``), never copied.
 """
 
 from __future__ import annotations
@@ -43,17 +46,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitset import ids_of, iter_ids, mask_of
+from .bitset import bits_of, ids_of, iter_ids, mask_of
 from .matroids import Matroid
 from .sampling import as_marginals, realization_weights, sample_active_set
 
 #: Support size up to which link counts are drawn from the exact multinomial.
 MULTINOMIAL_MAX_SUPPORT = 12
 
-#: Random values per block of uniform-path sample rows (1 MiB of float64):
-#: large enough that per-block call overhead is small, small enough that a
-#: rank-512 iteration no longer allocates q x 512 floats at once.
-UNIFORM_BLOCK_VALUES = 1 << 17
+#: Random values per block of sample rows (1 MiB of float64): large enough
+#: that per-block call overhead is small, small enough that a rank-512
+#: iteration never allocates q x 512 floats at once.
+ROW_BLOCK_VALUES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +275,6 @@ class SpanningChain:
 # ---------------------------------------------------------------------------
 
 
-def _bits(mask: int, n: int) -> np.ndarray:
-    """Bool membership vector of ``mask`` over ids 0..n-1, at any width."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
 class _SpanCountEstimator:
     """Per-iteration estimator of |{p : e ∈ span(A ∪ S_p)}| over q samples.
 
@@ -288,11 +285,9 @@ class _SpanCountEstimator:
                          table exists: draw outcome counts for the 2^s
                          realizations directly (counts are the sufficient
                          statistic of the q samples).
-    * ``uniform``     -- rank is min(|S|, k): spanning only depends on the
-                         realized cardinality, vectorized at any n.
-    * ``table``       -- materialize q sample rows, classify through the
-                         dense span table.
-    * ``oracle``      -- per-sample span() calls (correctness fallback).
+    * ``rows``        -- draw the q sample rows in reused blocks and count
+                         each block with the matroid's ``span_counter``,
+                         which picks the kernel for its family.
 
     ``link_sets`` runs a whole link and is exact against h̄ calls of
     ``next_link_set``: it returns the same sets and leaves the generator in
@@ -300,9 +295,8 @@ class _SpanCountEstimator:
     vectors in one call, which numpy makes the same stream as h̄ single
     draws, and reclassifies only after an iteration whose set differs from
     A, because an iteration that keeps A leaves the next one unchanged.
-    On the ``uniform`` path ``_uniform_counts`` fills reused row blocks in
-    the row-major order of ``rng.random((q, s))``, so the stream is that of
-    one full draw.
+    On the ``rows`` path the blocks follow the row-major order of
+    ``rng.random((q, s))``, so the stream is that of one full draw.
     """
 
     def __init__(self, m: Matroid, x: np.ndarray, q: int):
@@ -316,13 +310,12 @@ class _SpanCountEstimator:
         sup_ids = [e for e in iter_ids(self.ground) if x[e] > 0.0]
         self.sup_ids = np.array(sup_ids, dtype=np.int64)
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
-        self.lookup = m.span_lookup()
-        self.cap = m.uniform_cap()
+        self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         self._member_cache: dict[int, np.ndarray] = {}
         self._blocks: tuple[np.ndarray, np.ndarray] | None = None
         if not sup_ids:
             self.path = "empty"
-        elif len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT and self.lookup is not None:
+        elif self.lookup is not None:
             self.path = "multinomial"
             masks = np.zeros(1, dtype=np.int64)
             pvals = np.ones(1, dtype=np.float64)
@@ -331,12 +324,9 @@ class _SpanCountEstimator:
                 pvals = np.concatenate([pvals * (1.0 - xe), pvals * xe])
             self.outcome_masks = masks
             self.pvals = pvals / pvals.sum()
-        elif self.cap is not None:
-            self.path = "uniform"
-        elif self.lookup is not None:
-            self.path = "table"
         else:
-            self.path = "oracle"
+            self.path = "rows"
+            self.count = m.span_counter(self.sup_ids)
 
     def link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
         """A_1, ..., A_h̄ from A_0 = ∅."""
@@ -344,7 +334,7 @@ class _SpanCountEstimator:
             # No element ever activates, so every estimate is deterministic
             # and the iteration reaches its fixed point span(∅) at once.
             return [self.next_link_set(0, threshold, rng)] * h_bar
-        if self.path != "multinomial":
+        if self.path == "rows":
             a, sets = 0, []
             for _ in range(h_bar):
                 a = self.next_link_set(a, threshold, rng)
@@ -355,7 +345,7 @@ class _SpanCountEstimator:
         a, sets = 0, []
         while len(sets) < h_bar:
             above = cnt[len(sets):] @ self._member(a) > bar
-            in_a = _bits(a, self.m.n_universe)[self.ground_ids]
+            in_a = bits_of(a, self.m.n_universe)[self.ground_ids]
             changed = np.flatnonzero((above != in_a).any(axis=1))
             if not len(changed):
                 sets += [a] * len(above)
@@ -376,17 +366,8 @@ class _SpanCountEstimator:
             return self.m.span(a_mask)
         if self.path == "multinomial":
             counts = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)
-        elif self.path == "uniform":
-            counts = self._uniform_counts(a_mask, rng)
-        elif self.path == "table":
-            rows = rng.random((self.q, len(self.sup_ids))) < self.sup_x
-            keys = rows.astype(np.int64) @ (np.int64(1) << self.sup_ids)
-            spans = self.lookup(keys | np.int64(a_mask))
-            counts = (
-                ((spans[:, None] >> self.ground_ids[None, :]) & 1).sum(axis=0)
-            )
         else:
-            counts = self._oracle_counts(a_mask, rng)
+            counts = self._row_counts(a_mask, rng)
         return self._set_of(counts > bar)
 
     def _set_of(self, in_set: np.ndarray) -> int:
@@ -402,47 +383,21 @@ class _SpanCountEstimator:
             self._member_cache[a_mask] = member
         return member
 
-    def _uniform_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
-        # A row is full when |A| + (its active elements outside A) reaches
-        # the cap: it spans every element.  Other rows span A and their own
-        # active elements.  Elements of A count q whatever the rows hold, so
-        # their columns are compared against 0 and never count as active.
+    def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
+        # Elements of A are spanned by every row whatever it holds, so their
+        # columns are drawn with probability 0 and never flagged.
         s = len(self.sup_ids)
-        in_a = _bits(a_mask, self.m.n_universe)
-        x_out = np.where(in_a[self.sup_ids], 0.0, self.sup_x)
-        need = self.cap - a_mask.bit_count()
+        x_out = np.where(bits_of(a_mask, self.m.n_universe)[self.sup_ids], 0.0, self.sup_x)
         if self._blocks is None:
-            rows = min(self.q, max(1, UNIFORM_BLOCK_VALUES // s))
+            rows = min(self.q, max(1, ROW_BLOCK_VALUES // s))
             self._blocks = (np.empty((rows, s)), np.empty((rows, s), dtype=bool))
         values, active = self._blocks
-        n_full = 0
-        sup_counts = np.zeros(s, dtype=np.int64)
+        counts = np.zeros(self.m.n_universe, dtype=np.int64)
         for start in range(0, self.q, len(values)):
             b = min(len(values), self.q - start)
             rng.random(out=values[:b])
-            act = np.less(values[:b], x_out, out=active[:b])
-            full = np.count_nonzero(act, axis=1) >= need
-            act[full] = False
-            n_full += int(np.count_nonzero(full))
-            sup_counts += np.count_nonzero(act, axis=0)
-        counts = np.full(len(self.ground_ids), n_full, dtype=np.int64)
-        counts[np.searchsorted(self.ground_ids, self.sup_ids)] = sup_counts + n_full
-        counts[in_a[self.ground_ids]] = self.q
-        return counts
-
-    def _oracle_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
-        rows = rng.random((self.q, len(self.sup_ids))) < self.sup_x
-        counts = np.zeros(len(self.ground_ids), dtype=np.int64)
-        pos = {int(e): i for i, e in enumerate(self.ground_ids)}
-        pow2 = [1 << int(e) for e in self.sup_ids]
-        for row in rows:
-            s_mask = 0
-            for j in np.flatnonzero(row):
-                s_mask |= pow2[j]
-            span = self.m.span(a_mask | s_mask)
-            for e in iter_ids(span):
-                counts[pos[e]] += 1
-        return counts
+            counts += self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
+        return counts[self.ground_ids]
 
 
 # ---------------------------------------------------------------------------

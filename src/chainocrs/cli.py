@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from .bitset import iter_ids, mask_of
 from .chains import ParamOverrides, ocrs_chain
 from .matroids import Matroid, UniformMatroid, matroid_from_descriptor
 from .sampling import EXACT_ENUM_MAX, RngStream, as_marginals, in_scaled_polytope
-from .selection import selectability_experiment
+from .selection import ADVERSARIES, selectability_experiment
 from .verify import (
     sample_complexity_audit,
     verify_freeness_likely,
@@ -127,6 +126,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError("trials must be positive")
     adversary = raw.get("adversary", "element-last")
+    if adversary not in ADVERSARIES:
+        raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
     ov = raw.get("overrides", {}) or {}
     if not isinstance(ov, dict) or not set(ov) <= {"q", "eta", "zeta"}:
         raise ConfigError("overrides may only set q, eta, zeta")
@@ -226,7 +227,7 @@ def _plain(obj):
     return obj
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> tuple[ExperimentReport, int]:
+def run(config: ExperimentConfig) -> tuple[ExperimentReport, int]:
     """Dispatch one experiment; returns (report, exit_code)."""
     t0 = time.monotonic()
     if config.mode == "audit":
@@ -243,7 +244,7 @@ def run(config: ExperimentConfig, threads: int = 1) -> tuple[ExperimentReport, i
             "verify-freeness": _run_verify_freeness,
             "verify-talpha": _run_verify_talpha,
         }[config.mode]
-        report, code = runner(config, m, x, threads)
+        report, code = runner(config, m, x)
     report.wall_clock_seconds = time.monotonic() - t0
     return report, code
 
@@ -256,7 +257,7 @@ def _chain_tau(config: ExperimentConfig) -> float:
     return config.tau if config.tau is not None else config.lam + 4.0 * config.eps
 
 
-def _run_chain(config, m, x, threads):
+def _run_chain(config, m, x):
     tau = _chain_tau(config)
     per_trial = []
     total_draws = 0
@@ -285,7 +286,7 @@ def _run_chain(config, m, x, threads):
     return ExperimentReport(config.echo(), results, []), 0
 
 
-def _run_ocrs(config, m, x, threads):
+def _run_ocrs(config, m, x):
     report = selectability_experiment(
         m,
         x,
@@ -295,7 +296,6 @@ def _run_ocrs(config, m, x, threads):
         config.adversary,
         _stream(config),
         config.overrides,
-        threads=threads,
     )
     results = report.to_jsonable()
     results["floor_holds"] = report.floor_holds()
@@ -308,7 +308,7 @@ def _verify_common(config, verdict) -> tuple[ExperimentReport, int]:
     return report, 0 if verdict.passed else 2
 
 
-def _run_verify_inlink(config, m, x, threads):
+def _run_verify_inlink(config, m, x):
     rho = max(m.full_rank(), 3)
     tau = _chain_tau(config)
     verdict = verify_in_link_loss(
@@ -318,7 +318,7 @@ def _run_verify_inlink(config, m, x, threads):
     return _verify_common(config, verdict)
 
 
-def _run_verify_progress(config, m, x, threads):
+def _run_verify_progress(config, m, x):
     rho = max(m.full_rank(), 3)
     tau = _chain_tau(config)
     verdict = verify_progress(
@@ -328,7 +328,7 @@ def _run_verify_progress(config, m, x, threads):
     return _verify_common(config, verdict)
 
 
-def _run_verify_spanning(config, m, x, threads):
+def _run_verify_spanning(config, m, x):
     verdict = verify_spanning(
         m, x, config.lam, config.eps, config.trials, _stream(config),
         overrides=config.overrides,
@@ -336,7 +336,7 @@ def _run_verify_spanning(config, m, x, threads):
     return _verify_common(config, verdict)
 
 
-def _run_verify_freeness(config, m, x, threads):
+def _run_verify_freeness(config, m, x):
     verdict = verify_freeness_likely(
         m, x, config.lam, config.eps, config.trials, _stream(config),
         overrides=config.overrides,
@@ -344,7 +344,7 @@ def _run_verify_freeness(config, m, x, threads):
     return _verify_common(config, verdict)
 
 
-def _run_verify_talpha(config, m, x, threads):
+def _run_verify_talpha(config, m, x):
     opts = config.talpha
     alpha = opts.get("alpha")
     if alpha is None:
@@ -411,11 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--trials", type=int, help="override the config trials")
     parser.add_argument("--out", type=Path, help="report output path (JSON)")
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("OCRS_THREADS", "1")),
-        help="trial worker threads (results do not depend on this)",
-    )
     args = parser.parse_args(argv)
     try:
         raw = json.loads(args.config.read_text())
@@ -427,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
             raw[key] = val
     try:
         config = parse_config(raw)
-        report, code = run(config, threads=max(1, args.threads))
+        report, code = run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitset import full_mask, ids_of, iter_ids, mask_of, submasks
+from .bitset import bits_of, full_mask, ids_of, iter_ids, mask_of, submasks
 
 #: Largest universe for which dense rank/span tables are built.
 SPAN_TABLE_MAX = 20
@@ -92,9 +92,40 @@ class Matroid:
 
     # -- fast-path hooks ---------------------------------------------------
 
-    def uniform_cap(self) -> int | None:
-        """If rank(S) = min(|S|, k) on the ground set, return k, else None."""
-        return None
+    def span_counter(self, cols: np.ndarray):
+        """Batched span counts over sample rows, as a callable.
+
+        ``count(rows, a_mask)`` takes a bool matrix whose column j flags
+        element ``cols[j]`` and returns, per universe id e, the number of
+        rows r with e ∈ span(A ∪ S_r), S_r the set row r flags; ids off the
+        ground set count 0.  Rows flag no element of A.  The dense span
+        table does the lookup when ``span_lookup`` exists, else each row
+        costs one ``span`` call.
+        """
+        n = self.n_universe
+        lookup = self.span_lookup()
+        if lookup is not None:
+            weights = np.int64(1) << np.asarray(cols, dtype=np.int64)
+            ids = np.arange(n, dtype=np.int64)
+
+            def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+                spans = lookup(rows @ weights | np.int64(a_mask))
+                return ((spans[:, None] >> ids) & 1).sum(axis=0)
+
+            return count
+        pow2 = [1 << int(e) for e in cols]
+
+        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+            counts = [0] * n
+            for row in rows:
+                s_mask = a_mask
+                for j in np.flatnonzero(row).tolist():
+                    s_mask |= pow2[j]
+                for e in iter_ids(self.span(s_mask)):
+                    counts[e] += 1
+            return np.array(counts, dtype=np.int64)
+
+        return count
 
     def span_lookup(self):
         """Vectorized span oracle, or None when the universe is too large.
@@ -151,8 +182,19 @@ class UniformMatroid(Matroid):
     def _rank_masked(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
 
-    def uniform_cap(self) -> int | None:
-        return self.k
+    def span_counter(self, cols: np.ndarray):
+        cols = np.asarray(cols, dtype=np.int64)
+
+        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+            # A row whose active elements bring |A ∪ S_r| to k spans
+            # everything; any other row spans exactly A ∪ S_r.
+            full = np.count_nonzero(rows, axis=1) >= self.k - a_mask.bit_count()
+            counts = np.full(self.n_universe, np.count_nonzero(full), dtype=np.int64)
+            counts[cols] += np.count_nonzero(rows & ~full[:, None], axis=0)
+            counts[bits_of(a_mask, self.n_universe)] = len(rows)
+            return counts
+
+        return count
 
     def __repr__(self):
         return f"UniformMatroid(k={self.k}, n={self.n_universe})"
@@ -344,11 +386,16 @@ class MinorMatroid(Matroid):
             raise ValueError("set outside the ground set")
         return self.base.span(mask | self.contracted) & self.ground_mask
 
-    def uniform_cap(self) -> int | None:
-        k = self.base.uniform_cap()
-        if k is None:
-            return None
-        return max(0, k - self._r_contracted)
+    def span_counter(self, cols: np.ndarray):
+        # Same identity as span: count in the base with A ∪ contracted, then
+        # keep this minor's ground columns.
+        base_count = self.base.span_counter(cols)
+        ground = bits_of(self.ground_mask, self.n_universe)
+
+        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+            return np.where(ground, base_count(rows, a_mask | self.contracted), 0)
+
+        return count
 
     def span_lookup(self):
         base_lookup = self.base.span_lookup()
@@ -441,7 +488,7 @@ def validate_axioms(m: Matroid) -> ValidationReport:
         if not exch_ok:
             break
 
-    # Rank properties of the induced rank function, vectorized over all pairs.
+    # Rank properties of the induced rank function, vectorized over all masks.
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     rank_t = np.zeros(size, dtype=np.int64)
@@ -459,11 +506,16 @@ def validate_axioms(m: Matroid) -> ValidationReport:
             monotone = False
             failures.append("rank is not monotone")
             break
-    union_r = rank_t[np.bitwise_or.outer(masks, masks)]
-    inter_r = rank_t[np.bitwise_and.outer(masks, masks)]
-    submodular = bool(np.all(union_r + inter_r <= rank_t[:, None] + rank_t[None, :]))
-    if not submodular:
-        failures.append("rank is not submodular")
+    # Submodularity in its local form r(S+e) + r(S+f) >= r(S+e+f) + r(S)
+    # over S avoiding e and f, which is equivalent and needs O(2^n) memory.
+    submodular = True
+    for e, f in itertools.combinations(range(n), 2):
+        be, bf = np.int64(1 << e), np.int64(1 << f)
+        s = masks[(masks & (be | bf)) == 0]
+        if np.any(rank_t[s | be] + rank_t[s | bf] < rank_t[s | be | bf] + rank_t[s]):
+            submodular = False
+            failures.append("rank is not submodular")
+            break
 
     return ValidationReport(
         n=n,

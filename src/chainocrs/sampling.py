@@ -5,8 +5,8 @@ probability x_e.  Marginal vectors are float64 numpy arrays indexed by
 element id; realizations are bitmasks.
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, stream)``: trial i uses stream id i, so results never depend on
-how trials are scheduled across workers.
+``(seed, stream)``: trial i uses stream id i, so its draws do not depend
+on any other trial.
 """
 
 from __future__ import annotations
@@ -75,32 +75,6 @@ def _pack_bits(bits: np.ndarray) -> int:
     for e in np.flatnonzero(bits):
         mask |= 1 << int(e)
     return mask
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Independent draws from one activation law."""
-
-    samples: tuple[int, ...]
-    draw_count: int
-
-    def __post_init__(self):
-        if self.draw_count != len(self.samples):
-            raise ValueError("draw_count must equal the number of samples")
-
-
-def sample_batch(x: np.ndarray, q: int, rng: np.random.Generator) -> SampleBatch:
-    """q independent realizations of D(x)."""
-    rows = rng.random((q, len(x))) < x
-    return SampleBatch(tuple(_pack_bits(r) for r in rows), q)
-
-
-def empirical_probability(batch: SampleBatch, predicate: Callable[[int], bool]) -> float:
-    """Fraction of samples satisfying the predicate."""
-    if batch.draw_count == 0:
-        raise ValueError("empirical probability over an empty batch")
-    hits = sum(1 for s in batch.samples if predicate(s))
-    return hits / batch.draw_count
 
 
 def realization_weights(x: np.ndarray) -> np.ndarray:

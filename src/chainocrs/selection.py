@@ -32,7 +32,7 @@ from .matroids import Matroid
 from .sampling import RngStream, as_marginals, filter_actives, sample_active_set, scale
 from .stats import wilson_interval
 
-ADVERSARIES = ("element-last", "exhaustive-worst", "random-order", "fixed")
+ADVERSARIES = ("element-last", "exhaustive-worst", "random-order")
 
 #: Largest active set for exhaustive order enumeration.
 EXHAUSTIVE_MAX_ACTIVES = 7
@@ -161,7 +161,6 @@ def chain_ocrs_trial(
     chain_sampler: Callable[[np.random.Generator], SpanningChain],
     adversary: str,
     rng: np.random.Generator,
-    fixed_order: Sequence[int] | None = None,
 ) -> TrialOutcome:
     """One filtered-greedy trial against the chosen adversary.
 
@@ -192,13 +191,9 @@ def chain_ocrs_trial(
             order = worst_case_order(m, chain, kept, e, mode="exhaustive-worst")
             if (run_selection(m, chain, kept, order) >> e) & 1:
                 selected |= 1 << e
-    elif adversary == "random-order":
+    else:  # random-order
         order = [int(e) for e in rng.permutation(ids_of(kept))]
         selected = run_selection(m, chain, kept, order)
-    else:
-        if fixed_order is None:
-            raise ValueError("fixed adversary needs an order")
-        selected = run_selection(m, chain, kept, fixed_order)
     return TrialOutcome(active_mask=active, kept_mask=kept, selected_mask=selected, chain=chain)
 
 
@@ -280,14 +275,12 @@ def selectability_experiment(
     adversary: str,
     seed_stream: RngStream,
     overrides: ParamOverrides | None = None,
-    threads: int = 1,
 ) -> SelectabilityReport:
     """Estimate per-element Pr[selected | active] for the full scheme.
 
     Each trial samples a fresh chain for the thinned marginals λ·x with
     threshold λ+4ε, draws R(x), thins it, and plays the adversary.  Trial i
-    draws from stream i of ``seed_stream``, so results are independent of
-    the worker count.
+    draws from stream i of ``seed_stream``.
     """
     if not 0.0 < eps <= 0.05:
         raise ValueError(f"eps must lie in (0, 1/20], got {eps}")
@@ -310,7 +303,7 @@ def selectability_experiment(
 
         return chain_ocrs_trial(m, x, lam, sampler, adversary, rng)
 
-    outcomes = _map_trials(one_trial, trials, threads)
+    outcomes = [one_trial(t) for t in range(trials)]
 
     ids = ids_of(m.ground_mask)
     act = {e: 0 for e in ids}
@@ -330,13 +323,3 @@ def selectability_experiment(
         draw_count=sum(draw_counts),
         theoretical_floor=lam * (1.0 - lam - 8.0 * eps),
     )
-
-
-def _map_trials(fn: Callable[[int], TrialOutcome], trials: int, threads: int) -> list:
-    """Run trials, optionally on a thread pool; output order is by index."""
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))

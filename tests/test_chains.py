@@ -21,8 +21,9 @@ from chainocrs import (
     truncation_distribution,
 )
 from chainocrs import chains
+from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
-from chainocrs.matroids import MinorMatroid
+from chainocrs.matroids import Matroid, MinorMatroid
 from chainocrs.sampling import realization_weights
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
@@ -125,53 +126,92 @@ def test_single_link_deterministic(u24):
 
 
 def test_estimator_paths_agree_in_distribution(u24):
-    # Same A_1 law whether counts come from the multinomial, sample rows
-    # through the span table, the uniform shortcut, or raw span() calls.
+    # Same A_1 law whether counts come from the multinomial or from sample
+    # rows counted by the matroid's span counter.
     x = as_marginals([0.3] * 4)
     q, trials, thr = 40, 3000, 0.5
     hist = {}
-    for path in ("multinomial", "table", "uniform", "oracle"):
+    for path in ("multinomial", "rows"):
         counts = np.zeros(16)
         for t in range(trials):
             rng = RngStream(123, t).generator()
             est = _SpanCountEstimator(u24, x, q)
             assert est.path == "multinomial"
-            est.path = path
+            if path == "rows":
+                est.path, est.count = "rows", u24.span_counter(est.sup_ids)
             counts[est.next_link_set(0, thr, rng)] += 1
         hist[path] = counts / trials
     base = hist["multinomial"]
-    for path in ("table", "uniform", "oracle"):
-        for mask in range(16):
-            p = base[mask]
-            sigma = math.sqrt(max(p * (1 - p), 1e-6) * 2 / trials)
-            assert abs(hist[path][mask] - p) <= 4 * sigma
+    for mask in range(16):
+        p = base[mask]
+        sigma = math.sqrt(max(p * (1 - p), 1e-6) * 2 / trials)
+        assert abs(hist["rows"][mask] - p) <= 4 * sigma
 
 
-# -- stream-exact fast paths --------------------------------------------------
+def _span_reference(m, cols, rows, a_mask):
+    """Per-universe-id span counts from one ``m.span`` call per row."""
+    counts = np.zeros(m.n_universe, dtype=np.int64)
+    for row in rows:
+        for e in iter_ids(m.span(a_mask | mask_of(cols[row].tolist()))):
+            counts[e] += 1
+    return counts
 
 
-def _reference_uniform_counts(est, a_mask, rng, full_rows):
-    """The uniform path on one materialized (q, s) draw; records full rows."""
+def test_span_counter_kernels_match_span_reference(monkeypatch):
+    k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    # Theta graph: edge (0, 1) plus 19 two-edge 0-1 paths, n = 39.
+    theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    u = UniformMatroid(6, 30)
+    cases = [
+        (u, "uniform"),
+        (u.restrict(full_mask(30) & ~0b111), "uniform"),
+        (u.contract(0b1011), "uniform"),
+        (u.contract(full_mask(8)), "uniform"),
+        (k5, "table"),
+        (k5.contract(0b11), "table"),
+        (k5.restrict(0b1111110), "table"),
+        (theta, "span"),
+        (theta.contract(0b110), "span"),
+    ]
+    calls = []
+    real_span = Matroid.span
+    monkeypatch.setattr(Matroid, "span", lambda self, s: calls.append(s) or real_span(self, s))
+    rng = np.random.default_rng(5)
+    for m, kernel in cases:
+        assert (m.span_lookup() is not None) == (kernel == "table")
+        ground = ids_of(m.ground_mask)
+        for t in range(6):
+            a_mask = mask_of(e for e in ground if rng.random() < 0.1 * t)
+            cols = np.array(
+                [e for e in ground if not (a_mask >> e) & 1 and rng.random() < 0.8],
+                dtype=np.int64,
+            )
+            rows = rng.random((41, len(cols))) < 0.3
+            expected = _span_reference(m, cols, rows, a_mask)
+            # The table and cardinality kernels make no span() call; the
+            # fallback makes one per row.
+            calls.clear()
+            got = m.span_counter(cols)(rows, a_mask)
+            assert got.tolist() == expected.tolist()
+            assert len(calls) == (len(rows) if kernel == "span" else 0)
+
+
+def _reference_row_counts(est, a_mask, rng, full_rows):
+    """The rows path on one materialized (q, s) draw, one span() call per
+    row; records how many rows span the whole ground set."""
     rows = rng.random((est.q, len(est.sup_ids))) < est.sup_x
-    in_a = np.array([(a_mask >> e) & 1 for e in est.sup_ids.tolist()], dtype=bool)
-    full = a_mask.bit_count() + rows[:, ~in_a].sum(axis=1) >= est.cap
-    n_full = int(full.sum())
-    full_rows.append((a_mask, n_full, est.q))
-    sup_counts = dict(zip(est.sup_ids.tolist(), rows[~full].sum(axis=0) + n_full))
-    return np.array([
-        est.q if (a_mask >> e) & 1 else sup_counts.get(e, n_full)
-        for e in est.ground_ids.tolist()
-    ])
+    spans = [est.m.span(a_mask | mask_of(est.sup_ids[row].tolist())) for row in rows]
+    full_rows.append((a_mask, spans.count(est.ground), est.q))
+    return np.array([sum((sp >> e) & 1 for sp in spans) for e in est.ground_ids.tolist()])
 
 
 def _reference_link(m, x, params, rng, full_rows=None):
-    """The link builder one iteration at a time: h̄, then h̄ next_link_set calls."""
+    """The link builder one iteration at a time: h̄, then h̄ next_link_set
+    calls; with ``full_rows``, the rows path counts through span() calls."""
     h_bar = truncation_distribution(params.eps, params.rho, params.eta).sample(rng)
     est = _SpanCountEstimator(m, as_marginals(x), params.q)
     if full_rows is not None:
-        est._uniform_counts = functools.partial(
-            _reference_uniform_counts, est, full_rows=full_rows
-        )
+        est._row_counts = functools.partial(_reference_row_counts, est, full_rows=full_rows)
     a, sets = 0, []
     for _ in range(h_bar):
         a = est.next_link_set(a, params.threshold, rng)
@@ -259,12 +299,13 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
         traces = _assert_chain_matches(minor, x_minor, 0.7, seed, small)
         assert traces[-1].a_sets[-1] == 0b10
 
-    # Uniform path, in small row blocks so a draw spans several of them.
-    # The likely elements enter A and the rest do not, so later iterations
-    # run with a proper nonempty A and a share of full rows; in U_{40,80}
-    # A holds ids past 63.  The sets sit far from the threshold, so the
-    # counts behind them are compared too, for every A the chains met.
-    monkeypatch.setattr(chains, "UNIFORM_BLOCK_VALUES", 7 * 30)
+    # Rows path through the cardinality kernel, in small row blocks so a
+    # draw spans several of them.  The likely elements enter A and the rest
+    # do not, so later iterations run with a proper nonempty A and a share
+    # of full rows; in U_{40,80} A holds ids past 63.  The sets sit far from
+    # the threshold, so the counts behind them are compared too, for every
+    # A the chains met.
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 7 * 30)
     for m, x in (
         (UniformMatroid(4, 30), [0.9] * 2 + [0.05] * 28),
         (UniformMatroid(40, 80), [0.3] * 64 + [0.95] * 16),
@@ -278,9 +319,33 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
         est = _SpanCountEstimator(m, x, 150)
         for seed, a in enumerate(sorted({a for a, _, _ in full_rows})):
             rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
-            counts = est._uniform_counts(a, rng)
-            assert counts.tolist() == _reference_uniform_counts(est, a, ref_rng, []).tolist()
+            counts = est._row_counts(a, rng)
+            assert counts.tolist() == _reference_row_counts(est, a, ref_rng, []).tolist()
             assert rng.random() == ref_rng.random()
+
+
+def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
+    # K6 at uniform-scaled marginals: all 15 edges are in the support, too
+    # many for the multinomial, and n <= 20, so the rows path counts through
+    # the dense span table and makes no span() call.  Near the spanning
+    # probability (~0.28) links grow over several iterations.
+    k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    x = as_marginals([0.5 * k6.full_rank() / 15] * 15)
+    assert _SpanCountEstimator(k6, x, 100).path == "rows"
+    params = LinkParams(rho=5, threshold=0.35, eps=0.05, q=100, eta=12)
+    calls = []
+    real_span = Matroid.span
+    monkeypatch.setattr(Matroid, "span", lambda self, s: calls.append(s) or real_span(self, s))
+    grown = 0
+    for seed in range(6):
+        rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+        calls.clear()
+        link = single_ocrs_link(k6, x, params, rng)
+        assert not calls
+        assert link == _reference_link(k6, x, params, ref_rng, full_rows=[])
+        assert rng.random() == ref_rng.random()
+        grown += _grows_mid_link(link[1])
+    assert grown > 0
 
 
 # -- chain construction -----------------------------------------------------

