@@ -47,16 +47,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bitset import bits_of, ids_of, iter_ids, mask_of
-from .matroids import Matroid
+from .matroids import ROW_BLOCK_VALUES, Matroid
 from .sampling import as_marginals, realization_weights, sample_active_set
 
 #: Support size up to which link counts are drawn from the exact multinomial.
 MULTINOMIAL_MAX_SUPPORT = 12
-
-#: Random values per block of sample rows (1 MiB of float64): large enough
-#: that per-block call overhead is small, small enough that a rank-512
-#: iteration never allocates q x 512 floats at once.
-ROW_BLOCK_VALUES = 1 << 17
 
 
 # ---------------------------------------------------------------------------

@@ -114,10 +114,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         eps = float(raw.get("eps", 0.05))
         trials = int(raw.get("trials", 1))
         seed = int(raw.get("seed", 0))
+        tau = None if raw.get("tau") is None else float(raw["tau"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric field: {exc}")
-    tau = raw.get("tau")
-    tau = float(tau) if tau is not None else None
     if not 0.0 < eps <= 0.05:
         raise ConfigError(f"eps must lie in (0, 1/20], got {eps}")
     if mode in ("ocrs", "chain", "verify-spanning", "verify-freeness", "audit"):
@@ -131,9 +130,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     ov = raw.get("overrides", {}) or {}
     if not isinstance(ov, dict) or not set(ov) <= {"q", "eta", "zeta"}:
         raise ConfigError("overrides may only set q, eta, zeta")
+    for key, val in ov.items():
+        if val is not None and not _positive_int(val):
+            raise ConfigError(f"overrides.{key} must be a positive integer, got {val!r}")
     overrides = ParamOverrides(
         q=ov.get("q"), eta=ov.get("eta"), zeta=ov.get("zeta")
     )
+    audit = raw.get("audit", {})
+    talpha = raw.get("talpha", {})
+    _check_audit(audit)
+    _check_talpha(talpha)
     return ExperimentConfig(
         mode=mode,
         matroid=matroid,
@@ -145,9 +151,51 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seed=seed,
         adversary=adversary,
         overrides=overrides,
-        audit=raw.get("audit", {}),
-        talpha=raw.get("talpha", {}),
+        audit=audit,
+        talpha=talpha,
     )
+
+
+def _is_int(value) -> bool:
+    # JSON booleans parse as Python bools, which are ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _check_audit(audit) -> None:
+    if not isinstance(audit, dict):
+        raise ConfigError("audit must be an object")
+    rhos = audit.get("rhos", [1])
+    if not isinstance(rhos, list) or not rhos or not all(map(_positive_int, rhos)):
+        raise ConfigError(f"audit.rhos must be a nonempty list of integers >= 1, got {rhos!r}")
+    if not _positive_int(audit.get("runs", 1)):
+        raise ConfigError(f"audit.runs must be an integer >= 1, got {audit['runs']!r}")
+
+
+def _check_talpha(talpha) -> None:
+    # The T_alpha builder needs 0 < alpha < 1 in either accepted form.
+    if not isinstance(talpha, dict):
+        raise ConfigError("talpha must be an object")
+    alpha = talpha.get("alpha")
+    if isinstance(alpha, list):
+        if not (len(alpha) == 2 and all(map(_is_int, alpha)) and 0 < alpha[0] < alpha[1]):
+            raise ConfigError(
+                f"talpha.alpha as [num, den] needs integers with 0 < num < den, got {alpha!r}"
+            )
+    elif alpha is not None and not (
+        (_is_int(alpha) or isinstance(alpha, float)) and 0 < alpha < 1
+    ):
+        raise ConfigError(f"talpha.alpha must be a number in (0, 1), got {alpha!r}")
+    if not _positive_int(talpha.get("q_trials", 1)):
+        raise ConfigError(
+            f"talpha.q_trials must be an integer >= 1, got {talpha['q_trials']!r}"
+        )
+    b = talpha.get("b", [])
+    if not isinstance(b, list) or not all(_is_int(e) and e >= 0 for e in b):
+        raise ConfigError(f"talpha.b must be a list of element ids, got {b!r}")
 
 
 def generate_marginal(spec: dict, m: Matroid, lam: float) -> np.ndarray:
@@ -353,10 +401,10 @@ def _run_verify_talpha(config, m, x):
     elif isinstance(alpha, list):
         from fractions import Fraction
 
-        alpha = Fraction(int(alpha[0]), int(alpha[1]))
+        alpha = Fraction(*alpha)
     b_mask = mask_of(opts.get("b", []))
     rng = _stream(config).substream(0).generator()
-    verdict = verify_t_alpha(m, x, b_mask, alpha, int(opts.get("q_trials", 100)), rng)
+    verdict = verify_t_alpha(m, x, b_mask, alpha, opts.get("q_trials", 100), rng)
     verdict.meta["seed"] = config.seed
     return _verify_common(config, verdict)
 
@@ -364,14 +412,14 @@ def _run_verify_talpha(config, m, x):
 def _run_audit(config) -> tuple[ExperimentReport, int]:
     opts = config.audit
     rhos = opts.get("rhos", [8, 64, 512])
-    runs = int(opts.get("runs", 3))
+    runs = opts.get("runs", 3)
     tau = _chain_tau(config)
     traces = []
     for rho in rhos:
-        m = UniformMatroid(int(rho), 2 * int(rho))
+        m = UniformMatroid(rho, 2 * rho)
         x = generate_marginal({"kind": "basis-indicator-scaled"}, m, config.lam)
         for t in range(runs):
-            rng = RngStream(config.seed, (int(rho) << 20) + t).generator()
+            rng = RngStream(config.seed, (rho << 20) + t).generator()
             _, trace = ocrs_chain(m, x, tau, config.eps, rng)
             traces.append(trace)
     table = sample_complexity_audit(traces)

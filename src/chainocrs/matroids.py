@@ -26,6 +26,13 @@ SPAN_TABLE_MAX = 20
 #: Largest universe on which exhaustive axiom validation is allowed.
 AXIOM_CHECK_MAX = 12
 
+#: Values per block of sample rows (1 MiB of float64): large enough that
+#: per-block call overhead is small, small enough that a block never holds
+#: a full q x rank matrix.  The estimator draws rows in blocks of this many
+#: random values, and the graphic span kernel labels at most this many
+#: vertices (and compares as many edge endpoints) at once.
+ROW_BLOCK_VALUES = 1 << 17
+
 
 class Matroid:
     """Base class: a rank oracle over a fixed ground set.
@@ -100,7 +107,9 @@ class Matroid:
         rows r with e ∈ span(A ∪ S_r), S_r the set row r flags; ids off the
         ground set count 0.  Rows flag no element of A.  The dense span
         table does the lookup when ``span_lookup`` exists, else each row
-        costs one ``span`` call.
+        costs one ``span`` call.  Families override this with a kernel
+        for all rows at once: the cardinality rule (uniform), per-block
+        column sums (partition) and component labels (graphic, n > 20).
         """
         n = self.n_universe
         lookup = self.span_lookup()
@@ -224,6 +233,30 @@ class PartitionMatroid(Matroid):
             for bm, c in zip(self.block_masks, self.capacities)
         )
 
+    def span_counter(self, cols: np.ndarray):
+        # Row r spans e in block b iff e ∈ A ∪ S_r or |(A ∪ S_r) ∩ b| >= cap_b.
+        # Ids in no block map to a last, never-full column.
+        n = self.n_universe
+        cols = np.asarray(cols, dtype=np.int64)
+        block_of = np.full(n, len(self.block_masks), dtype=np.int64)
+        for b, bm in enumerate(self.block_masks):
+            block_of[bits_of(bm, n)] = b
+        col_block = block_of[cols]
+        block_cols = [np.flatnonzero(col_block == b) for b in range(len(self.block_masks))]
+        caps = np.array(self.capacities + [n + 1], dtype=np.int64)
+
+        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+            held = np.zeros((len(rows), len(caps)), dtype=np.int64)
+            for b, (bm, j) in enumerate(zip(self.block_masks, block_cols)):
+                held[:, b] = (a_mask & bm).bit_count() + np.count_nonzero(rows[:, j], axis=1)
+            full = held >= caps
+            counts = np.count_nonzero(full, axis=0)[block_of]
+            counts[cols] += np.count_nonzero(rows & ~full[:, col_block], axis=0)
+            counts[bits_of(a_mask, n)] = len(rows)
+            return counts
+
+        return count
+
     def __repr__(self):
         return f"PartitionMatroid(blocks={[ids_of(b) for b in self.block_masks]}, capacities={self.capacities})"
 
@@ -231,8 +264,11 @@ class PartitionMatroid(Matroid):
 class GraphicMatroid(Matroid):
     """Forests of a multigraph; element e is the edge ``edges[e]``.
 
-    Rank is computed with a union-find rebuilt per query; at the ground-set
-    sizes this library targets a query is microseconds, so no caching.
+    A single rank query runs a union-find over the set's edges.  Span counts
+    over sample rows (``span_counter``) use the dense table up to
+    ``SPAN_TABLE_MAX`` edges; beyond it they label the connected components
+    of every row's graph A ∪ S_r at once in numpy, and edge (u, v) is
+    spanned in a row iff u and v share a label there.
     """
 
     def __init__(self, n_vertices: int, edges: list[tuple[int, int]]):
@@ -241,6 +277,7 @@ class GraphicMatroid(Matroid):
         super().__init__(len(edges), full_mask(len(edges)))
         self.n_vertices = n_vertices
         self.edges = [(int(u), int(v)) for u, v in edges]
+        self._ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
 
     def _rank_masked(self, mask: int) -> int:
         parent = list(range(self.n_vertices))
@@ -260,8 +297,57 @@ class GraphicMatroid(Matroid):
                 r += 1
         return r
 
+    def span_counter(self, cols: np.ndarray):
+        if self.n_universe <= SPAN_TABLE_MAX:
+            return super().span_counter(cols)
+        nv = self.n_vertices
+        tail, head = self._ends
+        cols = np.asarray(cols, dtype=np.int64)
+        col_tail, col_head = tail[cols], head[cols]
+        chunk = max(1, ROW_BLOCK_VALUES // max(nv, self.n_universe))
+
+        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+            # Every row starts from the components of A, each labelled by
+            # its least vertex; row r's vertices are r*nv + v in one array.
+            a_ids = bits_of(a_mask, self.n_universe)
+            a_labels = _component_labels(np.arange(nv), tail[a_ids], head[a_ids])
+            counts = np.zeros(self.n_universe, dtype=np.int64)
+            for start in range(0, len(rows), chunk):
+                block = rows[start:start + chunk]
+                r, j = np.nonzero(block)
+                offset = np.arange(len(block), dtype=np.int64)[:, None] * nv
+                labels = _component_labels(
+                    (offset + a_labels).ravel(), r * nv + col_tail[j], r * nv + col_head[j]
+                ).reshape(len(block), nv)
+                counts += np.count_nonzero(labels[:, tail] == labels[:, head], axis=0)
+            return counts
+
+        return count
+
     def __repr__(self):
         return f"GraphicMatroid(n_vertices={self.n_vertices}, edges={self.edges})"
+
+
+def _component_labels(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the edges (u[i], v[i]) over ``labels``.
+
+    ``labels`` is a parent array: each vertex points at a vertex of its own
+    component that is no larger than itself.  Each round hooks the label of
+    every edge end at the smaller label of the two ends (``np.minimum.at``),
+    then jumps every pointer once.  A round that changes nothing leaves both
+    ends of every edge on one label, so the result labels each component
+    by its least vertex.  Self-loops, parallel edges and isolated vertices
+    need no special case.
+    """
+    while True:
+        lu, lv = labels[u], labels[v]
+        low = np.minimum(lu, lv)
+        hooked = labels.copy()
+        np.minimum.at(hooked, np.concatenate((lu, lv)), np.concatenate((low, low)))
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
 
 
 class LaminarMatroid(Matroid):

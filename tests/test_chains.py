@@ -6,9 +6,11 @@ import pytest
 
 from chainocrs import (
     GraphicMatroid,
+    LaminarMatroid,
     LinkParams,
     LinkTrace,
     ParamOverrides,
+    PartitionMatroid,
     RngStream,
     SpanningChain,
     UniformMatroid,
@@ -20,7 +22,7 @@ from chainocrs import (
     single_ocrs_link,
     truncation_distribution,
 )
-from chainocrs import chains
+from chainocrs import chains, matroids
 from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
@@ -161,7 +163,21 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
     k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     # Theta graph: edge (0, 1) plus 19 two-edge 0-1 paths, n = 39.
     theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    # A multigraph on 30 vertices, 25-29 isolated, with self-loops (ids 0-2)
+    # and parallel edges (ids 3-6), n = 45.
+    g_rng = np.random.default_rng(17)
+    multi = GraphicMatroid(
+        30,
+        [(4, 4), (9, 9), (20, 20), (1, 2), (2, 1), (1, 2), (7, 8)]
+        + [tuple(int(v) for v in g_rng.integers(25, size=2)) for _ in range(38)],
+    )
     u = UniformMatroid(6, 30)
+    # Blocks with ids 3, 9 and 20-22 in none; a block of capacity 0.
+    part = PartitionMatroid(
+        [[0, 1, 2], [4, 5, 6, 7, 8], [10, 11], list(range(12, 20)), [23, 24, 25]],
+        [1, 2, 0, 3, 3],
+    )
+    lam = LaminarMatroid(24, [list(range(24)), list(range(10)), [0, 1, 2]], [9, 4, 1])
     cases = [
         (u, "uniform"),
         (u.restrict(full_mask(30) & ~0b111), "uniform"),
@@ -170,12 +186,20 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
         (k5, "table"),
         (k5.contract(0b11), "table"),
         (k5.restrict(0b1111110), "table"),
-        (theta, "span"),
-        (theta.contract(0b110), "span"),
+        (theta, "labels"),
+        (theta.contract(0b110), "labels"),
+        (multi, "labels"),
+        (multi.restrict(mask_of(range(0, 45, 3)) | 0b11110), "labels"),
+        (multi.contract(mask_of([3, 7, 11, 30])), "labels"),
+        (part, "blocks"),
+        (part.restrict(part.ground_mask & ~mask_of([0, 14])).contract(mask_of([4, 12])), "blocks"),
+        (lam, "span"),
     ]
     calls = []
     real_span = Matroid.span
     monkeypatch.setattr(Matroid, "span", lambda self, s: calls.append(s) or real_span(self, s))
+    # Small label chunks, so 41 rows span several of them.
+    monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)
     rng = np.random.default_rng(5)
     for m, kernel in cases:
         assert (m.span_lookup() is not None) == (kernel == "table")
@@ -187,9 +211,9 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
                 dtype=np.int64,
             )
             rows = rng.random((41, len(cols))) < 0.3
+            rows[0], rows[1] = False, True
             expected = _span_reference(m, cols, rows, a_mask)
-            # The table and cardinality kernels make no span() call; the
-            # fallback makes one per row.
+            # Only the fallback makes span() calls, one per row.
             calls.clear()
             got = m.span_counter(cols)(rows, a_mask)
             assert got.tolist() == expected.tolist()

@@ -58,6 +58,55 @@ def test_parse_config_rejects_bad_overrides():
         parse_config(base_config(overrides={"zap": 1}))
 
 
+def test_main_bad_tau_or_override_value_exits_one(tmp_path, capsys):
+    # Values of the wrong type are config errors, not tracebacks.
+    cfg_path = tmp_path / "cfg.json"
+    for cfg in (base_config(tau=[1]), base_config(overrides={"q": "abc"})):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+    for ov in ({"q": 0}, {"eta": True}, {"zeta": 2.0}, {"q": -3}):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(overrides=ov))
+    assert parse_config(base_config(overrides={"q": None, "eta": 3})).overrides.eta == 3
+
+
+def test_parse_config_rejects_bad_audit_rhos():
+    for rhos in ([], [0], [8, -1], ["8"], [True], 8, [2.5]):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(mode="audit", audit={"rhos": rhos}))
+    assert parse_config(base_config(mode="audit", audit={"rhos": [1, 8]})).audit["rhos"] == [1, 8]
+
+
+def test_parse_config_rejects_bad_audit_runs():
+    for runs in (0, -2, "3", 1.5, False):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(mode="audit", audit={"runs": runs}))
+    with pytest.raises(ConfigError):
+        parse_config(base_config(mode="audit", audit=[128]))
+
+
+def test_parse_config_rejects_bad_talpha_alpha():
+    for alpha in (0, 0.0, 1, 1.5, -0.2, "0.5", True, [1], [1, 0], [2, 2], [0, 5],
+                  [-1, 5], [1.0, 2], [1, 2, 3]):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(mode="verify-talpha", talpha={"alpha": alpha}))
+    for alpha in (0.4, [2, 5], None):
+        assert parse_config(base_config(mode="verify-talpha", talpha={"alpha": alpha}))
+
+
+def test_parse_config_rejects_bad_talpha_q_trials():
+    for q_trials in (0, -1, "30", 2.0, True):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(mode="verify-talpha", talpha={"q_trials": q_trials}))
+
+
+def test_parse_config_rejects_bad_talpha_b():
+    for b in (5, ["a"], [-1], [True], [0.0]):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(mode="verify-talpha", talpha={"b": b}))
+
+
 def test_parse_config_rejects_unknown_adversary(tmp_path, capsys):
     # Checked at parse time in every mode, including modes without trials
     # against an adversary.
