@@ -108,8 +108,8 @@ class Matroid:
         ground set count 0.  Rows flag no element of A.  The dense span
         table does the lookup when ``span_lookup`` exists, else each row
         costs one ``span`` call.  Families override this with a kernel
-        for all rows at once: the cardinality rule (uniform), per-block
-        column sums (partition) and component labels (graphic, n > 20).
+        for all rows at once: the cardinality rule (uniform) and component
+        labels (graphic, n > 20).
         """
         n = self.n_universe
         lookup = self.span_lookup()
@@ -232,30 +232,6 @@ class PartitionMatroid(Matroid):
             min((mask & bm).bit_count(), c)
             for bm, c in zip(self.block_masks, self.capacities)
         )
-
-    def span_counter(self, cols: np.ndarray):
-        # Row r spans e in block b iff e ∈ A ∪ S_r or |(A ∪ S_r) ∩ b| >= cap_b.
-        # Ids in no block map to a last, never-full column.
-        n = self.n_universe
-        cols = np.asarray(cols, dtype=np.int64)
-        block_of = np.full(n, len(self.block_masks), dtype=np.int64)
-        for b, bm in enumerate(self.block_masks):
-            block_of[bits_of(bm, n)] = b
-        col_block = block_of[cols]
-        block_cols = [np.flatnonzero(col_block == b) for b in range(len(self.block_masks))]
-        caps = np.array(self.capacities + [n + 1], dtype=np.int64)
-
-        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            held = np.zeros((len(rows), len(caps)), dtype=np.int64)
-            for b, (bm, j) in enumerate(zip(self.block_masks, block_cols)):
-                held[:, b] = (a_mask & bm).bit_count() + np.count_nonzero(rows[:, j], axis=1)
-            full = held >= caps
-            counts = np.count_nonzero(full, axis=0)[block_of]
-            counts[cols] += np.count_nonzero(rows & ~full[:, col_block], axis=0)
-            counts[bits_of(a_mask, n)] = len(rows)
-            return counts
-
-        return count
 
     def __repr__(self):
         return f"PartitionMatroid(blocks={[ids_of(b) for b in self.block_masks]}, capacities={self.capacities})"

@@ -10,7 +10,6 @@ from chainocrs import (
     LinkParams,
     LinkTrace,
     ParamOverrides,
-    PartitionMatroid,
     RngStream,
     SpanningChain,
     UniformMatroid,
@@ -172,11 +171,6 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
         + [tuple(int(v) for v in g_rng.integers(25, size=2)) for _ in range(38)],
     )
     u = UniformMatroid(6, 30)
-    # Blocks with ids 3, 9 and 20-22 in none; a block of capacity 0.
-    part = PartitionMatroid(
-        [[0, 1, 2], [4, 5, 6, 7, 8], [10, 11], list(range(12, 20)), [23, 24, 25]],
-        [1, 2, 0, 3, 3],
-    )
     lam = LaminarMatroid(24, [list(range(24)), list(range(10)), [0, 1, 2]], [9, 4, 1])
     cases = [
         (u, "uniform"),
@@ -191,13 +185,17 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
         (multi, "labels"),
         (multi.restrict(mask_of(range(0, 45, 3)) | 0b11110), "labels"),
         (multi.contract(mask_of([3, 7, 11, 30])), "labels"),
-        (part, "blocks"),
-        (part.restrict(part.ground_mask & ~mask_of([0, 14])).contract(mask_of([4, 12])), "blocks"),
         (lam, "span"),
+        (lam.restrict(full_mask(24) & ~mask_of([5, 17])).contract(mask_of([0, 12])), "span"),
     ]
     calls = []
     real_span = Matroid.span
     monkeypatch.setattr(Matroid, "span", lambda self, s: calls.append(s) or real_span(self, s))
+    labellings = []
+    real_labels = matroids._component_labels
+    monkeypatch.setattr(
+        matroids, "_component_labels", lambda *a: labellings.append(1) or real_labels(*a)
+    )
     # Small label chunks, so 41 rows span several of them.
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)
     rng = np.random.default_rng(5)
@@ -213,11 +211,14 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             rows = rng.random((41, len(cols))) < 0.3
             rows[0], rows[1] = False, True
             expected = _span_reference(m, cols, rows, a_mask)
-            # Only the fallback makes span() calls, one per row.
+            # Only the fallback makes span() calls, one per row, and only
+            # the label kernel labels components.
             calls.clear()
+            labellings.clear()
             got = m.span_counter(cols)(rows, a_mask)
             assert got.tolist() == expected.tolist()
             assert len(calls) == (len(rows) if kernel == "span" else 0)
+            assert bool(labellings) == (kernel == "labels")
 
 
 def _reference_row_counts(est, a_mask, rng, full_rows):
