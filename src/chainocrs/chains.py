@@ -14,9 +14,9 @@ of materializing every sample (the output distribution is identical and
 the draw accounting unchanged), and ``rows`` otherwise, where sample rows
 are drawn and the matroid counts them with the kernel of its family.
 
-Three shortcuts skip work without changing any output or the generator
-state after a build.  They rest on two facts.  numpy draws the same stream
-whether values come one call at a time or in one batched call:
+Five shortcuts skip work without changing any output or the generator
+state after a build.  The first three rest on two facts.  numpy draws the
+same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
 ``rng.multinomial(q, p, size=h)`` equals h calls of ``rng.multinomial(q, p)``,
 and ``rng.random(out=block)`` over consecutive row blocks equals
@@ -35,6 +35,14 @@ a new classification.
 * Sample rows (``_SpanCountEstimator._row_counts``): the q sample rows are
   generated in reused blocks and handed to the matroid's batched span
   counter (``Matroid.span_counter``), never copied.
+* Compact tail (``BuildTrace``): the absorbing tail is one record, its
+  cutoffs and two masks, instead of one ``LinkTrace`` per link;
+  ``BuildTrace.link_traces`` expands it only when read.
+* Estimator reuse (``_link_estimator``): an estimator holds no generator
+  state, only tables fixed by (minor, x, q), so ``single_ocrs_link`` takes
+  it from a memo on the base matroid, and every trial of an experiment
+  shares its first link's estimator.  ``rows`` estimators are rebuilt per
+  link, because their row blocks would otherwise outlive the link.
 """
 
 from __future__ import annotations
@@ -47,11 +55,14 @@ from functools import lru_cache
 import numpy as np
 
 from .bitset import bits_of, ids_of, iter_ids, mask_of
-from .matroids import ROW_BLOCK_VALUES, Matroid
+from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
 from .sampling import as_marginals, realization_weights, sample_active_set
 
 #: Support size up to which link counts are drawn from the exact multinomial.
 MULTINOMIAL_MAX_SUPPORT = 12
+
+#: Link estimators kept per base matroid; the oldest is dropped beyond this.
+ESTIMATOR_MEMO_MAX = 16
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +204,12 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class LinkTrace:
-    """Record of one link build: cutoff, intermediate sets, draws used."""
+    """Record of one link build: cutoff, intermediate sets, draws used.
+
+    ``a_sets`` holds A_1, ..., A_h̄.  Links of an absorbing tail are not
+    stored as ``LinkTrace`` values; ``BuildTrace.link_traces`` expands them
+    on read.
+    """
 
     h_bar: int
     a_sets: tuple[int, ...]
@@ -203,7 +219,14 @@ class LinkTrace:
 
 @dataclass(frozen=True)
 class BuildTrace:
-    """Aggregate record of a chain build."""
+    """Aggregate record of a chain build.
+
+    ``sampled`` holds the links the link builder ran.  An absorbing tail is
+    one record: its cutoffs ``tail_h_bars``, the ground set ``tail_ground``
+    of its first link, and ``tail``, the set every tail link returns (and
+    the ground set of every tail link after the first).  ``link_traces``
+    expands the tail into per-link records only when it is read.
+    """
 
     rho: int
     zeta: int
@@ -212,11 +235,28 @@ class BuildTrace:
     threshold: float
     eps: float
     conforming: bool
-    link_traces: tuple[LinkTrace, ...]
+    sampled: tuple[LinkTrace, ...]
+    tail_h_bars: tuple[int, ...] = ()
+    tail_ground: int = 0
+    tail: int = 0
+
+    @property
+    def h_bars(self) -> tuple[int, ...]:
+        """The cutoff h̄ of every link, in chain order."""
+        return tuple(lt.h_bar for lt in self.sampled) + self.tail_h_bars
+
+    @property
+    def link_traces(self) -> tuple[LinkTrace, ...]:
+        """One record per link, the absorbing tail expanded."""
+        grounds = [self.tail_ground] + [self.tail] * (len(self.tail_h_bars) - 1)
+        return self.sampled + tuple(
+            LinkTrace(h_bar=h, a_sets=(self.tail,) * h, draws=h * self.q, ground_mask=g)
+            for h, g in zip(self.tail_h_bars, grounds)
+        )
 
     @property
     def draw_count(self) -> int:
-        return sum(lt.draws for lt in self.link_traces)
+        return self.q * sum(self.h_bars)
 
     @property
     def draw_bound(self) -> int:
@@ -400,6 +440,26 @@ class _SpanCountEstimator:
 # ---------------------------------------------------------------------------
 
 
+def _link_estimator(m: Matroid, x: np.ndarray, q: int) -> _SpanCountEstimator:
+    """The estimator for (m, x, q), from the memo on m's base matroid.
+
+    Equal minors of one base share an entry, so the links of every trial
+    of an experiment reuse one estimator.  ``rows`` estimators are not
+    kept: their row blocks would stay alive with the base matroid.
+    """
+    base, contracted = (m.base, m.contracted) if isinstance(m, MinorMatroid) else (m, 0)
+    memo = base._link_estimators
+    key = (m.ground_mask, contracted, x.tobytes(), q)
+    est = memo.get(key)
+    if est is None:
+        est = _SpanCountEstimator(m, x, q)
+        if est.path != "rows":
+            if len(memo) >= ESTIMATOR_MEMO_MAX:
+                del memo[next(iter(memo))]
+            memo[key] = est
+    return est
+
+
 def single_ocrs_link(
     m: Matroid,
     x: np.ndarray,
@@ -418,7 +478,7 @@ def single_ocrs_link(
     """
     trunc = truncation_distribution(params.eps, params.rho, params.eta)
     h_bar = trunc.sample(rng)
-    est = _SpanCountEstimator(m, as_marginals(x), params.q)
+    est = _link_estimator(m, as_marginals(x), params.q)
     a_sets = est.link_sets(h_bar, params.threshold, rng)
     return a_sets[-1], LinkTrace(
         h_bar=h_bar, a_sets=tuple(a_sets), draws=h_bar * params.q, ground_mask=m.ground_mask
@@ -457,24 +517,22 @@ def ocrs_chain(
     positive = mask_of(np.flatnonzero(x > 0.0).tolist())
 
     links = [m.ground_mask]
-    traces: list[LinkTrace] = []
+    sampled: list[LinkTrace] = []
     cur = m.ground_mask
-    while len(traces) < zeta and cur & positive:
+    while len(sampled) < zeta and cur & positive:
         cur, lt = single_ocrs_link(m.restrict(cur), x, params, rng)
         links.append(cur)
-        traces.append(lt)
-    if len(traces) < zeta:
+        sampled.append(lt)
+    tail_h_bars: tuple[int, ...] = ()
+    tail_ground = tail = 0
+    if len(sampled) < zeta:
         # Absorbing tail: C holds no element with a positive marginal, so
         # this link is span(∅) of M|C (its loops; the threshold (1-eps)*tau
         # is below 1) and every later link, built on that set, repeats it.
-        tail = m.span(0) & cur
+        tail_ground, tail = cur, m.span(0) & cur
         trunc = truncation_distribution(params.eps, params.rho, params.eta)
-        for h_bar in trunc.sample_many(rng, zeta - len(traces)):
-            traces.append(LinkTrace(
-                h_bar=h_bar, a_sets=(tail,) * h_bar, draws=h_bar * params.q, ground_mask=cur
-            ))
-            links.append(tail)
-            cur = tail
+        tail_h_bars = tuple(trunc.sample_many(rng, zeta - len(sampled)))
+        links += [tail] * len(tail_h_bars)
     links.append(0)
     chain = SpanningChain(tuple(links))
     trace = BuildTrace(
@@ -485,7 +543,10 @@ def ocrs_chain(
         threshold=params.threshold,
         eps=eps,
         conforming=conforming,
-        link_traces=tuple(traces),
+        sampled=tuple(sampled),
+        tail_h_bars=tail_h_bars,
+        tail_ground=tail_ground,
+        tail=tail,
     )
     return chain, trace
 

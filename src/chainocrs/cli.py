@@ -35,6 +35,13 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 
+#: Largest audited rank: each audit chain builds U_{rho,2rho}.
+AUDIT_RHO_MAX = 4096
+
+#: Audit run t of rank rho draws from stream (rho << AUDIT_RUN_BITS) + t,
+#: so runs must stay below 2^AUDIT_RUN_BITS to keep the streams distinct.
+AUDIT_RUN_BITS = 20
+
 MODES = (
     "chain",
     "ocrs",
@@ -169,10 +176,18 @@ def _check_audit(audit) -> None:
     if not isinstance(audit, dict):
         raise ConfigError("audit must be an object")
     rhos = audit.get("rhos", [1])
-    if not isinstance(rhos, list) or not rhos or not all(map(_positive_int, rhos)):
-        raise ConfigError(f"audit.rhos must be a nonempty list of integers >= 1, got {rhos!r}")
-    if not _positive_int(audit.get("runs", 1)):
-        raise ConfigError(f"audit.runs must be an integer >= 1, got {audit['runs']!r}")
+    if not (
+        isinstance(rhos, list) and rhos
+        and all(_positive_int(r) and r <= AUDIT_RHO_MAX for r in rhos)
+    ):
+        raise ConfigError(
+            f"audit.rhos must be a nonempty list of integers in [1, {AUDIT_RHO_MAX}], got {rhos!r}"
+        )
+    runs = audit.get("runs", 1)
+    if not (_positive_int(runs) and runs < 1 << AUDIT_RUN_BITS):
+        raise ConfigError(
+            f"audit.runs must be an integer in [1, 2^{AUDIT_RUN_BITS}), got {runs!r}"
+        )
 
 
 def _check_talpha(talpha) -> None:
@@ -321,7 +336,7 @@ def _run_chain(config, m, x):
                 "links": chain.to_jsonable(),
                 "link_sizes": [c.bit_count() for c in chain.links],
                 "draw_count": trace.draw_count,
-                "h_bars": [lt.h_bar for lt in trace.link_traces],
+                "h_bars": list(trace.h_bars),
             }
         )
     results = {
@@ -419,7 +434,7 @@ def _run_audit(config) -> tuple[ExperimentReport, int]:
         m = UniformMatroid(rho, 2 * rho)
         x = generate_marginal({"kind": "basis-indicator-scaled"}, m, config.lam)
         for t in range(runs):
-            rng = RngStream(config.seed, (rho << 20) + t).generator()
+            rng = RngStream(config.seed, (rho << AUDIT_RUN_BITS) + t).generator()
             _, trace = ocrs_chain(m, x, tau, config.eps, rng)
             traces.append(trace)
     table = sample_complexity_audit(traces)

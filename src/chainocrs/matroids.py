@@ -46,6 +46,9 @@ class Matroid:
         self.ground_mask = ground_mask
         self._rank_full: int | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        # Link estimators of this matroid and its minors, keyed and filled
+        # by chains.single_ocrs_link.
+        self._link_estimators: dict = {}
 
     # -- oracle interface ------------------------------------------------
 
@@ -282,11 +285,17 @@ class GraphicMatroid(Matroid):
         col_tail, col_head = tail[cols], head[cols]
         chunk = max(1, ROW_BLOCK_VALUES // max(nv, self.n_universe))
 
+        a_memo: dict[int, np.ndarray] = {}
+
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
             # Every row starts from the components of A, each labelled by
             # its least vertex; row r's vertices are r*nv + v in one array.
-            a_ids = bits_of(a_mask, self.n_universe)
-            a_labels = _component_labels(np.arange(nv), tail[a_ids], head[a_ids])
+            # A changes only when a link grows, so its labels are memoized.
+            a_labels = a_memo.get(a_mask)
+            if a_labels is None:
+                a_ids = bits_of(a_mask, self.n_universe)
+                a_labels = _component_labels(np.arange(nv), tail[a_ids], head[a_ids])
+                a_memo[a_mask] = a_labels
             counts = np.zeros(self.n_universe, dtype=np.int64)
             for start in range(0, len(rows), chunk):
                 block = rows[start:start + chunk]

@@ -18,6 +18,7 @@ from chainocrs import (
     chain_freeness,
     minimal_link_construction,
     ocrs_chain,
+    selectability_experiment,
     single_ocrs_link,
     truncation_distribution,
 )
@@ -373,6 +374,73 @@ def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
     assert grown > 0
 
 
+def test_graphic_labels_of_a_once_per_a_mask(monkeypatch):
+    # One counter (one link) labels A's components once per distinct A,
+    # and every block of rows once.
+    theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    labellings = []
+    real_labels = matroids._component_labels
+    monkeypatch.setattr(
+        matroids, "_component_labels", lambda *a: labellings.append(1) or real_labels(*a)
+    )
+    monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)  # 7 rows per block
+    cols = np.arange(3, 39, dtype=np.int64)
+    rows = np.random.default_rng(2).random((20, len(cols))) < 0.3
+    count = theta.span_counter(cols)
+    a_masks = [0, 0, 0b110, 0, 0b110, 0b110]
+    for a_mask in a_masks:
+        expected = _span_reference(theta, cols, rows, a_mask)
+        assert count(rows, a_mask).tolist() == expected.tolist()
+    assert len(labellings) == 3 * len(a_masks) + 2
+
+
+# -- estimator reuse ----------------------------------------------------------
+
+
+def _count_estimators(monkeypatch):
+    built = []
+    real_init = _SpanCountEstimator.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        built.append(self.path)
+
+    monkeypatch.setattr(_SpanCountEstimator, "__init__", init)
+    return built
+
+
+def test_selectability_builds_one_link_estimator(monkeypatch):
+    # Criterion 8's instance: every trial's first link is built on K3 with
+    # the same marginals, so 100 trials share one multinomial estimator,
+    # and the reused estimator leaves every report unchanged.
+    k3 = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
+    x = as_marginals([1 / 3] * 3)
+    built = _count_estimators(monkeypatch)
+    first = selectability_experiment(k3, x, 0.5, 0.05, 100, "element-last", RngStream(3))
+    assert built == ["multinomial"]
+    again = selectability_experiment(k3, x, 0.5, 0.05, 100, "element-last", RngStream(3))
+    assert built == ["multinomial"]
+    assert again.to_jsonable() == first.to_jsonable()
+
+
+def test_rows_estimators_are_not_kept(monkeypatch):
+    # U_{70,140} has 140 elements in the support: its first link runs the
+    # rows path, whose estimator must not stay in the memo.
+    m = UniformMatroid(70, 140)
+    x = as_marginals([0.25] * 140)
+    built = _count_estimators(monkeypatch)
+    ocrs_chain(m, x, 0.7, 0.05, RngStream(0).generator(), ParamOverrides(q=50, eta=4, zeta=3))
+    assert "rows" in built
+    assert all(est.path != "rows" for est in m._link_estimators.values())
+
+
+def test_estimator_memo_is_bounded(u24):
+    params = LinkParams.from_formula(3, 0.5, 0.05, FAST)
+    for i in range(chains.ESTIMATOR_MEMO_MAX + 5):
+        single_ocrs_link(u24, as_marginals([0.01 * (i + 1)] * 4), params, RngStream(i).generator())
+    assert len(u24._link_estimators) == chains.ESTIMATOR_MEMO_MAX
+
+
 # -- chain construction -----------------------------------------------------
 
 
@@ -381,6 +449,19 @@ def test_chain_zeta_value(k4):
     chain, trace = ocrs_chain(k4, x, 0.7, 0.05, RngStream(0).generator())
     assert trace.zeta == 82  # ceil(20 * ln(60)) with rho = 3
     assert len(chain) == trace.zeta + 2
+
+
+def test_compact_tail_views_match_expanded_links(k3):
+    # Criterion 8's chain: one sampled link, then an 81-link absorbing tail
+    # kept as one record; its views agree with the expanded per-link records.
+    chain, trace = ocrs_chain(k3, as_marginals([1 / 6] * 3), 0.7, 0.05, RngStream(2).generator())
+    links = trace.link_traces
+    assert len(trace.sampled) == 1 and len(trace.tail_h_bars) == trace.zeta - 1
+    assert len(links) == trace.zeta
+    assert trace.h_bars == tuple(lt.h_bar for lt in links)
+    assert trace.draw_count == sum(lt.draws for lt in links)
+    assert [lt.ground_mask for lt in links] == list(chain.links[:-2])
+    assert all(lt.a_sets == (chain.links[i + 1],) * lt.h_bar for i, lt in enumerate(links))
 
 
 def test_chain_nesting_and_bounds(k4):

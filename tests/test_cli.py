@@ -86,6 +86,22 @@ def test_parse_config_rejects_bad_audit_runs():
         parse_config(base_config(mode="audit", audit=[128]))
 
 
+def test_parse_config_bounds_audit_rhos():
+    # Each audited rank builds U_{rho,2rho}; ranks above the bound exit 1.
+    for rhos in ([4097], [8, 1_000_000_000]):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(mode="audit", audit={"rhos": rhos}))
+    assert parse_config(base_config(mode="audit", audit={"rhos": [4096]})).audit["rhos"] == [4096]
+
+
+def test_parse_config_bounds_audit_runs():
+    # Run 2^20 of rank rho would reuse the stream of run 0 of rank rho + 1.
+    with pytest.raises(ConfigError):
+        parse_config(base_config(mode="audit", audit={"runs": 1 << 20}))
+    runs = (1 << 20) - 1
+    assert parse_config(base_config(mode="audit", audit={"runs": runs})).audit["runs"] == runs
+
+
 def test_parse_config_rejects_bad_talpha_alpha():
     for alpha in (0, 0.0, 1, 1.5, -0.2, "0.5", True, [1], [1, 0], [2, 2], [0, 5],
                   [-1, 5], [1.0, 2], [1, 2, 3]):

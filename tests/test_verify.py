@@ -278,7 +278,7 @@ def _trace(rho, zeta, q, eta, h_bars, conforming=True):
     )
     return BuildTrace(
         rho=rho, zeta=zeta, q=q, eta=eta, threshold=0.5, eps=0.05,
-        conforming=conforming, link_traces=links,
+        conforming=conforming, sampled=links,
     )
 
 
