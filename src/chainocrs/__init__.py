@@ -3,6 +3,7 @@
 from .bitset import full_mask, ids_of, iter_ids, mask_of
 from .chains import (
     BuildTrace,
+    ChainPlan,
     LinkParams,
     LinkTrace,
     ParamOverrides,
@@ -10,6 +11,7 @@ from .chains import (
     TruncationDistribution,
     balancedness_estimate,
     chain_freeness,
+    chain_plan,
     minimal_link_construction,
     ocrs_chain,
     single_ocrs_link,

@@ -14,7 +14,7 @@ of materializing every sample (the output distribution is identical and
 the draw accounting unchanged), and ``rows`` otherwise, where sample rows
 are drawn and the matroid counts them with the kernel of its family.
 
-Five shortcuts skip work without changing any output or the generator
+Six shortcuts skip work without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
@@ -43,6 +43,11 @@ a new classification.
   it from a memo on the base matroid, and every trial of an experiment
   shares its first link's estimator.  ``rows`` estimators are rebuilt per
   link, because their row blocks would otherwise outlive the link.
+* Chain plan (``ChainPlan``): everything that depends only on
+  (M, x, tau, eps, overrides) -- the checks, rho, zeta, the link
+  parameters, the cutoff law, the positive mask and the loops span(∅) --
+  is fixed once by ``chain_plan``, and ``ChainPlan.sample`` builds each
+  chain from it.  ``ocrs_chain`` is a plan used once.
 """
 
 from __future__ import annotations
@@ -87,12 +92,12 @@ class TruncationDistribution:
     def sample(self, rng: np.random.Generator) -> int:
         """Draw h̄; deterministic given the generator state."""
         u = rng.random()
-        idx = int(np.searchsorted(self._cdf, u, side="right"))
+        idx = int(self._cdf.searchsorted(u, side="right"))
         return min(idx + 1, self.eta)
 
     def sample_many(self, rng: np.random.Generator, k: int) -> list[int]:
         """k cutoffs; the same values and generator state as k ``sample`` calls."""
-        idx = np.searchsorted(self._cdf, rng.random(k), side="right")
+        idx = self._cdf.searchsorted(rng.random(k), side="right")
         return np.minimum(idx + 1, self.eta).tolist()
 
     def mean(self) -> float:
@@ -346,7 +351,7 @@ class _SpanCountEstimator:
         self.sup_ids = np.array(sup_ids, dtype=np.int64)
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
         self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
-        self._member_cache: dict[int, np.ndarray] = {}
+        self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._blocks: tuple[np.ndarray, np.ndarray] | None = None
         if not sup_ids:
             self.path = "empty"
@@ -379,13 +384,14 @@ class _SpanCountEstimator:
         bar = threshold * self.q
         a, sets = 0, []
         while len(sets) < h_bar:
-            above = cnt[len(sets):] @ self._member(a) > bar
-            in_a = bits_of(a, self.m.n_universe)[self.ground_ids]
-            changed = np.flatnonzero((above != in_a).any(axis=1))
+            member, in_a = self._member(a)
+            above = cnt[len(sets):] @ member > bar
+            # The first row that differs from A holds the first differing flag.
+            changed = np.flatnonzero(above != in_a)
             if not len(changed):
                 sets += [a] * len(above)
                 break
-            j = int(changed[0])
+            j = int(changed[0]) // len(in_a)
             sets += [a] * j
             a = self._set_of(above[j])
             sets.append(a)
@@ -400,7 +406,7 @@ class _SpanCountEstimator:
                 return 0
             return self.m.span(a_mask)
         if self.path == "multinomial":
-            counts = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)
+            counts = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)[0]
         else:
             counts = self._row_counts(a_mask, rng)
         return self._set_of(counts > bar)
@@ -409,14 +415,16 @@ class _SpanCountEstimator:
         """Mask of the ground elements flagged in ``in_set`` (ground order)."""
         return mask_of(self.ground_ids[in_set].tolist())
 
-    def _member(self, a_mask: int) -> np.ndarray:
-        """0/1 matrix: outcome row spans ground column, given A = a_mask."""
-        member = self._member_cache.get(a_mask)
-        if member is None:
+    def _member(self, a_mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """0/1 matrix (outcome row spans ground column, given A = a_mask),
+        and A's membership flags in ground order."""
+        cached = self._member_cache.get(a_mask)
+        if cached is None:
             spans = self.lookup(self.outcome_masks | np.int64(a_mask))
             member = (spans[:, None] >> self.ground_ids[None, :]) & 1
-            self._member_cache[a_mask] = member
-        return member
+            cached = member, bits_of(a_mask, self.m.n_universe)[self.ground_ids]
+            self._member_cache[a_mask] = cached
+        return cached
 
     def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
         # Elements of A are spanned by every row whatever it holds, so their
@@ -460,6 +468,22 @@ def _link_estimator(m: Matroid, x: np.ndarray, q: int) -> _SpanCountEstimator:
     return est
 
 
+def _sample_link(
+    m: Matroid,
+    x: np.ndarray,
+    params: LinkParams,
+    trunc: TruncationDistribution,
+    rng: np.random.Generator,
+) -> tuple[int, LinkTrace]:
+    """One link from validated marginals and the cutoff law of ``params``."""
+    h_bar = trunc.sample(rng)
+    est = _link_estimator(m, x, params.q)
+    a_sets = est.link_sets(h_bar, params.threshold, rng)
+    return a_sets[-1], LinkTrace(
+        h_bar=h_bar, a_sets=tuple(a_sets), draws=h_bar * params.q, ground_mask=m.ground_mask
+    )
+
+
 def single_ocrs_link(
     m: Matroid,
     x: np.ndarray,
@@ -477,23 +501,74 @@ def single_ocrs_link(
     caller's responsibility.
     """
     trunc = truncation_distribution(params.eps, params.rho, params.eta)
-    h_bar = trunc.sample(rng)
-    est = _link_estimator(m, as_marginals(x), params.q)
-    a_sets = est.link_sets(h_bar, params.threshold, rng)
-    return a_sets[-1], LinkTrace(
-        h_bar=h_bar, a_sets=tuple(a_sets), draws=h_bar * params.q, ground_mask=m.ground_mask
-    )
+    return _sample_link(m, as_marginals(x), params, trunc, rng)
 
 
-def ocrs_chain(
+@dataclass(frozen=True, eq=False)
+class ChainPlan:
+    """What is fixed for every chain of one (M, x, tau, eps, overrides).
+
+    Built once by ``chain_plan``; ``sample`` builds one chain per call.
+    rho, q, eta and the threshold (1-eps)*tau are in ``params``.  ``x`` is
+    a read-only copy, so a caller that later edits its own array cannot
+    change the plan's chains.  ``loops`` is span(∅) of M: the absorbing
+    tail on a ground set C is ``loops & C``, span(∅) of M|C.
+    """
+
+    m: Matroid
+    x: np.ndarray
+    zeta: int
+    conforming: bool
+    params: LinkParams
+    trunc: TruncationDistribution
+    positive: int
+    loops: int
+
+    def sample(self, rng: np.random.Generator) -> tuple[SpanningChain, BuildTrace]:
+        """One spanning chain; the links C_1, ..., C_zeta are drawn from ``rng``."""
+        m, zeta = self.m, self.zeta
+        links = [m.ground_mask]
+        sampled: list[LinkTrace] = []
+        cur = m.ground_mask
+        while len(sampled) < zeta and cur & self.positive:
+            cur, lt = _sample_link(m.restrict(cur), self.x, self.params, self.trunc, rng)
+            links.append(cur)
+            sampled.append(lt)
+        tail_h_bars: tuple[int, ...] = ()
+        tail_ground = tail = 0
+        if len(sampled) < zeta:
+            # Absorbing tail: C holds no element with a positive marginal, so
+            # this link is span(∅) of M|C (its loops; the threshold (1-eps)*tau
+            # is below 1) and every later link, built on that set, repeats it.
+            tail_ground, tail = cur, self.loops & cur
+            tail_h_bars = tuple(self.trunc.sample_many(rng, zeta - len(sampled)))
+            links += [tail] * len(tail_h_bars)
+        links.append(0)
+        params = self.params
+        trace = BuildTrace(
+            rho=params.rho,
+            zeta=zeta,
+            q=params.q,
+            eta=params.eta,
+            threshold=params.threshold,
+            eps=params.eps,
+            conforming=self.conforming,
+            sampled=tuple(sampled),
+            tail_h_bars=tail_h_bars,
+            tail_ground=tail_ground,
+            tail=tail,
+        )
+        return SpanningChain(tuple(links)), trace
+
+
+def chain_plan(
     m: Matroid,
     x: np.ndarray,
     tau: float,
     eps: float,
-    rng: np.random.Generator,
     overrides: ParamOverrides | None = None,
-) -> tuple[SpanningChain, BuildTrace]:
-    """Sample a spanning chain by iterating the link builder on restrictions.
+) -> ChainPlan:
+    """Run every input check once and fix what all chains of an experiment share.
 
     rho = max(rank(M), 3) stays fixed across all links; each link i is built
     on M restricted to C_{i-1} with threshold (1-eps)*tau.  The chain has
@@ -509,46 +584,36 @@ def ocrs_chain(
     if overrides is not None and overrides.zeta is not None:
         zeta, conforming = overrides.zeta, False
     params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
-    conforming = conforming and params.conforming
 
-    x = as_marginals(x)
+    x = as_marginals(x).copy()
     if len(x) != m.n_universe:
         raise ValueError("marginal vector length must match the universe size")
-    positive = mask_of(np.flatnonzero(x > 0.0).tolist())
-
-    links = [m.ground_mask]
-    sampled: list[LinkTrace] = []
-    cur = m.ground_mask
-    while len(sampled) < zeta and cur & positive:
-        cur, lt = single_ocrs_link(m.restrict(cur), x, params, rng)
-        links.append(cur)
-        sampled.append(lt)
-    tail_h_bars: tuple[int, ...] = ()
-    tail_ground = tail = 0
-    if len(sampled) < zeta:
-        # Absorbing tail: C holds no element with a positive marginal, so
-        # this link is span(∅) of M|C (its loops; the threshold (1-eps)*tau
-        # is below 1) and every later link, built on that set, repeats it.
-        tail_ground, tail = cur, m.span(0) & cur
-        trunc = truncation_distribution(params.eps, params.rho, params.eta)
-        tail_h_bars = tuple(trunc.sample_many(rng, zeta - len(sampled)))
-        links += [tail] * len(tail_h_bars)
-    links.append(0)
-    chain = SpanningChain(tuple(links))
-    trace = BuildTrace(
-        rho=rho,
+    x.flags.writeable = False
+    return ChainPlan(
+        m=m,
+        x=x,
         zeta=zeta,
-        q=params.q,
-        eta=params.eta,
-        threshold=params.threshold,
-        eps=eps,
-        conforming=conforming,
-        sampled=tuple(sampled),
-        tail_h_bars=tail_h_bars,
-        tail_ground=tail_ground,
-        tail=tail,
+        conforming=conforming and params.conforming,
+        params=params,
+        trunc=truncation_distribution(params.eps, params.rho, params.eta),
+        positive=mask_of(np.flatnonzero(x > 0.0).tolist()),
+        loops=m.span(0),
     )
-    return chain, trace
+
+
+def ocrs_chain(
+    m: Matroid,
+    x: np.ndarray,
+    tau: float,
+    eps: float,
+    rng: np.random.Generator,
+    overrides: ParamOverrides | None = None,
+) -> tuple[SpanningChain, BuildTrace]:
+    """Sample one spanning chain: ``chain_plan(m, x, tau, eps, overrides).sample(rng)``.
+
+    Callers that build many chains of one experiment build the plan once.
+    """
+    return chain_plan(m, x, tau, eps, overrides).sample(rng)
 
 
 def minimal_link_construction(m: Matroid, x: np.ndarray, tau: float) -> int:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bitset import iter_ids, mask_of
-from .chains import ParamOverrides, ocrs_chain
+from .chains import ParamOverrides, chain_plan
 from .matroids import Matroid, UniformMatroid, matroid_from_descriptor
 from .sampling import EXACT_ENUM_MAX, RngStream, as_marginals, in_scaled_polytope
 from .selection import ADVERSARIES, selectability_experiment
@@ -119,8 +119,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     try:
         lam = float(raw.get("lambda", 0.5))
         eps = float(raw.get("eps", 0.05))
-        trials = int(raw.get("trials", 1))
-        seed = int(raw.get("seed", 0))
         tau = None if raw.get("tau") is None else float(raw["tau"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric field: {exc}")
@@ -129,8 +127,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode in ("ocrs", "chain", "verify-spanning", "verify-freeness", "audit"):
         if not 0.0 < lam <= 1.0 - 4.0 * eps:
             raise ConfigError(f"lambda must lie in (0, 1-4*eps], got {lam}")
-    if trials < 1:
-        raise ConfigError("trials must be positive")
+    trials = raw.get("trials", 1)
+    if not _positive_int(trials):
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    # RngStream keys Philox with the seed modulo 2^64, so a seed outside
+    # [0, 2^64) would silently alias one inside it.
+    seed = raw.get("seed", 0)
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     adversary = raw.get("adversary", "element-last")
     if adversary not in ADVERSARIES:
         raise ConfigError(f"adversary must be one of {ADVERSARIES}, got {adversary!r}")
@@ -322,12 +326,13 @@ def _chain_tau(config: ExperimentConfig) -> float:
 
 def _run_chain(config, m, x):
     tau = _chain_tau(config)
+    plan = chain_plan(m, x, tau, config.eps, config.overrides)
     per_trial = []
     total_draws = 0
     empty_final = 0
     for t in range(config.trials):
         rng = _stream(config).substream(t).generator()
-        chain, trace = ocrs_chain(m, x, tau, config.eps, rng, config.overrides)
+        chain, trace = plan.sample(rng)
         total_draws += trace.draw_count
         c_zeta = chain.links[trace.zeta]
         empty_final += c_zeta == 0
@@ -433,9 +438,10 @@ def _run_audit(config) -> tuple[ExperimentReport, int]:
     for rho in rhos:
         m = UniformMatroid(rho, 2 * rho)
         x = generate_marginal({"kind": "basis-indicator-scaled"}, m, config.lam)
+        plan = chain_plan(m, x, tau, config.eps)
         for t in range(runs):
             rng = RngStream(config.seed, (rho << AUDIT_RUN_BITS) + t).generator()
-            _, trace = ocrs_chain(m, x, tau, config.eps, rng)
+            _, trace = plan.sample(rng)
             traces.append(trace)
     table = sample_complexity_audit(traces)
     results = table.to_jsonable()

@@ -47,7 +47,7 @@ class Matroid:
         self._rank_full: int | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         # Link estimators of this matroid and its minors, keyed and filled
-        # by chains.single_ocrs_link.
+        # by chains._link_estimator.
         self._link_estimators: dict = {}
 
     # -- oracle interface ------------------------------------------------

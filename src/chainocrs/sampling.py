@@ -39,7 +39,9 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = [self.seed & _MASK64, self.stream & _MASK64]
+        # A uint64 array: a Python list would pass values >= 2^63 through
+        # float64, so distinct keys could collide.
+        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, i: int) -> "RngStream":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitset import ids_of, iter_ids
-from .chains import ParamOverrides, SpanningChain, ocrs_chain
+from .chains import ParamOverrides, SpanningChain, chain_plan
 from .matroids import Matroid
 from .sampling import RngStream, as_marginals, filter_actives, sample_active_set, scale
 from .stats import wilson_interval
@@ -290,14 +290,14 @@ def selectability_experiment(
         raise ValueError("at least one trial is required")
     x = as_marginals(x)
     x_scaled = scale(x, lam)
-    tau = lam + 4.0 * eps
+    plan = chain_plan(m, x_scaled, lam + 4.0 * eps, eps, overrides)
     draw_counts = [0] * trials
 
     def one_trial(t: int) -> TrialOutcome:
         rng = seed_stream.substream(t).generator()
 
         def sampler(r: np.random.Generator) -> SpanningChain:
-            chain, trace = ocrs_chain(m, x_scaled, tau, eps, r, overrides)
+            chain, trace = plan.sample(r)
             draw_counts[t] = trace.draw_count
             return chain
 

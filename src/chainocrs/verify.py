@@ -21,7 +21,15 @@ from fractions import Fraction
 import numpy as np
 
 from .bitset import ids_of, iter_ids, submasks
-from .chains import BuildTrace, LinkParams, ParamOverrides, ocrs_chain, single_ocrs_link
+from .chains import (
+    BuildTrace,
+    LinkParams,
+    ParamOverrides,
+    _sample_link,
+    chain_plan,
+    single_ocrs_link,
+    truncation_distribution,
+)
 from .matroids import Matroid
 from .sampling import (
     EXACT_ENUM_MAX,
@@ -134,9 +142,10 @@ def classify_element(
     elif mode == "mc":
         if not mc_trials or rng is None:
             raise ValueError("mc mode needs mc_trials and rng")
+        x = as_marginals(x)
         hits = 0
         for _ in range(mc_trials):
-            r = sample_active_set(as_marginals(x), rng)
+            r = sample_active_set(x, rng)
             if (m.span((a_mask | r) & m.ground_mask) >> e) & 1:
                 hits += 1
         p = hits / mc_trials
@@ -239,10 +248,11 @@ def verify_progress(
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
     params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
+    trunc = truncation_distribution(params.eps, params.rho, params.eta)
     ranks = np.zeros(trials)
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
-        a_mask, _ = single_ocrs_link(m, x, params, rng)
+        a_mask, _ = _sample_link(m, x, params, trunc, rng)
         ranks[t] = m.rank(a_mask)
     bound = (1.0 + lam - (1.0 - 3.0 * eps) * tau) * m.full_rank()
     sigma = float(ranks.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -271,10 +281,11 @@ def verify_spanning(
     x = as_marginals(x)
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
+    plan = chain_plan(m, x, lam + 4.0 * eps, eps, overrides)
     empty = 0
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
-        chain, trace = ocrs_chain(m, x, lam + 4.0 * eps, eps, rng, overrides)
+        chain, trace = plan.sample(rng)
         if chain.links[trace.zeta] == 0:
             empty += 1
     frac = empty / trials
@@ -311,9 +322,10 @@ def verify_freeness_likely(
     high = np.zeros((trials, len(ids)), dtype=bool)
     level = 1.0 - lam - 4.0 * eps
     cache: dict[tuple[int, int, int], float] = {}
+    plan = chain_plan(m, x, lam + 4.0 * eps, eps, overrides)
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
-        chain, trace = ocrs_chain(m, x, lam + 4.0 * eps, eps, rng, overrides)
+        chain, trace = plan.sample(rng)
         c_zeta = chain.links[trace.zeta]
         for j, e in enumerate(ids):
             if (c_zeta >> e) & 1:

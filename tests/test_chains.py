@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from chainocrs import (
     as_marginals,
     balancedness_estimate,
     chain_freeness,
+    chain_plan,
     minimal_link_construction,
     ocrs_chain,
     selectability_experiment,
@@ -439,6 +441,106 @@ def test_estimator_memo_is_bounded(u24):
     for i in range(chains.ESTIMATOR_MEMO_MAX + 5):
         single_ocrs_link(u24, as_marginals([0.01 * (i + 1)] * 4), params, RngStream(i).generator())
     assert len(u24._link_estimators) == chains.ESTIMATOR_MEMO_MAX
+
+
+# -- chain plan ---------------------------------------------------------------
+
+
+def _theta(paths):
+    """Edge (0, 1) plus ``paths`` two-edge 0-1 paths through 2, 3, ..."""
+    edges = [(0, 1)] + [e for w in range(2, paths + 2) for e in ((0, w), (w, 1))]
+    return GraphicMatroid(paths + 2, edges)
+
+
+def test_chain_plan_samples_match_ocrs_chain(k3, u24, k4):
+    # One plan sampled on several streams in a row gives, on each, the chain,
+    # the trace and the generator state of a fresh ocrs_chain call, and the
+    # links of the sequential reference builder.
+    theta = _theta(19)
+    x_theta = np.zeros(39)
+    x_theta[[0] + list(range(1, 39, 2))] = 0.1  # 0.1 on a spanning tree
+    # The reference builds every absorbing link with one span() call per
+    # iteration, seconds per chain on theta-39, so theta skips it.
+    cases = [
+        (k3, [1 / 6] * 3, 0.7, None, True),
+        (u24, [0.25] * 4, 0.37, ParamOverrides(q=60, eta=20, zeta=6), True),
+        (k4.contract(0b1001), [0.0, 0.0, 0.3, 0.0, 0.3, 0.0], 0.7, FAST, True),
+        (theta, x_theta, 0.3, ParamOverrides(q=100), False),
+    ]
+    for m, x, tau, overrides, reference in cases:
+        x = as_marginals(x)
+        plan = chain_plan(m, x, tau, 0.05, overrides)
+        for seed in range(3):
+            rngs = [RngStream(seed).generator() for _ in range(2 + reference)]
+            chain, trace = plan.sample(rngs[0])
+            assert (chain, trace) == ocrs_chain(m, x, tau, 0.05, rngs[1], overrides)
+            if reference:
+                links, traces = _reference_chain(m, x, tau, 0.05, rngs[2], overrides)
+                assert chain.links == links and trace.link_traces == traces
+            assert len({rng.random() for rng in rngs}) == 1
+
+
+def test_chain_plan_keeps_its_own_marginals(k4):
+    x = as_marginals([0.25] * 6)
+    plan = chain_plan(k4, x, 0.7, 0.05, FAST)
+    x[:] = 0.0
+    assert not plan.x.flags.writeable
+    assert plan.positive == k4.ground_mask
+    chain, _ = plan.sample(RngStream(0).generator())
+    assert chain == ocrs_chain(k4, [0.25] * 6, 0.7, 0.05, RngStream(0).generator(), FAST)[0]
+
+
+def test_chain_plan_runs_the_chain_checks(k4):
+    # Every input check of a chain build fails at plan time, before a draw.
+    for args, message in (
+        ((np.zeros(6), 0.0, 0.05), "tau must lie in (0, 1], got 0.0"),
+        ((np.zeros(6), 0.7, 0.2), "eps must lie in (0, 1/20], got 0.2"),
+        ((np.zeros(5), 0.7, 0.05), "marginal vector length must match the universe size"),
+        (([1.5] * 6, 0.7, 0.05), "marginal probabilities must lie in [0, 1]"),
+        ((np.zeros(6), 0.7, 0.05, ParamOverrides(q=0)), "q and eta must be positive"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            chain_plan(k4, *args)
+        assert str(exc.value) == message
+
+
+def test_selectability_computes_the_loops_once(monkeypatch):
+    # 100 K3 trials, each with an 81-link absorbing tail, read the loops of
+    # K3 from one plan: the chain builder computes span(∅) once per
+    # experiment.  (The greedy rule's own span calls are not counted.)
+    k3 = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
+    empty_spans = []
+    real_span = Matroid.span
+
+    def span(self, mask):
+        if mask == 0 and sys._getframe(1).f_globals["__name__"] == chains.__name__:
+            empty_spans.append(self)
+        return real_span(self, mask)
+
+    monkeypatch.setattr(Matroid, "span", span)
+    report = selectability_experiment(
+        k3, as_marginals([1 / 3] * 3), 0.5, 0.05, 100, "element-last", RngStream(3)
+    )
+    assert report.trials == 100
+    assert empty_spans == [k3]
+
+
+def test_one_matroid_runs_experiments_like_fresh_ones():
+    # Two experiments in a row on one matroid object, with different x, tau
+    # and overrides, report what each reports on a fresh matroid: nothing
+    # fixed for the first experiment leaks into the second.
+    def k4():
+        return GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+    runs = [
+        (as_marginals([0.3] * 6), 0.5, FAST),
+        (as_marginals([0.2, 0.1, 0.0, 0.3, 0.2, 0.1]), 0.4, ParamOverrides(q=80, eta=5, zeta=4)),
+    ]
+    shared = k4()
+    for x, lam, overrides in runs:
+        args = (x, lam, 0.05, 40, "element-last", RngStream(8), overrides)
+        reused = selectability_experiment(shared, *args).to_jsonable()
+        assert reused == selectability_experiment(k4(), *args).to_jsonable()
 
 
 # -- chain construction -----------------------------------------------------

@@ -71,6 +71,23 @@ def test_main_bad_tau_or_override_value_exits_one(tmp_path, capsys):
     assert parse_config(base_config(overrides={"q": None, "eta": 3})).overrides.eta == 3
 
 
+def test_parse_config_rejects_non_integer_trials_and_seeds(tmp_path, capsys):
+    # 2.5 trials used to run 2, a 1.5 seed ran as 1, true read as 1, and -1
+    # aliased 2^64 - 1 once masked to the 64-bit Philox key.
+    for trials in (2.5, True, 0, -1, "3"):
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(base_config(trials=trials))
+    for seed in (1.5, True, -1, 2**64, "11"):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(base_config(seed=seed))
+    assert parse_config(base_config(seed=2**64 - 1, trials=1)).seed == 2**64 - 1
+    cfg_path = tmp_path / "cfg.json"
+    for cfg in (base_config(trials=2.5), base_config(seed=-1)):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 def test_parse_config_rejects_bad_audit_rhos():
     for rhos in ([], [0], [8, -1], ["8"], [True], 8, [2.5]):
         with pytest.raises(ConfigError):

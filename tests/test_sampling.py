@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,23 @@ def test_stream_determinism():
     assert a == b
     c = _draws(as_marginals([0.5] * 6), 50, RngStream(42, 4))
     assert a != c
+
+
+def test_stream_keys_do_not_alias():
+    # Keys at or above 2^63 reach Philox exactly: they neither collide nor
+    # warn, and keys below 2^63 keep the stream of the plain-list key.
+    def first(stream):
+        return stream.generator().random(4).tolist()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert first(RngStream(2**63)) != first(RngStream(2**63 + 1))
+        assert first(RngStream(2**64 - 1)) != first(RngStream(2**64 - 2))
+        subs = [first(RngStream(0, 1).substream(i)) for i in range(4)]
+        assert len({tuple(s) for s in subs}) == 4
+        for seed, stream in ((0, 0), (42, 3), (2**63 - 1, 2**62)):
+            plain = np.random.Generator(np.random.Philox(key=[seed, stream]))
+            assert first(RngStream(seed, stream)) == plain.random(4).tolist()
 
 
 def test_sample_active_set_degenerate():
