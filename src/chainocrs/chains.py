@@ -19,10 +19,10 @@ state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
 ``rng.multinomial(q, p, size=h)`` equals h calls of ``rng.multinomial(q, p)``,
-and ``rng.random(out=block)`` over consecutive row blocks equals
-``rng.random((q, s))``.  And an iteration whose set equals A_{h-1} leaves
-the next iteration where it was, so only the iterations that change A need
-a new classification.
+and ``rng.random(out=block)`` over consecutive row blocks, or over a
+(g, q, s) batch, equals that many calls of ``rng.random((q, s))``.  And an
+iteration whose set equals A_{h-1} leaves the next iteration where it was,
+so only the iterations that change A need a new classification.
 
 * Absorbing tail (``ocrs_chain``): once a link's ground set C holds no
   element with a positive marginal, the link's estimates are
@@ -32,9 +32,14 @@ a new classification.
 * Multinomial iterations (``_SpanCountEstimator.link_sets``): all h̄ count
   vectors are drawn at once and classified against the current A in one
   product; the builder jumps to the first row whose set differs from A.
-* Sample rows (``_SpanCountEstimator._row_counts``): the q sample rows are
-  generated in reused blocks and handed to the matroid's batched span
-  counter (``Matroid.span_counter``), never copied.
+* Sample rows (``_SpanCountEstimator.link_sets``): when whole iterations
+  fit in a batch of random values, the q x s rows of several iterations
+  are drawn by one call and counted by one call of the matroid's span
+  counter (``Matroid.span_counter``), which sums each iteration's rows on
+  its own; the builder jumps to the first iteration whose set differs from
+  A and counts the rest of the batch again under the new A, from the same
+  values.  A larger iteration is drawn in reused row blocks and counted
+  block by block.  Rows are never copied.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
   ``BuildTrace.link_traces`` expands it only when read.
@@ -52,6 +57,7 @@ a new classification.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -285,7 +291,10 @@ class SpanningChain:
             raise ValueError("a spanning chain needs at least (N, ∅)")
         if self.links[-1] != 0:
             raise ValueError("the final link must be empty")
-        for a, b in zip(self.links, self.links[1:]):
+        # Equal neighbours are nested, so each run of repeats (an absorbing
+        # tail) is checked as one link.
+        distinct = [c for c, _ in itertools.groupby(self.links)]
+        for a, b in zip(distinct, distinct[1:]):
             if b & ~a:
                 raise ValueError("chain links must be nested")
 
@@ -335,8 +344,10 @@ class _SpanCountEstimator:
     vectors in one call, which numpy makes the same stream as h̄ single
     draws, and reclassifies only after an iteration whose set differs from
     A, because an iteration that keeps A leaves the next one unchanged.
-    On the ``rows`` path the blocks follow the row-major order of
-    ``rng.random((q, s))``, so the stream is that of one full draw.
+    On the ``rows`` path the batches and blocks follow the row-major order
+    of ``rng.random((q, s))`` calls, so the stream is that of one full draw
+    per iteration, and the rest of a batch is counted again only after an
+    iteration whose set differs from A.
     """
 
     def __init__(self, m: Matroid, x: np.ndarray, q: int):
@@ -375,26 +386,61 @@ class _SpanCountEstimator:
             # and the iteration reaches its fixed point span(∅) at once.
             return [self.next_link_set(0, threshold, rng)] * h_bar
         if self.path == "rows":
-            a, sets = 0, []
-            for _ in range(h_bar):
-                a = self.next_link_set(a, threshold, rng)
-                sets.append(a)
-            return sets
+            return self._row_link_sets(h_bar, threshold, rng)
         cnt = rng.multinomial(self.q, self.pvals, size=h_bar)
         bar = threshold * self.q
         a, sets = 0, []
         while len(sets) < h_bar:
             member, in_a = self._member(a)
-            above = cnt[len(sets):] @ member > bar
-            # The first row that differs from A holds the first differing flag.
-            changed = np.flatnonzero(above != in_a)
-            if not len(changed):
-                sets += [a] * len(above)
-                break
-            j = int(changed[0]) // len(in_a)
-            sets += [a] * j
-            a = self._set_of(above[j])
-            sets.append(a)
+            a = self._extend(sets, a, cnt[len(sets):] @ member > bar, in_a)
+        return sets
+
+    def _extend(self, sets: list[int], a: int, above: np.ndarray, in_a: np.ndarray) -> int:
+        """Append the sets of the iterations ``above`` classifies from A = a,
+        up to and including the first whose set differs from A; return the
+        new A.  Row i of ``above`` flags the ground elements iteration i
+        puts in its set, and ``in_a`` flags A's."""
+        # The first row that differs from A holds the first differing flag.
+        changed = np.flatnonzero(above != in_a)
+        if not len(changed):
+            sets += [a] * len(above)
+            return a
+        j = int(changed[0]) // len(in_a)
+        sets += [a] * j
+        a = self._set_of(above[j])
+        sets.append(a)
+        return a
+
+    def _row_link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
+        """The ``rows`` path of ``link_sets``.
+
+        Whole iterations go in batches of at most a sixteenth of
+        ``ROW_BLOCK_VALUES`` random values, drawn by one ``rng.random`` call
+        and counted by one kernel call per A that the batch meets: after an
+        iteration that changes A, the rest of the batch is counted again
+        under the new A from the same values.  An iteration too large for a
+        batch is drawn and counted on its own by ``next_link_set``.
+        """
+        q, s = self.q, len(self.sup_ids)
+        per_batch = min(ROW_BLOCK_VALUES // 16 // (q * s), h_bar)
+        a, sets = 0, []
+        if not per_batch:
+            for _ in range(h_bar):
+                a = self.next_link_set(a, threshold, rng)
+                sets.append(a)
+            return sets
+        values = np.empty((per_batch, q, s))
+        active = np.empty(values.shape, dtype=bool)
+        bar = threshold * q
+        while len(sets) < h_bar:
+            g = min(per_batch, h_bar - len(sets))
+            rng.random(out=values[:g])
+            first = len(sets)
+            while len(sets) < first + g:
+                i = len(sets) - first
+                rows = np.less(values[i:g], self._x_out(a), out=active[i:g])
+                above = self.count(rows, a)[:, self.ground_ids] > bar
+                a = self._extend(sets, a, above, self._member_flags(a))
         return sets
 
     def next_link_set(self, a_mask: int, threshold: float, rng: np.random.Generator) -> int:
@@ -422,15 +468,22 @@ class _SpanCountEstimator:
         if cached is None:
             spans = self.lookup(self.outcome_masks | np.int64(a_mask))
             member = (spans[:, None] >> self.ground_ids[None, :]) & 1
-            cached = member, bits_of(a_mask, self.m.n_universe)[self.ground_ids]
+            cached = member, self._member_flags(a_mask)
             self._member_cache[a_mask] = cached
         return cached
 
-    def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
+    def _member_flags(self, a_mask: int) -> np.ndarray:
+        """A's membership flags in ground order."""
+        return bits_of(a_mask, self.m.n_universe)[self.ground_ids]
+
+    def _x_out(self, a_mask: int) -> np.ndarray:
         # Elements of A are spanned by every row whatever it holds, so their
         # columns are drawn with probability 0 and never flagged.
+        return np.where(bits_of(a_mask, self.m.n_universe)[self.sup_ids], 0.0, self.sup_x)
+
+    def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
         s = len(self.sup_ids)
-        x_out = np.where(bits_of(a_mask, self.m.n_universe)[self.sup_ids], 0.0, self.sup_x)
+        x_out = self._x_out(a_mask)
         if self._blocks is None:
             rows = min(self.q, max(1, ROW_BLOCK_VALUES // s))
             self._blocks = (np.empty((rows, s)), np.empty((rows, s), dtype=bool))

@@ -116,11 +116,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     marginal = raw.get("marginal", {"kind": "basis-indicator-scaled"})
     if not isinstance(marginal, dict) or "kind" not in marginal:
         raise ConfigError("marginal must be an object with a 'kind'")
+    lam, eps, tau = raw.get("lambda", 0.5), raw.get("eps", 0.05), raw.get("tau")
+    # JSON numbers only: float() would also take true and strings like "0.5".
+    for key, value in (("lambda", lam), ("eps", eps), ("tau", tau)):
+        if not (_is_number(value) or (key == "tau" and value is None)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
-        lam = float(raw.get("lambda", 0.5))
-        eps = float(raw.get("eps", 0.05))
-        tau = None if raw.get("tau") is None else float(raw["tau"])
-    except (TypeError, ValueError) as exc:
+        lam, eps = float(lam), float(eps)
+        tau = None if tau is None else float(tau)
+    except OverflowError as exc:
         raise ConfigError(f"bad numeric field: {exc}")
     if not 0.0 < eps <= 0.05:
         raise ConfigError(f"eps must lie in (0, 1/20], got {eps}")
@@ -172,6 +176,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _positive_int(value) -> bool:
     return _is_int(value) and value >= 1
 
@@ -205,7 +213,7 @@ def _check_talpha(talpha) -> None:
                 f"talpha.alpha as [num, den] needs integers with 0 < num < den, got {alpha!r}"
             )
     elif alpha is not None and not (
-        (_is_int(alpha) or isinstance(alpha, float)) and 0 < alpha < 1
+        _is_number(alpha) and 0 < alpha < 1
     ):
         raise ConfigError(f"talpha.alpha must be a number in (0, 1), got {alpha!r}")
     if not _positive_int(talpha.get("q_trials", 1)):

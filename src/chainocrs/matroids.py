@@ -13,6 +13,7 @@ All set arguments are bitmasks, see :mod:`chainocrs.bitset`.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -28,8 +29,9 @@ AXIOM_CHECK_MAX = 12
 
 #: Values per block of sample rows (1 MiB of float64): large enough that
 #: per-block call overhead is small, small enough that a block never holds
-#: a full q x rank matrix.  The estimator draws rows in blocks of this many
-#: random values, and the graphic span kernel labels at most this many
+#: a full q x rank matrix.  The estimator draws the rows of one iteration
+#: in blocks of this many random values, and whole iterations in batches of
+#: a sixteenth of it; the graphic span kernel labels at most this many
 #: vertices (and compares as many edge endpoints) at once.
 ROW_BLOCK_VALUES = 1 << 17
 
@@ -103,16 +105,18 @@ class Matroid:
     # -- fast-path hooks ---------------------------------------------------
 
     def span_counter(self, cols: np.ndarray):
-        """Batched span counts over sample rows, as a callable.
+        """Batched span counts over groups of sample rows, as a callable.
 
-        ``count(rows, a_mask)`` takes a bool matrix whose column j flags
-        element ``cols[j]`` and returns, per universe id e, the number of
-        rows r with e ∈ span(A ∪ S_r), S_r the set row r flags; ids off the
-        ground set count 0.  Rows flag no element of A.  The dense span
-        table does the lookup when ``span_lookup`` exists, else each row
-        costs one ``span`` call.  Families override this with a kernel
-        for all rows at once: the cardinality rule (uniform) and component
-        labels (graphic, n > 20).
+        ``count(rows, a_mask)`` takes a bool array of shape (..., q, s) whose
+        last axis flags element ``cols[j]`` in column j, and returns int64
+        counts of shape (..., n): per group of q rows and universe id e, the
+        number of rows r with e ∈ span(A ∪ S_r), S_r the set row r flags;
+        ids off the ground set count 0.  A (q, s) matrix gives the (n,)
+        counts of its rows, and (g, q, s) gives one count vector per group.
+        Rows flag no element of A.  The dense span table does the lookup
+        when ``span_lookup`` exists, else each row costs one ``span`` call.
+        Families override this with a kernel for all rows at once: the
+        cardinality rule (uniform) and component labels (graphic, n > 20).
         """
         n = self.n_universe
         lookup = self.span_lookup()
@@ -122,20 +126,24 @@ class Matroid:
 
             def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
                 spans = lookup(rows @ weights | np.int64(a_mask))
-                return ((spans[:, None] >> ids) & 1).sum(axis=0)
+                return ((spans[..., None] >> ids) & 1).sum(axis=-2)
 
             return count
         pow2 = [1 << int(e) for e in cols]
 
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            counts = [0] * n
-            for row in rows:
-                s_mask = a_mask
-                for j in np.flatnonzero(row).tolist():
-                    s_mask |= pow2[j]
-                for e in iter_ids(self.span(s_mask)):
-                    counts[e] += 1
-            return np.array(counts, dtype=np.int64)
+            groups = rows.reshape((-1,) + rows.shape[-2:])
+            out = np.zeros((len(groups), n), dtype=np.int64)
+            for group, group_rows in zip(out, groups):
+                counts = [0] * n
+                for row in group_rows:
+                    s_mask = a_mask
+                    for j in np.flatnonzero(row).tolist():
+                        s_mask |= pow2[j]
+                    for e in iter_ids(self.span(s_mask)):
+                        counts[e] += 1
+                group[:] = counts
+            return out.reshape(rows.shape[:-2] + (n,))
 
         return count
 
@@ -200,10 +208,11 @@ class UniformMatroid(Matroid):
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
             # A row whose active elements bring |A ∪ S_r| to k spans
             # everything; any other row spans exactly A ∪ S_r.
-            full = np.count_nonzero(rows, axis=1) >= self.k - a_mask.bit_count()
-            counts = np.full(self.n_universe, np.count_nonzero(full), dtype=np.int64)
-            counts[cols] += np.count_nonzero(rows & ~full[:, None], axis=0)
-            counts[bits_of(a_mask, self.n_universe)] = len(rows)
+            full = np.count_nonzero(rows, axis=-1) >= self.k - a_mask.bit_count()
+            counts = np.empty(rows.shape[:-2] + (self.n_universe,), dtype=np.int64)
+            counts[...] = np.count_nonzero(full, axis=-1)[..., None]
+            counts[..., cols] += np.count_nonzero(rows & ~full[..., None], axis=-2)
+            counts[..., bits_of(a_mask, self.n_universe)] = rows.shape[-2]
             return counts
 
         return count
@@ -246,8 +255,9 @@ class GraphicMatroid(Matroid):
     A single rank query runs a union-find over the set's edges.  Span counts
     over sample rows (``span_counter``) use the dense table up to
     ``SPAN_TABLE_MAX`` edges; beyond it they label the connected components
-    of every row's graph A ∪ S_r at once in numpy, and edge (u, v) is
-    spanned in a row iff u and v share a label there.
+    of every row's graph S_r, contracted by A, at once in numpy, and edge
+    (u, v) is spanned in a row iff the A-components of u and v share a
+    label there.
     """
 
     def __init__(self, n_vertices: int, edges: list[tuple[int, int]]):
@@ -279,33 +289,49 @@ class GraphicMatroid(Matroid):
     def span_counter(self, cols: np.ndarray):
         if self.n_universe <= SPAN_TABLE_MAX:
             return super().span_counter(cols)
-        nv = self.n_vertices
+        nv, n = self.n_vertices, self.n_universe
         tail, head = self._ends
         cols = np.asarray(cols, dtype=np.int64)
         col_tail, col_head = tail[cols], head[cols]
-        chunk = max(1, ROW_BLOCK_VALUES // max(nv, self.n_universe))
+        chunk = max(1, ROW_BLOCK_VALUES // max(nv, n))
 
-        a_memo: dict[int, np.ndarray] = {}
+        a_memo: dict[int, tuple[np.ndarray, ...]] = {}
 
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            # Every row starts from the components of A, each labelled by
-            # its least vertex; row r's vertices are r*nv + v in one array.
-            # A changes only when a link grows, so its labels are memoized.
-            a_labels = a_memo.get(a_mask)
-            if a_labels is None:
-                a_ids = bits_of(a_mask, self.n_universe)
-                a_labels = _component_labels(np.arange(nv), tail[a_ids], head[a_ids])
-                a_memo[a_mask] = a_labels
-            counts = np.zeros(self.n_universe, dtype=np.int64)
-            for start in range(0, len(rows), chunk):
-                block = rows[start:start + chunk]
-                r, j = np.nonzero(block)
-                offset = np.arange(len(block), dtype=np.int64)[:, None] * nv
+            # Every row's graph is contracted by A: each vertex stands for
+            # the least vertex of its component in A, so the rows' labels
+            # start apart and the only links are edges, which every round
+            # of the labelling sees again.  A changes only when a link
+            # grows, so the edge ends on A's roots are memoized.
+            ends = a_memo.get(a_mask)
+            if ends is None:
+                a_ids = bits_of(a_mask, n)
+                root = _component_labels(nv, tail[a_ids], head[a_ids])
+                ends = root[col_tail], root[col_head], root[tail], root[head]
+                a_memo[a_mask] = ends
+            row_tail, row_head, edge_tail, edge_head = ends
+            q = rows.shape[-2]
+            flat = rows.reshape(-1, rows.shape[-1])
+            counts = np.zeros((math.prod(rows.shape[:-2]), n), dtype=np.int64)
+            for start in range(0, len(flat), chunk):
+                block = flat[start:start + chunk]
+                b = len(block)
+                # Vertex w of row r sits at w*b + r, so the ends of an edge
+                # in all rows of the chunk are two contiguous runs.
+                r, j = np.divmod(np.flatnonzero(block), block.shape[1])
                 labels = _component_labels(
-                    (offset + a_labels).ravel(), r * nv + col_tail[j], r * nv + col_head[j]
-                ).reshape(len(block), nv)
-                counts += np.count_nonzero(labels[:, tail] == labels[:, head], axis=0)
-            return counts
+                    nv * b, row_tail[j] * b + r, row_head[j] * b + r
+                ).reshape(nv, b)
+                spanned = labels.take(edge_tail, axis=0) == labels.take(edge_head, axis=0)
+                # Sum the rows of each group; a chunk may start or end
+                # inside a group.
+                first = start // q
+                cuts = np.arange(first * q, start + b, q)
+                cuts[0] = start
+                counts[first:first + len(cuts)] += np.add.reduceat(
+                    spanned, cuts - start, axis=1, dtype=np.int64
+                ).T
+            return counts.reshape(rows.shape[:-2] + (n,))
 
         return count
 
@@ -313,26 +339,33 @@ class GraphicMatroid(Matroid):
         return f"GraphicMatroid(n_vertices={self.n_vertices}, edges={self.edges})"
 
 
-def _component_labels(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Connected components of the edges (u[i], v[i]) over ``labels``.
+def _component_labels(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the edges (u[i], v[i]) on vertices 0..size-1.
 
-    ``labels`` is a parent array: each vertex points at a vertex of its own
-    component that is no larger than itself.  Each round hooks the label of
+    Returns a parent array that labels each component by its least vertex.
+    Every vertex starts on its own label.  Each round hooks the label of
     every edge end at the smaller label of the two ends (``np.minimum.at``),
-    then jumps every pointer once.  A round that changes nothing leaves both
-    ends of every edge on one label, so the result labels each component
-    by its least vertex.  Self-loops, parallel edges and isolated vertices
-    need no special case.
+    then jumps every pointer once; pointers only move to a smaller vertex of
+    the same component.  Once both ends of every edge share a label, jumping
+    until no pointer moves finishes the labelling.  Every link between two
+    vertices is an edge that each round sees again: a pointer given from
+    outside, not backed by an edge, could be dropped by a later hook.
+    Self-loops, parallel edges and isolated vertices need no special case.
     """
+    labels = np.arange(size, dtype=np.int32)
     while True:
-        lu, lv = labels[u], labels[v]
+        lu, lv = labels.take(u), labels.take(v)
+        if np.array_equal(lu, lv):
+            break
         low = np.minimum(lu, lv)
-        hooked = labels.copy()
-        np.minimum.at(hooked, np.concatenate((lu, lv)), np.concatenate((low, low)))
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
+        np.minimum.at(labels, lu, low)
+        np.minimum.at(labels, lv, low)
+        labels = labels.take(labels)
+    while True:
+        jumped = labels.take(labels)
+        if np.array_equal(jumped, labels):
             return labels
-        labels = hooked
+        labels = jumped
 
 
 class LaminarMatroid(Matroid):

@@ -161,20 +161,28 @@ def _span_reference(m, cols, rows, a_mask):
     return counts
 
 
-def test_span_counter_kernels_match_span_reference(monkeypatch):
-    k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    # Theta graph: edge (0, 1) plus 19 two-edge 0-1 paths, n = 39.
-    theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
-    # A multigraph on 30 vertices, 25-29 isolated, with self-loops (ids 0-2)
-    # and parallel edges (ids 3-6), n = 45.
+def _multigraph():
+    """A multigraph on 30 vertices, 25-29 isolated, with self-loops (ids 0-2)
+    and parallel edges (ids 3-6), n = 45."""
     g_rng = np.random.default_rng(17)
-    multi = GraphicMatroid(
+    return GraphicMatroid(
         30,
         [(4, 4), (9, 9), (20, 20), (1, 2), (2, 1), (1, 2), (7, 8)]
         + [tuple(int(v) for v in g_rng.integers(25, size=2)) for _ in range(38)],
     )
+
+
+def _laminar():
+    return LaminarMatroid(24, [list(range(24)), list(range(10)), [0, 1, 2]], [9, 4, 1])
+
+
+def test_span_counter_kernels_match_span_reference(monkeypatch):
+    k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    # Theta graph: edge (0, 1) plus 19 two-edge 0-1 paths, n = 39.
+    theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    multi = _multigraph()
     u = UniformMatroid(6, 30)
-    lam = LaminarMatroid(24, [list(range(24)), list(range(10)), [0, 1, 2]], [9, 4, 1])
+    lam = _laminar()
     cases = [
         (u, "uniform"),
         (u.restrict(full_mask(30) & ~0b111), "uniform"),
@@ -199,9 +207,11 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
     monkeypatch.setattr(
         matroids, "_component_labels", lambda *a: labellings.append(1) or real_labels(*a)
     )
-    # Small label chunks, so 41 rows span several of them.
+    # Small label chunks, so 41 rows span several of them, and chunks of 6
+    # or 7 rows cut across groups of 13.
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)
     rng = np.random.default_rng(5)
+    group_rng = np.random.default_rng(6)
     for m, kernel in cases:
         assert (m.span_lookup() is not None) == (kernel == "table")
         ground = ids_of(m.ground_mask)
@@ -222,6 +232,29 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             assert got.tolist() == expected.tolist()
             assert len(calls) == (len(rows) if kernel == "span" else 0)
             assert bool(labellings) == (kernel == "labels")
+            # A (g, q, s) input gives one count vector per group of q rows.
+            groups = group_rng.random((3, 13, len(cols))) < 0.3
+            groups[0, 0], groups[2, 12] = False, True
+            expected = [_span_reference(m, cols, g, a_mask).tolist() for g in groups]
+            calls.clear()
+            labellings.clear()
+            got = m.span_counter(cols)(groups, a_mask)
+            assert got.tolist() == expected
+            assert len(calls) == (3 * 13 if kernel == "span" else 0)
+            assert bool(labellings) == (kernel == "labels")
+
+
+def test_graphic_labels_keep_the_components_of_a():
+    # A = {(6, 2), (3, 4), (5, 6)} and the row S = {(3, 6), (1, 5), (7, 4),
+    # (0, 7)} connect all eight vertices, so every edge is spanned, A's
+    # first.  Labels that start each row from pointers at A's component
+    # roots, instead of from A contracted, lose a pointer of A to a later
+    # hook here and count edges 0 and 1 of A as not spanned.
+    edges = [(6, 2), (3, 4), (5, 6), (3, 6), (1, 5), (7, 4), (0, 7)] + [(0, 0)] * 14
+    m = GraphicMatroid(8, edges)
+    assert m.span(full_mask(7)) == full_mask(21)
+    rows = np.ones((1, 4), dtype=bool)
+    assert m.span_counter(np.arange(3, 7))(rows, 0b111).tolist() == [1] * 21
 
 
 def _reference_row_counts(est, a_mask, rng, full_rows):
@@ -350,6 +383,71 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
             counts = est._row_counts(a, rng)
             assert counts.tolist() == _reference_row_counts(est, a, ref_rng, []).tolist()
             assert rng.random() == ref_rng.random()
+
+
+def test_batched_row_iterations_match_sequential_reference(monkeypatch):
+    # The rows path with three iterations per batch of random values (a
+    # sixteenth of ROW_BLOCK_VALUES): near the threshold, links grow in the
+    # middle of a batch and at its last iteration, and h̄ often leaves a
+    # partial last batch; label chunks of a few rows cut across a batch's
+    # iterations.  Every link matches the one-iteration-at-a-time reference
+    # in its sets, its trace and the next draw, and every batch takes one
+    # kernel call, plus one for the rest of the batch after each change of A.
+    theta = _theta(19)
+    x_theta = np.zeros(39)
+    x_theta[[0] + list(range(1, 39, 2))] = 0.3  # on a spanning tree
+    k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    cases = [
+        (UniformMatroid(4, 30), [0.5] * 2 + [0.1] * 28, 0.7, 40),  # cardinality
+        (k6, [1 / 6] * 15, 0.3, 40),  # span table
+        (theta, x_theta, 0.28, 40),  # labels
+        (_multigraph(), [0.2] * 45, 0.3, 40),  # labels
+        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # labels, minor
+        (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
+    ]
+    per_batch = 3
+    batch_calls = []
+    real_init = _SpanCountEstimator.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        if self.path == "rows":
+            count = self.count
+
+            def counted(rows, a_mask):
+                if rows.ndim == 3:
+                    batch_calls.append(len(rows))
+                return count(rows, a_mask)
+
+            self.count = counted
+
+    monkeypatch.setattr(_SpanCountEstimator, "__init__", init)
+    monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
+    for m, x, threshold, q in cases:
+        x = as_marginals(x)
+        s = sum(x[e] > 0 for e in iter_ids(m.ground_mask))
+        monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 16 * per_batch * q * s)
+        assert _SpanCountEstimator(m, x, q).path == "rows"
+        params = LinkParams(rho=3, threshold=threshold, eps=0.05, q=q, eta=10)
+        seen = set()
+        for seed in range(8):
+            rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+            batch_calls.clear()
+            link = single_ocrs_link(m, x, params, rng)
+            calls = list(batch_calls)
+            assert link == _reference_link(m, x, params, ref_rng)
+            assert rng.random() == ref_rng.random()
+            lt = link[1]
+            grows = [i for i, (a, b) in enumerate(zip((0,) + lt.a_sets, lt.a_sets)) if a != b]
+            expected = []
+            for first in range(0, lt.h_bar, per_batch):
+                end = min(first + per_batch, lt.h_bar)
+                expected.append(end - first)
+                expected += [end - i - 1 for i in grows if first <= i < end - 1]
+            assert calls == expected
+            seen |= {"last" if i % per_batch == per_batch - 1 else "mid" for i in grows}
+            seen |= {"partial"} if lt.h_bar % per_batch else set()
+        assert seen == {"mid", "last", "partial"}
 
 
 def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
@@ -610,6 +708,19 @@ def test_spanning_chain_validation():
     assert chain.level_of(0) == 0
     with pytest.raises(ValueError):
         chain.level_of(5)
+
+
+def test_spanning_chain_nesting_checked_across_repeats():
+    # Runs of equal links are checked as one link; a pair that is not
+    # nested still fails when it sits right after or before a long run.
+    SpanningChain((0b111,) * 40 + (0b011,) * 40 + (0,) * 3)
+    for links in (
+        (0b111,) * 40 + (0b1000,) + (0,) * 3,
+        (0b011,) + (0b001,) * 40 + (0b010,) * 2 + (0,),
+        (0b011,) * 2 + (0b001,) * 30 + (0b011,) * 30 + (0,),
+    ):
+        with pytest.raises(ValueError, match="nested"):
+            SpanningChain(links)
 
 
 def test_level_of_picks_highest_repeated_index():

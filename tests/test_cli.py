@@ -88,6 +88,25 @@ def test_parse_config_rejects_non_integer_trials_and_seeds(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_parse_config_requires_json_numbers(tmp_path, capsys):
+    # float() used to read true as 1.0 and "0.05" as 0.05, so these ran.
+    for key, value in (
+        ("tau", True), ("tau", "0.5"), ("tau", [1]), ("tau", 10**400),
+        ("eps", "0.05"), ("eps", False), ("lambda", "0.5"), ("lambda", True),
+        ("lambda", None),
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(**{key: value}))
+    cfg = parse_config(base_config(**{"lambda": 0.25, "eps": 0.05, "tau": 1}))
+    assert (cfg.lam, cfg.eps, cfg.tau) == (0.25, 0.05, 1.0) and isinstance(cfg.tau, float)
+    assert parse_config(base_config(tau=None)).tau is None
+    cfg_path = tmp_path / "cfg.json"
+    for cfg in (base_config(tau=True), base_config(eps="0.05")):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 def test_parse_config_rejects_bad_audit_rhos():
     for rhos in ([], [0], [8, -1], ["8"], [True], 8, [2.5]):
         with pytest.raises(ConfigError):
