@@ -14,7 +14,7 @@ of materializing every sample (the output distribution is identical and
 the draw accounting unchanged), and ``rows`` otherwise, where sample rows
 are drawn and the matroid counts them with the kernel of its family.
 
-Six shortcuts skip work without changing any output or the generator
+Seven shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
@@ -53,18 +53,32 @@ so only the iterations that change A need a new classification.
   parameters, the cutoff law, the positive mask and the loops span(∅) --
   is fixed once by ``chain_plan``, and ``ChainPlan.sample`` builds each
   chain from it.  ``ocrs_chain`` is a plan used once.
+* Parallel row blocks (``_SpanCountEstimator._parallel_row_counts``): an
+  iteration larger than one row block, drawn from a Philox generator, is
+  cut into blocks that the calling thread and one helper thread per extra
+  CPU (``chainocrs.workers``) claim in increasing order; numpy fills and
+  compares them without the interpreter lock.  The stream is unchanged
+  because Philox is counter-based: a worker's own copy of the generator
+  jumps to its block's offset in the iteration (``advance`` by whole
+  4-value steps, the rest drawn), so each block holds the values the
+  sequential loop would draw there, and the integer counts do not depend
+  on which worker summed a row.  The caller's generator then jumps to the
+  end of the iteration.  With one CPU, another bit generator or a
+  one-block iteration the sequential loop runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from . import workers
 from .bitset import bits_of, ids_of, iter_ids, mask_of
 from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
 from .sampling import as_marginals, realization_weights, sample_active_set
@@ -347,7 +361,9 @@ class _SpanCountEstimator:
     On the ``rows`` path the batches and blocks follow the row-major order
     of ``rng.random((q, s))`` calls, so the stream is that of one full draw
     per iteration, and the rest of a batch is counted again only after an
-    iteration whose set differs from A.
+    iteration whose set differs from A; the blocks of an iteration too large
+    for a batch may be drawn and counted on several threads, each block from
+    its own offset in that stream.
     """
 
     def __init__(self, m: Matroid, x: np.ndarray, q: int):
@@ -363,7 +379,9 @@ class _SpanCountEstimator:
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
         self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._blocks: tuple[np.ndarray, np.ndarray] | None = None
+        # Reused row blocks and generators, one per worker.
+        self._blocks: list[tuple[np.ndarray, np.ndarray] | None] = [None]
+        self._gens: list[np.random.Generator] = []
         if not sup_ids:
             self.path = "empty"
         elif self.lookup is not None:
@@ -481,18 +499,77 @@ class _SpanCountEstimator:
         # columns are drawn with probability 0 and never flagged.
         return np.where(bits_of(a_mask, self.m.n_universe)[self.sup_ids], 0.0, self.sup_x)
 
-    def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
+    def _block(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Worker i's reused row block: ``rows`` x s values and their flags."""
         s = len(self.sup_ids)
+        block = self._blocks[i]
+        if block is None or len(block[0]) != rows:
+            block = self._blocks[i] = np.empty((rows, s)), np.empty((rows, s), dtype=bool)
+        return block
+
+    def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
+        q, s = self.q, len(self.sup_ids)
         x_out = self._x_out(a_mask)
-        if self._blocks is None:
-            rows = min(self.q, max(1, ROW_BLOCK_VALUES // s))
-            self._blocks = (np.empty((rows, s)), np.empty((rows, s), dtype=bool))
-        values, active = self._blocks
+        rows = min(q, max(1, ROW_BLOCK_VALUES // s))
+        if rows < q and isinstance(rng.bit_generator, np.random.Philox):
+            k = workers.cpus()
+            if k > 1:
+                return self._parallel_row_counts(a_mask, x_out, rng, k)
+        values, active = self._block(0, rows)
         counts = np.zeros(self.m.n_universe, dtype=np.int64)
-        for start in range(0, self.q, len(values)):
-            b = min(len(values), self.q - start)
+        for start in range(0, q, len(values)):
+            b = min(len(values), q - start)
             rng.random(out=values[:b])
             counts += self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
+        return counts[self.ground_ids]
+
+    def _parallel_row_counts(
+        self, a_mask: int, x_out: np.ndarray, rng: np.random.Generator, k: int
+    ) -> np.ndarray:
+        """The loop of ``_row_counts`` on k workers, in blocks of a k-th of
+        ``ROW_BLOCK_VALUES`` values.
+
+        Workers claim blocks in increasing order.  Each moves its own copy
+        of ``rng`` to its block's offset in the iteration's stream, so every
+        block holds the values the sequential loop draws for it; the counts
+        are integer sums over rows, so they do not depend on which worker
+        counted a row.  ``rng`` is then moved to the end of the iteration.
+        """
+        q, s = self.q, len(self.sup_ids)
+        rows = max(1, ROW_BLOCK_VALUES // (k * s))
+        k = min(k, -(-q // rows))
+        self._blocks += [None] * (k - len(self._blocks))
+        while len(self._gens) < k:
+            self._gens.append(np.random.Generator(np.random.Philox(key=0)))
+        state = rng.bit_generator.state
+        starts = iter(range(0, q, rows))
+        claim = threading.Lock()
+        failed = False
+
+        def work(i: int) -> np.ndarray:
+            nonlocal failed
+            gen = self._gens[i]
+            gen.bit_generator.state = state
+            values, active = self._block(i, rows)
+            counts = np.zeros(self.m.n_universe, dtype=np.int64)
+            at = 0
+            while True:
+                with claim:
+                    start = None if failed else next(starts, None)
+                if start is None:
+                    return counts
+                try:
+                    workers.skip_doubles(gen, (start - at) * s)
+                    at = min(start + rows, q)
+                    b = at - start
+                    gen.random(out=values[:b])
+                    counts += self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
+                except BaseException:
+                    failed = True
+                    raise
+
+        counts = sum(workers.run_workers(k, work))
+        workers.skip_doubles(rng, q * s)
         return counts[self.ground_ids]
 
 

@@ -30,8 +30,9 @@ AXIOM_CHECK_MAX = 12
 #: Values per block of sample rows (1 MiB of float64): large enough that
 #: per-block call overhead is small, small enough that a block never holds
 #: a full q x rank matrix.  The estimator draws the rows of one iteration
-#: in blocks of this many random values, and whole iterations in batches of
-#: a sixteenth of it; the graphic span kernel labels at most this many
+#: in blocks of this many random values, shared by the workers that fill
+#: them (k workers hold a k-th of it each), and whole iterations in batches
+#: of a sixteenth of it; the graphic span kernel labels at most this many
 #: vertices (and compares as many edge endpoints) at once.
 ROW_BLOCK_VALUES = 1 << 17
 
@@ -60,11 +61,14 @@ class Matroid:
 
     def rank(self, mask: int) -> int:
         """Largest cardinality of an independent subset of ``mask``."""
+        self._check_ground(mask)
+        return self._rank_masked(mask)
+
+    def _check_ground(self, mask: int) -> None:
         if mask & ~self.ground_mask:
             raise ValueError(
                 f"set {ids_of(mask & ~self.ground_mask)} lies outside the ground set"
             )
-        return self._rank_masked(mask)
 
     def is_independent(self, mask: int) -> bool:
         """True iff ``mask`` is independent, i.e. rank(mask) == |mask|."""
@@ -72,7 +76,13 @@ class Matroid:
 
     def span(self, mask: int) -> int:
         """All elements whose addition to ``mask`` does not raise its rank."""
-        r = self.rank(mask)
+        self._check_ground(mask)
+        return self._span_masked(mask)
+
+    def _span_masked(self, mask: int) -> int:
+        """Span of ``mask``, a subset of the ground set: one rank query per
+        element outside it."""
+        r = self._rank_masked(mask)
         out = mask
         rest = self.ground_mask & ~mask
         for e in iter_ids(rest):
@@ -208,10 +218,16 @@ class UniformMatroid(Matroid):
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
             # A row whose active elements bring |A ∪ S_r| to k spans
             # everything; any other row spans exactly A ∪ S_r.
-            full = np.count_nonzero(rows, axis=-1) >= self.k - a_mask.bit_count()
+            flags = rows.view(np.uint8)
+            full = np.add.reduce(flags, axis=-1, dtype=np.int32) >= self.k - a_mask.bit_count()
+            n_full = np.count_nonzero(full, axis=-1)
             counts = np.empty(rows.shape[:-2] + (self.n_universe,), dtype=np.int64)
-            counts[...] = np.count_nonzero(full, axis=-1)[..., None]
-            counts[..., cols] += np.count_nonzero(rows & ~full[..., None], axis=-2)
+            counts[...] = n_full[..., None]
+            active = np.add.reduce(flags, axis=-2, dtype=np.int64)
+            if n_full.any():
+                # Full rows are already counted in every column.
+                active -= np.add.reduce(flags, axis=-2, dtype=np.int64, where=full[..., None])
+            counts[..., cols] += active
             counts[..., bits_of(a_mask, self.n_universe)] = rows.shape[-2]
             return counts
 
@@ -252,7 +268,8 @@ class PartitionMatroid(Matroid):
 class GraphicMatroid(Matroid):
     """Forests of a multigraph; element e is the edge ``edges[e]``.
 
-    A single rank query runs a union-find over the set's edges.  Span counts
+    A single rank or span query runs one union-find over the set's edges;
+    an edge outside the set is spanned iff its ends share a root.  Span counts
     over sample rows (``span_counter``) use the dense table up to
     ``SPAN_TABLE_MAX`` edges; beyond it they label the connected components
     of every row's graph S_r, contracted by A, at once in numpy, and edge
@@ -268,7 +285,8 @@ class GraphicMatroid(Matroid):
         self.edges = [(int(u), int(v)) for u, v in edges]
         self._ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
 
-    def _rank_masked(self, mask: int) -> int:
+    def _forest(self, mask: int):
+        """Union-find over the edges of ``mask``: its ``find`` and the rank."""
         parent = list(range(self.n_vertices))
 
         def find(a: int) -> int:
@@ -284,7 +302,19 @@ class GraphicMatroid(Matroid):
             if ru != rv:
                 parent[ru] = rv
                 r += 1
-        return r
+        return find, r
+
+    def _rank_masked(self, mask: int) -> int:
+        return self._forest(mask)[1]
+
+    def _span_masked(self, mask: int) -> int:
+        find = self._forest(mask)[0]
+        out = mask
+        for e in iter_ids(self.ground_mask & ~mask):
+            u, v = self.edges[e]
+            if find(u) == find(v):
+                out |= 1 << e
+        return out
 
     def span_counter(self, cols: np.ndarray):
         if self.n_universe <= SPAN_TABLE_MAX:
@@ -293,7 +323,7 @@ class GraphicMatroid(Matroid):
         tail, head = self._ends
         cols = np.asarray(cols, dtype=np.int64)
         col_tail, col_head = tail[cols], head[cols]
-        chunk = max(1, ROW_BLOCK_VALUES // max(nv, n))
+        max_chunk = max(1, ROW_BLOCK_VALUES // max(nv, n))
 
         a_memo: dict[int, tuple[np.ndarray, ...]] = {}
 
@@ -313,6 +343,10 @@ class GraphicMatroid(Matroid):
             q = rows.shape[-2]
             flat = rows.reshape(-1, rows.shape[-1])
             counts = np.zeros((math.prod(rows.shape[:-2]), n), dtype=np.int64)
+            # Equal chunks: a short remainder chunk would cost nearly as
+            # many labelling rounds as a full one.
+            parts = -(-len(flat) // max_chunk)
+            chunk = -(-len(flat) // parts) if parts else 1
             for start in range(0, len(flat), chunk):
                 block = flat[start:start + chunk]
                 b = len(block)

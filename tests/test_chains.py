@@ -1,6 +1,10 @@
 import functools
+import itertools
 import math
+import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,11 +28,12 @@ from chainocrs import (
     single_ocrs_link,
     truncation_distribution,
 )
-from chainocrs import chains, matroids
+from chainocrs import chains, matroids, workers
 from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
 from chainocrs.sampling import realization_weights
+from conftest import small_corpus
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
 
@@ -255,6 +260,40 @@ def test_graphic_labels_keep_the_components_of_a():
     assert m.span(full_mask(7)) == full_mask(21)
     rows = np.ones((1, 4), dtype=bool)
     assert m.span_counter(np.arange(3, 7))(rows, 0b111).tolist() == [1] * 21
+
+
+def test_graphic_span_matches_rank_span(monkeypatch):
+    # GraphicMatroid.span runs one union-find over the mask; the reference
+    # is the generic span, one rank query per element outside the mask, on
+    # the matroid itself and on minors built over it.
+    theta = _theta(19)
+    multi = _multigraph()
+    graphs = [m for m in small_corpus() if isinstance(m, GraphicMatroid)]
+    k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    graphs += [k5, theta, multi]
+    minors = [
+        theta.restrict(full_mask(39) & ~0b110),
+        theta.contract(0b1011),
+        multi.contract(mask_of([0, 3, 7, 11, 30])),
+        multi.restrict(mask_of(range(0, 45, 3)) | 0b11110).contract(0b110),
+    ]
+    rng = np.random.default_rng(11)
+    for m in graphs + minors:
+        ground = ids_of(m.ground_mask)
+        for _ in range(120):
+            p = rng.random()
+            mask = mask_of(e for e in ground if rng.random() < p)
+            assert m.span(mask) == Matroid._span_masked(m, mask)
+    # One union-find per query: no rank query per element.
+    minor = theta.contract(0b1)
+    monkeypatch.setattr(GraphicMatroid, "_rank_masked", lambda *a: pytest.fail("rank query"))
+    assert theta.span(0b111) == 0b111
+    assert multi.span(0) == mask_of(e for e, (u, v) in enumerate(multi.edges) if u == v)
+    assert minor.span(0b10) == 0b110
+    with pytest.raises(ValueError, match="outside the ground set"):
+        theta.span(1 << 39)
+    with pytest.raises(ValueError):
+        minor.span(0b1)
 
 
 def _reference_row_counts(est, a_mask, rng, full_rows):
@@ -492,6 +531,205 @@ def test_graphic_labels_of_a_once_per_a_mask(monkeypatch):
         expected = _span_reference(theta, cols, rows, a_mask)
         assert count(rows, a_mask).tolist() == expected.tolist()
     assert len(labellings) == 3 * len(a_masks) + 2
+
+
+def test_graphic_label_chunks_are_equal(monkeypatch):
+    # 15 rows under a bound of 7 rows per label chunk are labelled as three
+    # chunks of 5 rows, not 7 + 7 + 1; 14 rows as two chunks of 7.
+    theta = _theta(19)
+    sizes = []
+    real_labels = matroids._component_labels
+    monkeypatch.setattr(
+        matroids, "_component_labels", lambda size, *a: sizes.append(size) or real_labels(size, *a)
+    )
+    monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)  # 300 // 39 = 7 rows
+    cols = np.arange(3, 39, dtype=np.int64)
+    count = theta.span_counter(cols)
+    count(np.zeros((1, len(cols)), dtype=bool), 0)  # labels A = ∅ once
+    for q, chunks in ((15, [5, 5, 5]), (14, [7, 7]), (3, [3])):
+        rows = np.random.default_rng(q).random((q, len(cols))) < 0.3
+        sizes.clear()
+        assert count(rows, 0).tolist() == _span_reference(theta, cols, rows, 0).tolist()
+        assert sizes == [21 * b for b in chunks]
+
+
+# -- parallel row blocks ------------------------------------------------------
+
+
+def _philox_state(rng):
+    st = rng.bit_generator.state
+    counter = st["state"]["counter"].tolist()
+    return counter, st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"]
+
+
+def _record_row_counts(monkeypatch):
+    """Record every (A, counts) of ``_row_counts`` and every parallel run's
+    (workers asked, workers run)."""
+    counted, runs = [], []
+    real_counts = _SpanCountEstimator._row_counts
+    real_run = workers.run_workers
+
+    def row_counts(self, a_mask, rng):
+        counts = real_counts(self, a_mask, rng)
+        counted.append((a_mask, counts.tolist()))
+        return counts
+
+    def run(k, work):
+        results = real_run(k, work)
+        runs.append((k, len(results)))
+        return results
+
+    monkeypatch.setattr(_SpanCountEstimator, "_row_counts", row_counts)
+    monkeypatch.setattr(workers, "run_workers", run)
+    return counted, runs
+
+
+def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
+    # Iterations of 41 rows in blocks of 12, 6 or 4 rows for 1, 2 or 3
+    # workers, each with a partial last block, and label chunks of a few
+    # rows.  From every Philox buffer position (and with a saved 32-bit
+    # half-word), each iteration's counts, the link and the generator state
+    # after it equal the sequential loop's; near the threshold, A changes
+    # between iterations.
+    theta = _theta(19)
+    x_theta = np.zeros(39)
+    x_theta[[0] + list(range(1, 39, 2))] = 0.3
+    k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    cases = [
+        (UniformMatroid(4, 30), [0.5] * 2 + [0.1] * 28, 0.7),  # cardinality
+        (k6, [1 / 6] * 15, 0.3),  # span table
+        (theta, x_theta, 0.28),  # labels
+        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28),  # labels, minor
+        (_laminar(), [0.3] * 24, 0.6),  # one span() call per row
+    ]
+    q = 41
+    counted, runs = _record_row_counts(monkeypatch)
+    monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
+    for m, x, threshold in cases:
+        x = as_marginals(x)
+        s = int(sum(x[e] > 0 for e in iter_ids(m.ground_mask)))
+        monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 12 * s + 1)
+        assert _SpanCountEstimator(m, x, q).path == "rows"
+        params = LinkParams(rho=3, threshold=threshold, eps=0.05, q=q, eta=10)
+        grown = 0
+        for seed, pre in itertools.product(range(2), ("0", "1", "2", "3", "u32")):
+            outcomes = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(workers, "cpus", lambda: cpus)
+                rng = RngStream(seed).generator()
+                if pre == "u32":
+                    rng.integers(7, dtype=np.int32)
+                else:
+                    rng.random(int(pre))
+                counted.clear()
+                runs.clear()
+                link = single_ocrs_link(m, x, params, rng)
+                assert len(counted) == link[1].h_bar
+                assert runs == ([(cpus, cpus)] * len(counted) if cpus > 1 else [])
+                outcomes.append((link, list(counted), _philox_state(rng)))
+            assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+            grown += _grows_mid_link(outcomes[0][0][1])
+        assert grown > 0
+
+
+def test_rows_path_stays_sequential_without_philox_or_a_second_cpu(monkeypatch):
+    # A PCG64 generator, a single CPU and an iteration that fits in one
+    # block each take the sequential loop and start no thread.
+    m = UniformMatroid(4, 30)
+    x = as_marginals([0.5] * 2 + [0.1] * 28)
+    monkeypatch.setattr(workers, "run_workers", lambda *a: pytest.fail("parallel path"))
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 12 * 30 + 1)
+    threads = threading.active_count()
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
+    _SpanCountEstimator(m, x, 41)._row_counts(0, np.random.default_rng(0))
+    _SpanCountEstimator(m, x, 12)._row_counts(0, RngStream(0).generator())
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
+    _SpanCountEstimator(m, x, 41)._row_counts(0, RngStream(0).generator())
+    assert threading.active_count() == threads
+    # Pinned to one CPU (this thread only, restored after).
+    monkeypatch.undo()
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    monkeypatch.setattr(workers, "run_workers", lambda *a: pytest.fail("parallel path"))
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 12 * 30 + 1)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert workers.cpus() == 1
+        _SpanCountEstimator(m, x, 41)._row_counts(0, RngStream(0).generator())
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def test_parallel_row_blocks_under_thread_switching(monkeypatch):
+    # Six workers, more than this machine may have cores, on one-row blocks
+    # with a short switch interval: every block is claimed and counted once,
+    # and counts and generator state equal the sequential loop's.
+    m = UniformMatroid(4, 30)
+    x = as_marginals([0.5] * 2 + [0.1] * 28)
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 6 * 30)
+    est = _SpanCountEstimator(m, x, 600)
+    real_count = est.count
+    counted_rows = []
+    est.count = lambda rows, a_mask: counted_rows.append(len(rows)) or real_count(rows, a_mask)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+            monkeypatch.setattr(workers, "cpus", lambda: 6)
+            counted_rows.clear()
+            counts = est._row_counts(0b1, rng)
+            assert counted_rows == [1] * 600
+            monkeypatch.setattr(workers, "cpus", lambda: 1)
+            assert counts.tolist() == est._row_counts(0b1, ref_rng).tolist()
+            assert _philox_state(rng) == _philox_state(ref_rng)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_parallel_row_block_error_reaches_the_caller(monkeypatch, raiser):
+    # A count that raises on a helper thread or on the calling thread: the
+    # error reaches the caller after every claimed block has returned, no
+    # block is claimed after it, and the next iteration runs normally.
+    m = UniformMatroid(4, 30)
+    x = as_marginals([0.5] * 2 + [0.1] * 28)
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 4 * 30)
+    monkeypatch.setattr(workers, "cpus", lambda: 3)
+    est = _SpanCountEstimator(m, x, 200)  # 100 blocks of 2 rows
+    real_count = est.count
+    lock = threading.Lock()
+    calls, running = [], [0]
+
+    def count(rows, a_mask):
+        on_caller = threading.current_thread() is threading.main_thread()
+        with lock:
+            calls.append(on_caller)
+            running[0] += 1
+        try:
+            time.sleep(0.002)
+            if on_caller == (raiser == "caller"):
+                raise KeyError("count failed")
+            return real_count(rows, a_mask)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    est.count = count
+    with pytest.raises(KeyError, match="count failed"):
+        est._row_counts(0, RngStream(0).generator())
+    assert running[0] == 0
+    n_calls = len(calls)
+    assert n_calls < 100
+    time.sleep(0.02)
+    assert len(calls) == n_calls
+    est.count = real_count
+    rng, ref_rng = RngStream(1).generator(), RngStream(1).generator()
+    counts = est._row_counts(0b11, rng)
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
+    assert counts.tolist() == est._row_counts(0b11, ref_rng).tolist()
+    assert _philox_state(rng) == _philox_state(ref_rng)
 
 
 # -- estimator reuse ----------------------------------------------------------
