@@ -9,7 +9,6 @@ from .chains import (
     ParamOverrides,
     SpanningChain,
     TruncationDistribution,
-    balancedness_estimate,
     chain_freeness,
     chain_plan,
     minimal_link_construction,
@@ -32,11 +31,11 @@ from .matroids import (
 from .sampling import (
     RngStream,
     as_marginals,
-    exact_event_probability,
     filter_actives,
     in_scaled_polytope,
     sample_active_set,
     scale,
+    span_probabilities,
 )
 from .selection import (
     OcrsState,

@@ -14,6 +14,12 @@ of materializing every sample (the output distribution is identical and
 the draw accounting unchanged), and ``rows`` otherwise, where sample rows
 are drawn and the matroid counts them with the kernel of its family.
 
+The known-marginals baseline link (``minimal_link_construction``) and the
+freeness of an element at its level (``chain_freeness``) read their
+probabilities from the package's one spanning-probability oracle in
+``sampling``: the link, whose base differs per element, through the exact
+branch's per-element entry ``spanned_weight``.
+
 Seven shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
@@ -72,7 +78,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -81,7 +86,15 @@ import numpy as np
 from . import workers
 from .bitset import bits_of, ids_of, iter_ids, mask_of
 from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
-from .sampling import as_marginals, realization_weights, sample_active_set
+from .sampling import (
+    EXACT_ENUM_MAX,
+    as_marginals,
+    count_sample_rows,
+    realization_weights,
+    span_probabilities,
+    spanned_weight,
+    universe_marginals,
+)
 
 #: Support size up to which link counts are drawn from the exact multinomial.
 MULTINOMIAL_MAX_SUPPORT = 12
@@ -386,12 +399,12 @@ class _SpanCountEstimator:
             self.path = "empty"
         elif self.lookup is not None:
             self.path = "multinomial"
-            masks = np.zeros(1, dtype=np.int64)
-            pvals = np.ones(1, dtype=np.float64)
-            for e, xe in zip(sup_ids, self.sup_x):
-                masks = np.concatenate([masks, masks | np.int64(1 << e)])
-                pvals = np.concatenate([pvals * (1.0 - xe), pvals * xe])
-            self.outcome_masks = masks
+            # Outcome j realizes the support elements of the set bits of j.
+            outcomes = np.arange(1 << len(sup_ids), dtype=np.int64)
+            self.outcome_masks = ((outcomes[:, None] >> np.arange(len(sup_ids))) & 1) @ (
+                np.int64(1) << self.sup_ids
+            )
+            pvals = realization_weights(self.sup_x)
             self.pvals = pvals / pvals.sum()
         else:
             self.path = "rows"
@@ -515,12 +528,7 @@ class _SpanCountEstimator:
             k = workers.cpus()
             if k > 1:
                 return self._parallel_row_counts(a_mask, x_out, rng, k)
-        values, active = self._block(0, rows)
-        counts = np.zeros(self.m.n_universe, dtype=np.int64)
-        for start in range(0, q, len(values)):
-            b = min(len(values), q - start)
-            rng.random(out=values[:b])
-            counts += self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
+        counts = count_sample_rows(self.count, x_out, a_mask, rng, q, *self._block(0, rows))
         return counts[self.ground_ids]
 
     def _parallel_row_counts(
@@ -755,9 +763,9 @@ def minimal_link_construction(m: Matroid, x: np.ndarray, tau: float) -> int:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    x = as_marginals(x)
-    if len(x) != m.n_universe:
-        raise ValueError("marginal vector length must match the universe size")
+    x = universe_marginals(m, x)
+    if m.n_universe > EXACT_ENUM_MAX:
+        raise ValueError(f"the minimal link is exact and limited to n <= {EXACT_ENUM_MAX}")
     w = realization_weights(x)
     lookup = m.span_lookup()
     idx = np.arange(len(w), dtype=np.int64)
@@ -765,10 +773,9 @@ def minimal_link_construction(m: Matroid, x: np.ndarray, tau: float) -> int:
     while True:
         new = 0
         for e in iter_ids(m.ground_mask):
-            bit = np.int64(1 << e)
-            spans = lookup((idx | np.int64(a)) & ~bit)
-            p = float(w @ ((spans >> np.int64(e)) & 1))
-            if p > tau:
+            # Clearing e's bit reads every realization as (R(x) ∪ A) \ {e}.
+            spans = lookup((idx | np.int64(a)) & ~np.int64(1 << e))
+            if spanned_weight(w, spans, e) > tau:
                 new |= 1 << e
         if new == a:
             return a
@@ -780,77 +787,16 @@ def chain_freeness(
     x: np.ndarray,
     chain: SpanningChain,
     e: int,
-    mode: str = "exact",
-    mc_trials: int | None = None,
     rng: np.random.Generator | None = None,
+    samples: int | None = None,
 ) -> float:
     """Pr[e ∉ span(((R(x) \\ {e}) ∩ C_i) ∪ C_{i+1})] at e's level i.
 
-    ``mode="exact"`` enumerates all realizations (n <= 20); ``mode="mc"``
-    estimates from ``mc_trials`` samples.
+    That is 1 - Pr[e ∈ span(C_{i+1} ∪ R(x'))] for x' = x on C_i \\ {e} and
+    0 elsewhere, from one ``span_probabilities`` call: exact for n <= 20,
+    and beyond from ``samples`` rows drawn from ``rng``.
     """
     i = chain.level_of(e)
-    ci, ci1 = chain.links[i], chain.links[i + 1]
-    x = as_marginals(x)
-    if len(x) != m.n_universe:
-        raise ValueError("marginal vector length must match the universe size")
-    if mode == "exact":
-        w = realization_weights(x)
-        lookup = m.span_lookup()
-        idx = np.arange(len(w), dtype=np.int64)
-        t = ((idx & ~np.int64(1 << e)) & np.int64(ci)) | np.int64(ci1)
-        free = 1 - ((lookup(t) >> np.int64(e)) & 1)
-        return float(w @ free)
-    if mode == "mc":
-        if not mc_trials or rng is None:
-            raise ValueError("mc mode needs mc_trials and rng")
-        bit = 1 << e
-        hits = 0
-        for _ in range(mc_trials):
-            r = sample_active_set(x, rng)
-            t = ((r & ~bit) & ci) | ci1
-            if not (m.span(t) >> e) & 1:
-                hits += 1
-        return hits / mc_trials
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class BalancednessEstimate:
-    """Per-element expected chain-freeness over sampled chains."""
-
-    trials: int
-    element_ids: tuple[int, ...]
-    means: np.ndarray
-    stderrs: np.ndarray
-
-    def minimum(self) -> float:
-        return float(self.means.min()) if len(self.means) else 1.0
-
-
-def balancedness_estimate(
-    m: Matroid,
-    x: np.ndarray,
-    chain_sampler: Callable[[np.random.Generator], SpanningChain],
-    trials: int,
-    rng: np.random.Generator,
-) -> BalancednessEstimate:
-    """Mean exact freeness of every element over ``trials`` sampled chains."""
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    ids = ids_of(m.ground_mask)
-    acc = np.zeros((trials, len(ids)), dtype=np.float64)
-    cache: dict[tuple[int, int, int], float] = {}
-    for t in range(trials):
-        chain = chain_sampler(rng)
-        for j, e in enumerate(ids):
-            i = chain.level_of(e)
-            key = (chain.links[i], chain.links[i + 1], e)
-            if key not in cache:
-                cache[key] = chain_freeness(m, x, chain, e, mode="exact")
-            acc[t, j] = cache[key]
-    means = acc.mean(axis=0)
-    stderrs = acc.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(len(ids))
-    return BalancednessEstimate(
-        trials=trials, element_ids=tuple(ids), means=means, stderrs=stderrs
-    )
+    x = universe_marginals(m, x)
+    x_level = np.where(bits_of(chain.links[i] & ~(1 << e), len(x)), x, 0.0)
+    return 1.0 - float(span_probabilities(m, x_level, chain.links[i + 1], rng, samples)[e])

@@ -543,7 +543,7 @@ class MinorMatroid(Matroid):
         ground = np.int64(self.ground_mask)
 
         def lookup(masks: np.ndarray) -> np.ndarray:
-            return base_lookup(masks | contracted) & ground
+            return base_lookup((masks & ground) | contracted) & ground
 
         return lookup
 

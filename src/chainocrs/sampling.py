@@ -1,8 +1,12 @@
-"""Product-distribution sampling and exact small-instance probabilities.
+"""Product-distribution sampling and the spanning-probability oracle.
 
 The activation law D(x) includes each element e independently with
 probability x_e.  Marginal vectors are float64 numpy arrays indexed by
 element id; realizations are bitmasks.
+
+``span_probabilities`` is the one oracle for Pr[e ∈ span(B ∪ R(x))]:
+exact over all 2^n realizations up to ``EXACT_ENUM_MAX`` elements, and a
+frequency over sample rows, counted by the matroid's span kernel, beyond.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream)``: trial i uses stream id i, so its draws do not depend
@@ -11,14 +15,13 @@ on any other trial.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitset import iter_ids
-from .matroids import Matroid
+from .bitset import bits_of, iter_ids
+from .matroids import ROW_BLOCK_VALUES, Matroid
 
 _MASK64 = (1 << 64) - 1
 
@@ -90,15 +93,76 @@ def realization_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def exact_event_probability(x: np.ndarray, predicate: Callable[[int], bool]) -> float:
-    """Pr over D(x) of a predicate on the realization, by full enumeration.
+def universe_marginals(m: Matroid, values: Sequence[float]) -> np.ndarray:
+    """``as_marginals``, also rejecting a vector whose length is not ``m.n_universe``."""
+    x = as_marginals(values)
+    if len(x) != m.n_universe:
+        raise ValueError("marginal vector length must match the universe size")
+    return x
 
-    The sum over up to 2^20 terms of mixed magnitude is accumulated with
-    ``math.fsum`` (exact compensated summation).
+
+def span_probabilities(
+    m: Matroid,
+    x: np.ndarray,
+    base: int,
+    rng: np.random.Generator | None = None,
+    samples: int | None = None,
+) -> np.ndarray:
+    """Pr[e ∈ span(base ∪ R(x))] for every universe id e; 0 off the ground set.
+
+    Up to ``EXACT_ENUM_MAX`` elements the probabilities are exact, summed
+    over all 2^n realizations.  Beyond, they are frequencies over
+    ``samples`` rows of D(x) drawn from ``rng``, which must then be given.
+    Only the ground set of ``m`` counts: R(x) is read as R(x) ∩ ground.
     """
-    x = as_marginals(x)
+    x = universe_marginals(m, x)
+    if base & ~m.ground_mask:
+        raise ValueError("base set outside the ground set")
+    if m.n_universe > EXACT_ENUM_MAX:
+        if rng is None or samples is None or samples < 1:
+            raise ValueError(
+                f"beyond n = {EXACT_ENUM_MAX} the oracle samples: pass rng and samples"
+            )
+        return _sampled_span_probabilities(m, x, base, rng, samples)
     w = realization_weights(x)
-    return math.fsum(w[m] for m in range(len(w)) if predicate(m))
+    spans = m.span_lookup()(np.arange(len(w), dtype=np.int64) | np.int64(base))
+    probs = np.zeros(m.n_universe)
+    for e in iter_ids(m.ground_mask):
+        probs[e] = spanned_weight(w, spans, e)
+    return probs
+
+
+def spanned_weight(w: np.ndarray, spans: np.ndarray, e: int) -> float:
+    """Exact Pr[e ∈ span]: weights ``w[r]`` of the realizations r with e in ``spans[r]``."""
+    return float(w @ ((spans >> np.int64(e)) & 1))
+
+
+def _sampled_span_probabilities(
+    m: Matroid, x: np.ndarray, base: int, rng: np.random.Generator, samples: int
+) -> np.ndarray:
+    # Elements of the base are spanned by every row, so only the others
+    # are drawn; rows come in blocks of at most ROW_BLOCK_VALUES values.
+    sup = np.array([e for e in iter_ids(m.ground_mask & ~base) if x[e] > 0.0], dtype=np.int64)
+    if not len(sup):
+        return bits_of(m.span(base), m.n_universe).astype(np.float64)
+    values = np.empty((min(samples, max(1, ROW_BLOCK_VALUES // len(sup))), len(sup)))
+    active = np.empty(values.shape, dtype=bool)
+    counts = count_sample_rows(m.span_counter(sup), x[sup], base, rng, samples, values, active)
+    return counts / samples
+
+
+def count_sample_rows(count, x_cols, a_mask, rng, total, values, active) -> np.ndarray:
+    """Counts of the ``Matroid.span_counter`` kernel ``count`` over ``total``
+    rows of D(x_cols) from ``rng``, drawn in blocks of ``len(values)`` rows
+    into ``values`` and flagged in ``active``: the stream of one
+    ``rng.random((total, s))`` call."""
+    counts = None
+    for start in range(0, total, len(values)):
+        b = min(len(values), total - start)
+        rng.random(out=values[:b])
+        block = count(np.less(values[:b], x_cols, out=active[:b]), a_mask)
+        counts = block if counts is None else np.add(counts, block, out=counts)
+    return counts
 
 
 def filter_actives(active_mask: int, lam: float, rng: np.random.Generator) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitset import ids_of, iter_ids, submasks
+from .bitset import bits_of, ids_of, submasks
 from .chains import (
     BuildTrace,
     LinkParams,
@@ -36,8 +36,8 @@ from .sampling import (
     RngStream,
     as_marginals,
     in_scaled_polytope,
-    realization_weights,
-    sample_active_set,
+    span_probabilities,
+    universe_marginals,
 )
 from .stats import binomial_stderr, bonferroni_z
 
@@ -107,50 +107,27 @@ class GoodBadVerdict:
     spanning_probability: float | None
 
 
-def _spanning_probabilities(m: Matroid, x: np.ndarray, a_mask: int) -> np.ndarray:
-    """Pr[e ∈ span(A ∪ R(x))] for every universe element, exactly."""
-    w = realization_weights(x)
-    lookup = m.span_lookup()
-    idx = np.arange(len(w), dtype=np.int64)
-    spans = lookup(idx | np.int64(a_mask))
-    probs = np.zeros(m.n_universe)
-    for e in iter_ids(m.ground_mask):
-        probs[e] = float(w @ ((spans >> np.int64(e)) & 1))
-    return probs
-
-
 def classify_element(
     m: Matroid,
     x: np.ndarray,
     a_mask: int,
     tau: float,
     e: int,
-    mode: str = "exact",
-    mc_trials: int | None = None,
     rng: np.random.Generator | None = None,
+    samples: int | None = None,
 ) -> GoodBadVerdict:
     """Good/bad status of e for the set A: members of A are neither; others
-    are bad iff Pr[e ∈ span(A ∪ R(x))] > tau."""
+    are bad iff Pr[e ∈ span(A ∪ R(x))] > tau.
+
+    The probability comes from ``span_probabilities``: exact for n <= 20,
+    and beyond from ``samples`` rows drawn from ``rng``.
+    """
+    x = universe_marginals(m, x)
     if not (m.ground_mask >> e) & 1:
         raise ValueError(f"element {e} is outside the ground set")
     if (a_mask >> e) & 1:
         return GoodBadVerdict(e, "member", None)
-    if mode == "exact":
-        if m.n_universe > EXACT_ENUM_MAX:
-            raise ValueError("exact classification is limited to n <= 20")
-        p = float(_spanning_probabilities(m, as_marginals(x), a_mask)[e])
-    elif mode == "mc":
-        if not mc_trials or rng is None:
-            raise ValueError("mc mode needs mc_trials and rng")
-        x = as_marginals(x)
-        hits = 0
-        for _ in range(mc_trials):
-            r = sample_active_set(x, rng)
-            if (m.span((a_mask | r) & m.ground_mask) >> e) & 1:
-                hits += 1
-        p = hits / mc_trials
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    p = float(span_probabilities(m, x, a_mask, rng, samples)[e])
     return GoodBadVerdict(e, "bad" if p > tau else "good", p)
 
 
@@ -180,6 +157,8 @@ def verify_in_link_loss(
         raise ValueError("rho must be at least 3")
     if not 0.0 < eps <= tau:
         raise ValueError("need 0 < eps <= tau")
+    if m.n_universe > EXACT_ENUM_MAX:
+        raise ValueError(f"exact classification is limited to n <= {EXACT_ENUM_MAX}")
     x = as_marginals(x)
     params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
     ids = ids_of(m.ground_mask)
@@ -190,7 +169,7 @@ def verify_in_link_loss(
         rng = seed_stream.substream(t).generator()
         a_mask, _ = builder(m, x, params, rng)
         if a_mask not in probs_cache:
-            probs_cache[a_mask] = _spanning_probabilities(m, x, a_mask)
+            probs_cache[a_mask] = span_probabilities(m, x, a_mask)
         probs = probs_cache[a_mask]
         for j, e in enumerate(ids):
             if (a_mask >> e) & 1:
@@ -315,13 +294,11 @@ def verify_freeness_likely(
         raise ValueError("exact freeness needs n <= 20")
     if not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
-    from .chains import chain_freeness
-
     ids = ids_of(m.ground_mask)
     notin = np.zeros((trials, len(ids)), dtype=bool)
     high = np.zeros((trials, len(ids)), dtype=bool)
     level = 1.0 - lam - 4.0 * eps
-    cache: dict[tuple[int, int, int], float] = {}
+    cache: dict[tuple[int, int], np.ndarray] = {}
     plan = chain_plan(m, x, lam + 4.0 * eps, eps, overrides)
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
@@ -332,10 +309,10 @@ def verify_freeness_likely(
                 continue
             notin[t, j] = True
             i = chain.level_of(e)
-            key = (chain.links[i], chain.links[i + 1], e)
+            key = (chain.links[i], chain.links[i + 1])
             if key not in cache:
-                cache[key] = chain_freeness(m, x, chain, e, mode="exact")
-            high[t, j] = cache[key] >= level - 1e-12
+                cache[key] = _level_freeness(m, x, *key)
+            high[t, j] = cache[key][e] >= level - 1e-12
     z = bonferroni_z(len(ids))
     checks = []
     for j, e in enumerate(ids):
@@ -361,6 +338,18 @@ def verify_freeness_likely(
     meta = {"lambda": lam, "eps": eps, "trials": trials, "seed": seed_stream.seed,
             "freeness_level": level}
     return VerifyReport(kind="freeness-likely", checks=tuple(checks), meta=meta)
+
+
+def _level_freeness(m: Matroid, x: np.ndarray, c_i: int, c_next: int) -> np.ndarray:
+    """``chain_freeness`` of every element e of C_i \\ C_{i+1}, from one oracle call.
+
+    With x' = x on C_i and p_e = Pr[e ∈ span(C_{i+1} ∪ R(x'))], e's
+    freeness is (1 - p_e) / (1 - x_e): e ∈ span(C_{i+1} ∪ R) iff e ∈ R or
+    e ∈ span(C_{i+1} ∪ (R \\ {e})), and the two events are independent.
+    x in lambda * P_M with lambda < 1 keeps every x_e below 1.
+    """
+    x_level = np.where(bits_of(c_i, len(x)), x, 0.0)
+    return (1.0 - span_probabilities(m, x_level, c_next)) / (1.0 - x_level)
 
 
 def _check_chain_params(lam: float, eps: float) -> None:

@@ -19,7 +19,6 @@ from chainocrs import (
     SpanningChain,
     UniformMatroid,
     as_marginals,
-    balancedness_estimate,
     chain_freeness,
     chain_plan,
     minimal_link_construction,
@@ -33,6 +32,7 @@ from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
 from chainocrs.sampling import realization_weights
+from chainocrs.stats import bonferroni_z
 from conftest import small_corpus
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
@@ -974,6 +974,13 @@ def test_minimal_link_zero_marginals(k4):
     assert minimal_link_construction(k4, np.zeros(6), 0.5) == 0
 
 
+def test_minimal_link_rejects_large_and_wrong_length(u24):
+    with pytest.raises(ValueError, match="minimal link is exact"):
+        minimal_link_construction(UniformMatroid(2, 21), np.full(21, 0.1), 0.5)
+    with pytest.raises(ValueError, match="universe size"):
+        minimal_link_construction(u24, np.full(3, 0.1), 0.5)
+
+
 def test_minimal_link_u12_example(u12):
     out = minimal_link_construction(u12, as_marginals([0.6, 0.6]), 0.5)
     assert out == 0b11
@@ -1018,7 +1025,8 @@ def test_minimal_link_fixed_point_and_monotone_iteration(u24, k3):
 
 def test_freeness_two_link_chain(u12):
     chain = SpanningChain((0b11, 0))
-    assert chain_freeness(u12, [0.3, 0.3], chain, 0) == pytest.approx(0.7)
+    for e in range(2):
+        assert chain_freeness(u12, [0.3, 0.3], chain, e) == pytest.approx(0.7)
 
 
 def test_freeness_zero_marginals(k3):
@@ -1033,42 +1041,65 @@ def test_freeness_spanned_by_next_link(k3):
     assert chain_freeness(k3, [0.5, 0.5, 0.5], chain, 0) == pytest.approx(0.0)
 
 
-def test_freeness_mc_matches_exact(u24):
-    chain = SpanningChain((0b1111, 0b1000, 0))
-    x = [0.4, 0.3, 0.2, 0.5]
-    exact = chain_freeness(u24, x, chain, 1)
-    mc = chain_freeness(
-        u24, x, chain, 1, mode="mc", mc_trials=40_000, rng=RngStream(17).generator()
-    )
-    sigma = math.sqrt(exact * (1 - exact) / 40_000)
-    assert abs(mc - exact) <= 4 * sigma
+def test_freeness_theta39_closed_forms():
+    # n = 39 > 20, so freeness is sampled.  On the trivial chain (N, ∅) the
+    # path edge e is not free iff its sibling and another path are active;
+    # with C_1 = {f}, iff its sibling is active.
+    theta, xv, samples = _theta(19), 0.3, 40_000
+    x = np.full(39, xv)
+    x[0] = 0.0
+    n_mask = full_mask(39)
+    cases = [
+        (SpanningChain((n_mask, 0)), 0, (1 - xv**2) ** 19),
+        (SpanningChain((n_mask, 0)), 1, 1 - xv * (1 - (1 - xv**2) ** 18)),
+        (SpanningChain((n_mask, 0b1, 0)), 1, 1 - xv),
+        (SpanningChain((n_mask, 0b1, 0)), 38, 1 - xv),
+    ]
+    z = bonferroni_z(len(cases))
+    for k, (chain, e, p) in enumerate(cases):
+        got = chain_freeness(theta, x, chain, e, RngStream(40, k).generator(), samples)
+        assert abs(got - p) <= z * math.sqrt(p * (1 - p) / samples), (chain, e)
+    with pytest.raises(ValueError, match="pass rng and samples"):
+        chain_freeness(theta, x, cases[0][0], 0)
+
+
+def test_freeness_counts_an_always_active_neighbour(u12):
+    # x_e = 1 on e itself does not enter e's freeness; a sure neighbour spans e.
+    chain = SpanningChain((0b11, 0))
+    assert chain_freeness(u12, [1.0, 0.0], chain, 0) == pytest.approx(1.0)
+    assert chain_freeness(u12, [1.0, 0.0], chain, 1) == pytest.approx(0.0)
 
 
 # -- balancedness -------------------------------------------------------------
 
 
 def test_balancedness_degenerate_sampler(u12):
-    chain = SpanningChain((0b11, 0))
-    est = balancedness_estimate(
-        u12, [0.3, 0.3], lambda rng: chain, trials=50, rng=RngStream(2).generator()
+    # a chain distribution with one point (N, ∅): balancedness is that
+    # chain's freeness, 0.7 per element, with no spread over the trials
+    chain, x, trials = SpanningChain((0b11, 0)), as_marginals([0.3, 0.3]), 50
+    free = np.array(
+        [[chain_freeness(u12, x, chain, e) for e in range(2)] for _ in range(trials)]
     )
-    assert np.allclose(est.means, [0.7, 0.7])
-    assert np.allclose(est.stderrs, 0.0)
+    means = free.mean(axis=0)
+    stderrs = free.std(axis=0, ddof=1) / math.sqrt(trials)
+    assert np.allclose(means, [0.7, 0.7])
+    assert np.allclose(stderrs, 0.0)
 
 
 def test_balancedness_distribution_floor(u12):
     # chain distribution from the sample-based builder must be
     # (1 - lambda - 8 eps)-balanced for x in lambda * P_M
-    lam, eps = 0.5, 0.05
+    lam, eps, trials = 0.5, 0.05, 200
     x = as_marginals([0.25, 0.25])  # in 0.5 * P_M
-
-    def sampler(rng):
+    rng = RngStream(5).generator()
+    free = np.empty((trials, 2))
+    for t in range(trials):
         chain, _ = ocrs_chain(u12, x, lam + 4 * eps, eps, rng)
-        return chain
-
-    est = balancedness_estimate(u12, x, sampler, trials=200, rng=RngStream(5).generator())
+        free[t] = [chain_freeness(u12, x, chain, e) for e in range(2)]
+    means = free.mean(axis=0)
+    stderrs = free.std(axis=0, ddof=1) / math.sqrt(trials)
     floor = 1 - lam - 8 * eps
-    for mean, se in zip(est.means, est.stderrs):
+    for mean, se in zip(means, stderrs):
         assert mean >= floor - 3 * se
     # dominant chain shape is (N, ∅, ..., ∅): freeness 0.75 per element
-    assert est.minimum() >= 0.7 - 3 * est.stderrs.max()
+    assert means.min() >= 0.7 - 3 * stderrs.max()

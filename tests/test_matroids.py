@@ -159,6 +159,24 @@ def test_minor_span_identity(k4):
         assert minor.span(mask) == expected
 
 
+def test_minor_span_lookup_reads_masks_modulo_the_ground_set(u24, k4):
+    # lookup(m) == span(m & ground) for every universe mask, also masks that
+    # hold ids outside the minor's ground set.
+    minors = [
+        u24.restrict(0b0111),
+        u24.contract(0b0001),
+        u24.restrict(0b1110).contract(0b0100),
+        k4.restrict(0b011111),
+        k4.contract(0b000011),
+        k4.restrict(0b111011).contract(0b100000),
+    ]
+    for minor in minors:
+        masks = np.arange(1 << minor.n_universe, dtype=np.int64)
+        expected = [minor.span(int(mk) & minor.ground_mask) for mk in masks]
+        assert minor.span_lookup()(masks).tolist() == expected, minor
+    assert u24.restrict(0b0111).span_lookup()(np.array([0b1010]))[0] == 0b0010
+
+
 # -- axioms ---------------------------------------------------------------
 
 

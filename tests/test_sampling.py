@@ -9,13 +9,16 @@ from chainocrs import (
     RngStream,
     UniformMatroid,
     as_marginals,
-    exact_event_probability,
     filter_actives,
     in_scaled_polytope,
     sample_active_set,
     scale,
+    span_probabilities,
 )
 from chainocrs.bitset import full_mask
+from chainocrs.sampling import _sampled_span_probabilities
+from chainocrs.stats import bonferroni_z
+from conftest import explicit_corpus, small_corpus
 
 
 def _draws(x, q, stream):
@@ -72,18 +75,56 @@ def test_sample_active_set_frequency():
     assert np.all(np.abs(freq - 0.5) < 0.01)
 
 
-def test_exact_event_probability_basics():
-    x = as_marginals([0.3, 0.7])
-    assert exact_event_probability(x, lambda m: True) == pytest.approx(1.0)
-    assert exact_event_probability(x, lambda m: bool(m & 1)) == pytest.approx(0.3)
-    assert exact_event_probability(
-        as_marginals([0.5, 0.5]), lambda m: m != 0
-    ) == pytest.approx(0.75)
+def test_span_probabilities_basics():
+    # U_{1,2}: either element spans both, so each is spanned iff R is nonempty.
+    u12 = UniformMatroid(1, 2)
+    assert span_probabilities(u12, [0.3, 0.7], 0) == pytest.approx([0.79, 0.79])
+    assert span_probabilities(u12, [0.5, 0.5], 0) == pytest.approx([0.75, 0.75])
+    assert span_probabilities(u12, [0.0, 0.0], 0b01) == pytest.approx([1.0, 1.0])
+    # On a restriction, ids off the ground set read 0 and their marginals
+    # do not count: U_{2,4}|{0,1,2} = U_{2,3}.
+    minor = UniformMatroid(2, 4).restrict(0b0111)
+    probs = span_probabilities(minor, [0.3, 0.3, 0.3, 0.9], 0)
+    assert probs == pytest.approx([0.363, 0.363, 0.363, 0.0])
+    with pytest.raises(ValueError, match="outside the ground set"):
+        span_probabilities(minor, [0.3] * 4, 0b1000)
 
 
-def test_exact_event_probability_refuses_large():
-    with pytest.raises(ValueError):
-        exact_event_probability(as_marginals([0.5] * 21), lambda m: True)
+def test_span_probabilities_samples_beyond_exact_range():
+    big = UniformMatroid(2, 21)
+    x = as_marginals([0.1] * 21)
+    with pytest.raises(ValueError, match="pass rng and samples"):
+        span_probabilities(big, x, 0)
+    with pytest.raises(ValueError, match="pass rng and samples"):
+        span_probabilities(big, x, 0, RngStream(1).generator(), 0)
+    probs = span_probabilities(big, x, 0, RngStream(1).generator(), 4000)
+    # Pr[R holds e or two others] = 1 - 0.9^21 - 20 * 0.1 * 0.9^20
+    p = 1 - 0.9**21 - 20 * 0.1 * 0.9**20
+    assert np.all(np.abs(probs - p) <= bonferroni_z(21) * math.sqrt(p * (1 - p) / 4000))
+
+
+def test_span_probabilities_rejects_wrong_length():
+    u24 = UniformMatroid(2, 4)
+    for x in ([0.2] * 3, [0.2] * 5):
+        with pytest.raises(ValueError, match="universe size"):
+            span_probabilities(u24, x, 0)
+
+
+def test_span_probabilities_branches_agree():
+    # The exact and the sampled branch agree on every corpus instance, with
+    # base ∅ and one random base, within a Bonferroni-adjusted 3 sigma.
+    rng = np.random.default_rng(2026)
+    samples = 20_000
+    cases = []
+    for m in small_corpus() + explicit_corpus():
+        x = rng.uniform(0.0, 1.0, m.n_universe)
+        cases += [(m, x, 0), (m, x, int(rng.integers(0, 1 << m.n_universe)))]
+    z = bonferroni_z(sum(m.n_universe for m, _, _ in cases))
+    for k, (m, x, base) in enumerate(cases):
+        exact = span_probabilities(m, x, base)
+        sampled = _sampled_span_probabilities(m, x, base, RngStream(31, k).generator(), samples)
+        sigma = np.sqrt(exact * (1.0 - exact) / samples)
+        assert np.all(np.abs(sampled - exact) <= z * sigma + 1e-12), (m, base)
 
 
 def test_empirical_converges_to_exact_span_event():
@@ -95,7 +136,7 @@ def test_empirical_converges_to_exact_span_event():
     def pred(r_mask):
         return bool((m.span((a_mask | r_mask) & m.ground_mask) >> 2) & 1)
 
-    p = exact_event_probability(x, pred)
+    p = span_probabilities(m, x, a_mask)[2]
     q = 100_000
     p_hat = _frequency(x, q, RngStream(3), pred)
     sigma = math.sqrt(p * (1 - p) / q)
@@ -164,7 +205,7 @@ def test_empirical_within_three_sigma_most_repetitions():
     def pred(r_mask):
         return bool((m.span(r_mask & m.ground_mask) >> 3) & 1)
 
-    p = exact_event_probability(x, pred)
+    p = span_probabilities(m, x, 0)[3]
     q = 10_000
     sigma = math.sqrt(p * (1 - p) / q)
     within = 0

@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chainocrs import (
+    GraphicMatroid,
     ParamOverrides,
     RngStream,
+    SpanningChain,
     UniformMatroid,
     brute_force_T_alpha,
+    chain_freeness,
     classify_element,
     random_explicit_matroid,
     sample_complexity_audit,
@@ -18,9 +22,10 @@ from chainocrs import (
     verify_spanning,
     verify_t_alpha,
 )
-from chainocrs.bitset import ids_of, submasks
+from chainocrs.bitset import full_mask, ids_of, submasks
 from chainocrs.chains import BuildTrace, LinkTrace
-from chainocrs.verify import VerifyCheck
+from chainocrs.stats import bonferroni_z
+from chainocrs.verify import VerifyCheck, _level_freeness
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
 
@@ -74,21 +79,54 @@ def test_classify_invariant_under_relabeling():
 
 
 def test_classify_partition_exhaustive(u24):
-    # exact mode vs Monte Carlo, and good/bad/member partition the ground set
+    # good/bad/member partition the ground set
     x = [0.5, 0.4, 0.3, 0.6]
     for a_mask in (0, 0b0101):
         statuses = {}
         for e in range(4):
             v = classify_element(u24, x, a_mask, 0.45, e)
             statuses[e] = v.status
-            if v.status != "member":
-                mc = classify_element(
-                    u24, x, a_mask, 0.45, e, mode="mc", mc_trials=4000,
-                    rng=RngStream(1, e).generator(),
-                )
-                assert mc.status == v.status  # probabilities far from the cut
         members = {e for e in range(4) if (a_mask >> e) & 1}
         assert {e for e, s in statuses.items() if s == "member"} == members
+
+
+def test_classify_restriction_ignores_marginals_off_ground(u24):
+    # U_{2,4}|{0,1,2} is U_{2,3}: Pr[0 ∈ span R] = 0.3 + 0.7 * 0.3^2, and
+    # the marginal of element 3, outside the ground set, plays no part.
+    v = classify_element(u24.restrict(0b0111), [0.3, 0.3, 0.3, 0.9], 0, 0.5, 0)
+    assert v.status == "good"
+    assert v.spanning_probability == pytest.approx(0.363)
+
+
+def test_classify_rejects_wrong_length_marginals(u24):
+    with pytest.raises(ValueError, match="universe size"):
+        classify_element(u24, [0.2] * 3, 0, 0.5, 3)
+    with pytest.raises(ValueError, match="universe size"):
+        classify_element(u24, [0.2] * 5, 0, 0.5, 0)
+    # x is checked for a member of A too, whose verdict needs no probability
+    with pytest.raises(ValueError, match="universe size"):
+        classify_element(u24, [0.2] * 3, 0b1000, 0.5, 3)
+
+
+def test_classify_theta39_closed_forms():
+    # Theta graph: edge f = (0, 1) plus 19 two-edge 0-1 paths, x on the path
+    # edges and x_f = 0.  f is spanned iff some path is fully active; a path
+    # edge iff it is active, or its sibling and some other path are.
+    theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    xv, samples = 0.3, 40_000
+    x = np.full(39, xv)
+    x[0] = 0.0
+    expected = {
+        0: 1 - (1 - xv**2) ** 19,
+        1: xv + (1 - xv) * xv * (1 - (1 - xv**2) ** 18),
+    }
+    z = bonferroni_z(len(expected))
+    for e, p in expected.items():
+        v = classify_element(theta, x, 0, 0.5, e, RngStream(39, e).generator(), samples)
+        assert abs(v.spanning_probability - p) <= z * math.sqrt(p * (1 - p) / samples)
+        assert v.status == ("bad" if p > 0.5 else "good")
+    with pytest.raises(ValueError, match="pass rng and samples"):
+        classify_element(theta, x, 0, 0.5, 0)
 
 
 # -- in-link loss ---------------------------------------------------------------
@@ -200,6 +238,24 @@ def test_freeness_likely_single_element():
 def test_freeness_likely_u24(u24):
     rep = verify_freeness_likely(u24, [0.125] * 4, 0.5, 0.05, 150, RngStream(13), FAST)
     assert rep.passed
+
+
+def test_level_freeness_matches_chain_freeness(u24, k4):
+    # One oracle call per level gives every element of the level the
+    # freeness that chain_freeness computes for it alone.
+    rng = np.random.default_rng(77)
+    for m in (u24, k4):
+        n = m.n_universe
+        for _ in range(5):
+            x = rng.uniform(0.0, 0.9, n)
+            links = [full_mask(n)]
+            while links[-1]:
+                links.append(links[-1] & int(rng.integers(0, 1 << n)))
+            chain = SpanningChain(tuple(links))
+            for i in range(len(links) - 1):
+                free = _level_freeness(m, x, links[i], links[i + 1])
+                for e in ids_of(links[i] & ~links[i + 1]):
+                    assert free[e] == pytest.approx(chain_freeness(m, x, chain, e), abs=1e-12)
 
 
 # -- T_alpha -----------------------------------------------------------------------
