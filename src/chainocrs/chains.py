@@ -7,12 +7,13 @@ law on {1, ..., η}.  Iterating the link builder over nested restrictions
 yields a spanning chain N = C_0 ⊇ C_1 ⊇ ... ⊇ C_{ζ+1} = ∅.
 
 Only the per-element spanning *counts* over the q samples enter a link
-decision, and the estimator computes them on one of three paths: ``empty``
-when no element can activate, ``multinomial`` on small supports, where the
-counts are drawn directly from the corresponding multinomial law instead
-of materializing every sample (the output distribution is identical and
-the draw accounting unchanged), and ``rows`` otherwise, where sample rows
-are drawn and the matroid counts them with the kernel of its family.
+decision, and only through the side of the bar threshold * q each lands
+on.  The estimator works on one of three paths: ``empty`` when no element
+can activate, ``multinomial`` on small supports, where the counts are
+drawn directly from the corresponding multinomial law instead of
+materializing every sample (the output distribution is identical and the
+draw accounting unchanged), and ``rows`` otherwise, where sample rows are
+drawn and the matroid counts them with the kernel of its family.
 
 The known-marginals baseline link (``minimal_link_construction``) and the
 freeness of an element at its level (``chain_freeness``) read their
@@ -59,18 +60,23 @@ so only the iterations that change A need a new classification.
   parameters, the cutoff law, the positive mask and the loops span(∅) --
   is fixed once by ``chain_plan``, and ``ChainPlan.sample`` builds each
   chain from it.  ``ocrs_chain`` is a plan used once.
-* Parallel row blocks (``_SpanCountEstimator._parallel_row_counts``): an
-  iteration larger than one row block, drawn from a Philox generator, is
-  cut into blocks that the calling thread and one helper thread per extra
-  CPU (``chainocrs.workers``) claim in increasing order; numpy fills and
-  compares them without the interpreter lock.  The stream is unchanged
-  because Philox is counter-based: a worker's own copy of the generator
-  jumps to its block's offset in the iteration (``advance`` by whole
-  4-value steps, the rest drawn), so each block holds the values the
-  sequential loop would draw there, and the integer counts do not depend
-  on which worker summed a row.  The caller's generator then jumps to the
-  end of the iteration.  With one CPU, another bit generator or a
-  one-block iteration the sequential loop runs.
+* Decided row blocks (``_SpanCountEstimator._decided_flags``): an
+  iteration drawn from a Philox generator, with more than a k-th of
+  ``ROW_BLOCK_VALUES`` values on k CPUs, is cut into blocks that the
+  calling thread and one helper thread per extra CPU (``chainocrs.workers``)
+  claim in increasing order; numpy fills and compares them without the
+  interpreter lock.  Running totals decide an element once its count must
+  end above the bar, or cannot, whatever the rows not yet counted hold, and
+  once every element is decided no further block is drawn.  The stream is
+  unchanged because Philox is counter-based: a worker's own copy of the
+  generator jumps to its block's offset in the iteration (``advance`` by
+  whole 4-value steps, the rest drawn), so each block holds the values one
+  full draw puts there, and the integer totals do not depend on which
+  worker summed a row.  The caller's generator then jumps to the end of
+  the iteration, so the sets, the accounted draws and the generator state
+  are those of counting all q rows.  With one CPU the same loop runs on
+  the calling thread.  Another bit generator, or an iteration of at most a
+  k-th of a row block, counts all its rows in one sequential loop.
 """
 
 from __future__ import annotations
@@ -101,6 +107,10 @@ MULTINOMIAL_MAX_SUPPORT = 12
 
 #: Link estimators kept per base matroid; the oldest is dropped beyond this.
 ESTIMATOR_MEMO_MAX = 16
+
+#: Row blocks claimed past the first row that may decide an iteration hold
+#: a DECIDE_SPLIT-th of a worker's share of ROW_BLOCK_VALUES.
+DECIDE_SPLIT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +362,8 @@ class SpanningChain:
 
 
 class _SpanCountEstimator:
-    """Per-iteration estimator of |{p : e ∈ span(A ∪ S_p)}| over q samples.
+    """Per-iteration set of the elements e whose count |{p : e ∈ span(A ∪ S_p)}|
+    over q samples exceeds the bar threshold * q.
 
     The path is fixed per (matroid, marginals) pair at construction:
 
@@ -363,7 +374,8 @@ class _SpanCountEstimator:
                          statistic of the q samples).
     * ``rows``        -- draw the q sample rows in reused blocks and count
                          each block with the matroid's ``span_counter``,
-                         which picks the kernel for its family.
+                         which picks the kernel for its family, until the
+                         counts decide every element.
 
     ``link_sets`` runs a whole link and is exact against h̄ calls of
     ``next_link_set``: it returns the same sets and leaves the generator in
@@ -374,9 +386,11 @@ class _SpanCountEstimator:
     On the ``rows`` path the batches and blocks follow the row-major order
     of ``rng.random((q, s))`` calls, so the stream is that of one full draw
     per iteration, and the rest of a batch is counted again only after an
-    iteration whose set differs from A; the blocks of an iteration too large
-    for a batch may be drawn and counted on several threads, each block from
-    its own offset in that stream.
+    iteration whose set differs from A.  The blocks of a larger iteration
+    from a Philox generator are drawn and counted on every CPU, each block
+    from its own offset in that stream, and drawing stops once the running
+    totals decide every element; the generator still ends after the
+    iteration's q rows.
     """
 
     def __init__(self, m: Matroid, x: np.ndarray, q: int):
@@ -450,7 +464,7 @@ class _SpanCountEstimator:
         and counted by one kernel call per A that the batch meets: after an
         iteration that changes A, the rest of the batch is counted again
         under the new A from the same values.  An iteration too large for a
-        batch is drawn and counted on its own by ``next_link_set``.
+        batch is drawn and decided on its own by ``next_link_set``.
         """
         q, s = self.q, len(self.sup_ids)
         per_batch = min(ROW_BLOCK_VALUES // 16 // (q * s), h_bar)
@@ -483,10 +497,10 @@ class _SpanCountEstimator:
                 return 0
             return self.m.span(a_mask)
         if self.path == "multinomial":
-            counts = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)[0]
+            in_set = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)[0] > bar
         else:
-            counts = self._row_counts(a_mask, rng)
-        return self._set_of(counts > bar)
+            in_set = self._row_flags(a_mask, bar, rng)
+        return self._set_of(in_set)
 
     def _set_of(self, in_set: np.ndarray) -> int:
         """Mask of the ground elements flagged in ``in_set`` (ground order)."""
@@ -520,65 +534,92 @@ class _SpanCountEstimator:
             block = self._blocks[i] = np.empty((rows, s)), np.empty((rows, s), dtype=bool)
         return block
 
-    def _row_counts(self, a_mask: int, rng: np.random.Generator) -> np.ndarray:
+    def _row_flags(self, a_mask: int, bar: float, rng: np.random.Generator) -> np.ndarray:
+        """Flags, in ground order, of the elements spanned in more than
+        ``bar`` of q fresh rows given A = a_mask."""
         q, s = self.q, len(self.sup_ids)
         x_out = self._x_out(a_mask)
-        rows = min(q, max(1, ROW_BLOCK_VALUES // s))
-        if rows < q and isinstance(rng.bit_generator, np.random.Philox):
+        if isinstance(rng.bit_generator, np.random.Philox):
             k = workers.cpus()
-            if k > 1:
-                return self._parallel_row_counts(a_mask, x_out, rng, k)
+            if q * s > ROW_BLOCK_VALUES // k:
+                return self._decided_flags(a_mask, x_out, bar, rng, k)
+        rows = min(q, max(1, ROW_BLOCK_VALUES // s))
         counts = count_sample_rows(self.count, x_out, a_mask, rng, q, *self._block(0, rows))
-        return counts[self.ground_ids]
+        return counts[self.ground_ids] > bar
 
-    def _parallel_row_counts(
-        self, a_mask: int, x_out: np.ndarray, rng: np.random.Generator, k: int
+    def _decided_flags(
+        self, a_mask: int, x_out: np.ndarray, bar: float, rng: np.random.Generator, k: int
     ) -> np.ndarray:
-        """The loop of ``_row_counts`` on k workers, in blocks of a k-th of
-        ``ROW_BLOCK_VALUES`` values.
+        """``_row_flags`` from as few rows as decide every element, on k workers.
 
-        Workers claim blocks in increasing order.  Each moves its own copy
-        of ``rng`` to its block's offset in the iteration's stream, so every
-        block holds the values the sequential loop draws for it; the counts
-        are integer sums over rows, so they do not depend on which worker
-        counted a row.  ``rng`` is then moved to the end of the iteration.
+        Workers claim row blocks in increasing order.  Each moves its own
+        copy of ``rng`` to its block's offset in the iteration's stream, so
+        every block holds the values one ``rng.random((q, s))`` call puts
+        there.  Under the claim lock a worker adds its block's counts to the
+        running totals and decides what they settle: after ``done`` rows an
+        element is in once its total exceeds ``bar``, and out once its total
+        plus the q - done rows not yet counted does not, because its full
+        count lies between the two.  A row moves either margin by at most
+        one, so no element is decided before ``needed`` rows: blocks up to
+        that row hold up to a k-th of ROW_BLOCK_VALUES values, and blocks
+        past it a DECIDE_SPLIT-th of that.  Once every element is decided
+        no block is claimed, and ``rng`` is moved to the end of the iteration.
         """
         q, s = self.q, len(self.sup_ids)
+        in_a = self._member_flags(a_mask)
+        if q <= bar:
+            # No count can exceed the bar.
+            workers.skip_doubles(rng, q * s)
+            return np.zeros(len(in_a), dtype=bool)
         rows = max(1, ROW_BLOCK_VALUES // (k * s))
         k = min(k, -(-q // rows))
+        small = max(1, rows // DECIDE_SPLIT)
         self._blocks += [None] * (k - len(self._blocks))
         while len(self._gens) < k:
             self._gens.append(np.random.Generator(np.random.Philox(key=0)))
         state = rng.bit_generator.state
-        starts = iter(range(0, q, rows))
         claim = threading.Lock()
+        total = np.zeros(self.m.n_universe, dtype=np.int64)
+        # Elements of A are spanned by every row, so q > bar puts them in.
+        undecided = self.ground_ids[~in_a]
+        done = claimed = 0
+        needed = min(bar, q - bar)
         failed = False
 
-        def work(i: int) -> np.ndarray:
-            nonlocal failed
+        def work(i: int) -> None:
+            nonlocal undecided, done, claimed, needed, failed
             gen = self._gens[i]
             gen.bit_generator.state = state
             values, active = self._block(i, rows)
-            counts = np.zeros(self.m.n_universe, dtype=np.int64)
+            counts = None
             at = 0
             while True:
                 with claim:
-                    start = None if failed else next(starts, None)
-                if start is None:
-                    return counts
+                    if counts is not None:
+                        np.add(total, counts, out=total)
+                        done += b
+                        t = total[undecided]
+                        to_in, to_out = bar - t, t + (q - done) - bar
+                        open_ = (to_in >= 0) & (to_out > 0)
+                        undecided = undecided[open_]
+                        needed = done + np.minimum(to_in, to_out)[open_].max(initial=0)
+                    start = claimed
+                    if failed or not len(undecided) or start == q:
+                        return
+                    b = min(max(int(needed) - start, small), rows, q - start)
+                    claimed += b
                 try:
                     workers.skip_doubles(gen, (start - at) * s)
-                    at = min(start + rows, q)
-                    b = at - start
+                    at = start + b
                     gen.random(out=values[:b])
-                    counts += self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
+                    counts = self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
                 except BaseException:
                     failed = True
                     raise
 
-        counts = sum(workers.run_workers(k, work))
+        workers.run_workers(k, work)
         workers.skip_doubles(rng, q * s)
-        return counts[self.ground_ids]
+        return (total[self.ground_ids] > bar) | in_a
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ SCHEMA_VERSION = 1
 #: Largest audited rank: each audit chain builds U_{rho,2rho}.
 AUDIT_RHO_MAX = 4096
 
+#: Largest element count, element id + 1 and vertex count of a matroid
+#: descriptor: the ground set of the largest audit chain.
+MATROID_SIZE_MAX = 2 * AUDIT_RHO_MAX
+
 #: Audit run t of rank rho draws from stream (rho << AUDIT_RUN_BITS) + t,
 #: so runs must stay below 2^AUDIT_RUN_BITS to keep the streams distinct.
 AUDIT_RUN_BITS = 20
@@ -111,8 +115,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     matroid = raw.get("matroid")
-    if mode != "audit" and not isinstance(matroid, dict):
-        raise ConfigError("a matroid descriptor is required")
+    if mode != "audit" or matroid is not None:
+        _check_matroid(matroid)
     marginal = raw.get("marginal", {"kind": "basis-indicator-scaled"})
     if not isinstance(marginal, dict) or "kind" not in marginal:
         raise ConfigError("marginal must be an object with a 'kind'")
@@ -223,6 +227,58 @@ def _check_talpha(talpha) -> None:
     b = talpha.get("b", [])
     if not isinstance(b, list) or not all(_is_int(e) and e >= 0 for e in b):
         raise ConfigError(f"talpha.b must be a list of element ids, got {b!r}")
+
+
+def _check_matroid(desc) -> None:
+    # Types and sizes only: the matroid is built by ``run``, not here.
+    if not isinstance(desc, dict):
+        raise ConfigError("a matroid descriptor is required")
+    family = desc.get("family")
+    fields = _DESCRIPTOR_FIELDS.get(family) if isinstance(family, str) else None
+    if fields is None:
+        raise ConfigError(
+            f"matroid.family must be one of {tuple(_DESCRIPTOR_FIELDS)}, got {family!r}"
+        )
+    for key, kind in fields:
+        test, wanted = _DESCRIPTOR_KINDS[kind]
+        if not test(desc.get(key)):
+            raise ConfigError(f"{family} matroid.{key} must be {wanted}, got {desc.get(key)!r}")
+
+
+def _is_size(value) -> bool:
+    return _is_int(value) and 0 <= value <= MATROID_SIZE_MAX
+
+
+def _is_ids(value) -> bool:
+    return isinstance(value, list) and all(_is_int(e) and 0 <= e < MATROID_SIZE_MAX for e in value)
+
+
+_DESCRIPTOR_KINDS = {
+    "size": (_is_size, f"an integer in [0, {MATROID_SIZE_MAX}]"),
+    "counts": (
+        lambda v: isinstance(v, list) and all(_is_int(c) and c >= 0 for c in v),
+        "a list of non-negative integers",
+    ),
+    "id lists": (
+        lambda v: isinstance(v, list) and all(map(_is_ids, v)),
+        f"a list of lists of element ids in [0, {MATROID_SIZE_MAX})",
+    ),
+    "edges": (
+        lambda v: isinstance(v, list) and len(v) <= MATROID_SIZE_MAX
+        and all(_is_ids(e) and len(e) == 2 for e in v),
+        f"a list of at most {MATROID_SIZE_MAX} [u, v] pairs of vertex ids in "
+        f"[0, {MATROID_SIZE_MAX})",
+    ),
+}
+
+#: The fields of each matroid family and the kind of value each holds.
+_DESCRIPTOR_FIELDS = {
+    "uniform": (("k", "size"), ("n", "size")),
+    "partition": (("blocks", "id lists"), ("capacities", "counts")),
+    "graphic": (("n_vertices", "size"), ("edges", "edges")),
+    "laminar": (("n", "size"), ("sets", "id lists"), ("capacities", "counts")),
+    "explicit": (("n", "size"), ("independent", "id lists")),
+}
 
 
 def generate_marginal(spec: dict, m: Matroid, lam: float) -> np.ndarray:

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import os
@@ -307,11 +306,12 @@ def _reference_row_counts(est, a_mask, rng, full_rows):
 
 def _reference_link(m, x, params, rng, full_rows=None):
     """The link builder one iteration at a time: h̄, then h̄ next_link_set
-    calls; with ``full_rows``, the rows path counts through span() calls."""
+    calls; with ``full_rows``, the rows path counts all q rows of every
+    iteration through span() calls."""
     h_bar = truncation_distribution(params.eps, params.rho, params.eta).sample(rng)
     est = _SpanCountEstimator(m, as_marginals(x), params.q)
     if full_rows is not None:
-        est._row_counts = functools.partial(_reference_row_counts, est, full_rows=full_rows)
+        est._row_flags = lambda a, bar, rng: _reference_row_counts(est, a, rng, full_rows) > bar
     a, sets = 0, []
     for _ in range(h_bar):
         a = est.next_link_set(a, params.threshold, rng)
@@ -403,8 +403,9 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
     # draw spans several of them.  The likely elements enter A and the rest
     # do not, so later iterations run with a proper nonempty A and a share
     # of full rows; in U_{40,80} A holds ids past 63.  The sets sit far from
-    # the threshold, so the counts behind them are compared too, for every
-    # A the chains met.
+    # the threshold, so for every A the chains met, the set is also compared
+    # at a bar on each side of every count the reference gives, with the
+    # generator state after it.
     monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 7 * 30)
     for m, x in (
         (UniformMatroid(4, 30), [0.9] * 2 + [0.05] * 28),
@@ -418,10 +419,12 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
         assert any(a and 0 < n_full < q for a, n_full, q in full_rows)
         est = _SpanCountEstimator(m, x, 150)
         for seed, a in enumerate(sorted({a for a, _, _ in full_rows})):
-            rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
-            counts = est._row_counts(a, rng)
-            assert counts.tolist() == _reference_row_counts(est, a, ref_rng, []).tolist()
-            assert rng.random() == ref_rng.random()
+            ref_rng = RngStream(seed).generator()
+            counts = _reference_row_counts(est, a, ref_rng, [])
+            for bar in sorted({c + d for c in counts.tolist() for d in (-0.5, 0.0)}):
+                rng = RngStream(seed).generator()
+                assert est._row_flags(a, bar, rng).tolist() == (counts > bar).tolist()
+                assert _philox_state(rng) == _philox_state(ref_rng)
 
 
 def test_batched_row_iterations_match_sequential_reference(monkeypatch):
@@ -553,7 +556,7 @@ def test_graphic_label_chunks_are_equal(monkeypatch):
         assert sizes == [21 * b for b in chunks]
 
 
-# -- parallel row blocks ------------------------------------------------------
+# -- decided row blocks -------------------------------------------------------
 
 
 def _philox_state(rng):
@@ -562,34 +565,43 @@ def _philox_state(rng):
     return counter, st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"]
 
 
-def _record_row_counts(monkeypatch):
-    """Record every (A, counts) of ``_row_counts`` and every parallel run's
-    (workers asked, workers run)."""
-    counted, runs = [], []
-    real_counts = _SpanCountEstimator._row_counts
-    real_run = workers.run_workers
+def _at_buffer_position(rng, pre):
+    """``rng`` after 0-3 doubles, or after one 32-bit draw ("u32")."""
+    if pre == "u32":
+        rng.integers(7, dtype=np.int32)
+    else:
+        rng.random(int(pre))
+    return rng
 
-    def row_counts(self, a_mask, rng):
-        counts = real_counts(self, a_mask, rng)
-        counted.append((a_mask, counts.tolist()))
-        return counts
+
+def _record_runs(monkeypatch):
+    """Record every worker run's (workers asked, workers run)."""
+    runs = []
+    real_run = workers.run_workers
 
     def run(k, work):
         results = real_run(k, work)
         runs.append((k, len(results)))
         return results
 
-    monkeypatch.setattr(_SpanCountEstimator, "_row_counts", row_counts)
     monkeypatch.setattr(workers, "run_workers", run)
-    return counted, runs
+    return runs
+
+
+def _full_count_flags(est, a_mask, bar, rng):
+    """The set of one iteration from all q rows of ``rng``, counted at once."""
+    rows = rng.random((est.q, len(est.sup_ids))) < est._x_out(a_mask)
+    return est.count(rows, a_mask)[est.ground_ids] > bar
 
 
 def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
-    # Iterations of 41 rows in blocks of 12, 6 or 4 rows for 1, 2 or 3
-    # workers, each with a partial last block, and label chunks of a few
-    # rows.  From every Philox buffer position (and with a saved 32-bit
-    # half-word), each iteration's counts, the link and the generator state
-    # after it equal the sequential loop's; near the threshold, A changes
+    # Iterations of 41 rows in blocks of at most 12, 6 or 4 rows for 1, 2 or
+    # 3 workers, one-row blocks once a row may decide the iteration, and
+    # label chunks of a few rows.  From every Philox buffer position (and
+    # with a saved 32-bit half-word), the link, its trace and the generator
+    # state after it equal the reference's, which counts every row of every
+    # iteration through span() calls; every iteration runs the block loop
+    # on all the workers asked for, and near the threshold A changes
     # between iterations.
     theta = _theta(19)
     x_theta = np.zeros(39)
@@ -603,7 +615,7 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
         (_laminar(), [0.3] * 24, 0.6),  # one span() call per row
     ]
     q = 41
-    counted, runs = _record_row_counts(monkeypatch)
+    runs = _record_runs(monkeypatch)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
     for m, x, threshold in cases:
         x = as_marginals(x)
@@ -613,77 +625,144 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
         params = LinkParams(rho=3, threshold=threshold, eps=0.05, q=q, eta=10)
         grown = 0
         for seed, pre in itertools.product(range(2), ("0", "1", "2", "3", "u32")):
-            outcomes = []
+            ref_rng = _at_buffer_position(RngStream(seed).generator(), pre)
+            ref = _reference_link(m, x, params, ref_rng, full_rows=[])
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(workers, "cpus", lambda: cpus)
-                rng = RngStream(seed).generator()
-                if pre == "u32":
-                    rng.integers(7, dtype=np.int32)
-                else:
-                    rng.random(int(pre))
-                counted.clear()
+                rng = _at_buffer_position(RngStream(seed).generator(), pre)
                 runs.clear()
-                link = single_ocrs_link(m, x, params, rng)
-                assert len(counted) == link[1].h_bar
-                assert runs == ([(cpus, cpus)] * len(counted) if cpus > 1 else [])
-                outcomes.append((link, list(counted), _philox_state(rng)))
-            assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
-            grown += _grows_mid_link(outcomes[0][0][1])
+                assert single_ocrs_link(m, x, params, rng) == ref
+                assert _philox_state(rng) == _philox_state(ref_rng)
+                assert runs == [(cpus, cpus)] * ref[1].h_bar
+            grown += _grows_mid_link(ref[1])
         assert grown > 0
 
 
-def test_rows_path_stays_sequential_without_philox_or_a_second_cpu(monkeypatch):
-    # A PCG64 generator, a single CPU and an iteration that fits in one
-    # block each take the sequential loop and start no thread.
+def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):
+    # One-row blocks.  An element is in once its count exceeds the bar and
+    # out once its count plus the rows left does not; with an integer bar
+    # every out decision lands on equality.  One worker counts exactly the
+    # leading rows up to the first row that decides every element outside
+    # A, and several workers at least those.  Far from the threshold that is
+    # well short of q, also where every element ends out (bar 320) and the
+    # last decision is an equality; at an element whose full count is the
+    # bar and whose last row does not span it, all q rows are counted.  The
+    # set and the generator state equal those of the full count.
     m = UniformMatroid(4, 30)
     x = as_marginals([0.5] * 2 + [0.1] * 28)
-    monkeypatch.setattr(workers, "run_workers", lambda *a: pytest.fail("parallel path"))
-    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 12 * 30 + 1)
+    q = 400
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 30)
+    est = _SpanCountEstimator(m, x, q)
+    real_count = est.count
+    drawn = []
+    est.count = lambda rows, a_mask: drawn.append(len(rows)) or real_count(rows, a_mask)
+    at_threshold = 0
+    cases = [(0, 0, 200.0), (1, 0b1, 150.0), (2, 0b101, 250.0), (4, 0, 320.0), (5, 0, None)]
+    for seed, a_mask, bar in cases:
+        ref_rng = RngStream(seed).generator()
+        rows = ref_rng.random((q, 30)) < est._x_out(a_mask)
+        spanned = np.array([real_count(rows[r : r + 1], a_mask)[est.ground_ids] for r in range(q)])
+        totals = np.cumsum(spanned, axis=0)
+        in_a = est._member_flags(a_mask)
+        if bar is None:
+            e = int(np.flatnonzero(~in_a & (spanned[-1] == 0))[0])
+            bar = float(totals[-1, e])
+        left = q - np.arange(1, q + 1)[:, None]
+        decided = ((totals > bar) | (totals + left <= bar) | in_a).all(axis=1)
+        first = int(np.argmax(decided)) + 1
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "cpus", lambda: cpus)
+            rng = RngStream(seed).generator()
+            drawn.clear()
+            flags = est._row_flags(a_mask, bar, rng)
+            assert flags.tolist() == ((totals[-1] > bar) | in_a).tolist()
+            assert _philox_state(rng) == _philox_state(ref_rng)
+            assert set(drawn) == {1}
+            assert len(drawn) == first if cpus == 1 else first <= len(drawn) <= q
+        at_threshold += first == q
+        assert first < 0.9 * q or seed == 5
+    assert at_threshold == 1
+
+
+def test_rows_path_stays_sequential_without_philox_or_a_second_cpu(monkeypatch):
+    # A PCG64 generator, and an iteration of at most a k-th of
+    # ROW_BLOCK_VALUES values on k CPUs, count all their rows in the
+    # sequential loop.  A larger Philox iteration runs the block loop: on
+    # one CPU on this thread alone, starting no thread, and on two CPUs on
+    # both even when it fits in one row block, as criterion 10's rho = 8
+    # iterations (0.82 of one) do.  Every set is the full count's.
+    m = UniformMatroid(4, 30)
+    x = as_marginals([0.5] * 2 + [0.1] * 28)
+    runs = _record_runs(monkeypatch)
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 24 * 30)
+
+    def check(q, generator, cpus):
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        est = _SpanCountEstimator(m, x, q)
+        flags = est._row_flags(0, 0.5 * q, generator())
+        assert flags.tolist() == _full_count_flags(est, 0, 0.5 * q, generator()).tolist()
+
+    pcg, philox = (lambda: np.random.default_rng(0)), RngStream(0).generator
     threads = threading.active_count()
-    monkeypatch.setattr(workers, "cpus", lambda: 2)
-    _SpanCountEstimator(m, x, 41)._row_counts(0, np.random.default_rng(0))
-    _SpanCountEstimator(m, x, 12)._row_counts(0, RngStream(0).generator())
-    monkeypatch.setattr(workers, "cpus", lambda: 1)
-    _SpanCountEstimator(m, x, 41)._row_counts(0, RngStream(0).generator())
+    check(41, pcg, 2)
+    check(12, philox, 2)
+    check(24, philox, 1)
+    assert runs == []
+    check(41, philox, 1)
+    assert runs == [(1, 1)]
     assert threading.active_count() == threads
+    check(20, philox, 2)
+    assert runs == [(1, 1), (2, 2)]
     # Pinned to one CPU (this thread only, restored after).
-    monkeypatch.undo()
     if not hasattr(os, "sched_setaffinity"):
         return
-    monkeypatch.setattr(workers, "run_workers", lambda *a: pytest.fail("parallel path"))
-    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 12 * 30 + 1)
+    monkeypatch.undo()
+    runs = _record_runs(monkeypatch)
+    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 24 * 30)
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
         assert workers.cpus() == 1
-        _SpanCountEstimator(m, x, 41)._row_counts(0, RngStream(0).generator())
+        _SpanCountEstimator(m, x, 41)._row_flags(0, 20.5, RngStream(0).generator())
     finally:
         os.sched_setaffinity(0, cpus)
+    assert runs == [(1, 1)]
 
 
 def test_parallel_row_blocks_under_thread_switching(monkeypatch):
     # Six workers, more than this machine may have cores, on one-row blocks
-    # with a short switch interval: every block is claimed and counted once,
-    # and counts and generator state equal the sequential loop's.
+    # with a short switch interval: the rows counted are leading rows of the
+    # iteration, each counted once, and fewer than q; the set and the
+    # generator state equal those of the full count.
     m = UniformMatroid(4, 30)
     x = as_marginals([0.5] * 2 + [0.1] * 28)
     monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 6 * 30)
+    monkeypatch.setattr(workers, "cpus", lambda: 6)
     est = _SpanCountEstimator(m, x, 600)
     real_count = est.count
-    counted_rows = []
-    est.count = lambda rows, a_mask: counted_rows.append(len(rows)) or real_count(rows, a_mask)
+    counted = []
+
+    def recording(rows, a_mask):
+        counted.append(rows.copy())
+        return real_count(rows, a_mask)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(3):
             rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
-            monkeypatch.setattr(workers, "cpus", lambda: 6)
-            counted_rows.clear()
-            counts = est._row_counts(0b1, rng)
-            assert counted_rows == [1] * 600
-            monkeypatch.setattr(workers, "cpus", lambda: 1)
-            assert counts.tolist() == est._row_counts(0b1, ref_rng).tolist()
+            counted.clear()
+            est.count = recording
+            flags = est._row_flags(0b1, 300.0, rng)
+            est.count = real_count
+            ref_rows = ref_rng.random((600, 30)) < est._x_out(0b1)
+            assert flags.tolist() == (real_count(ref_rows, 0b1)[est.ground_ids] > 300).tolist()
             assert _philox_state(rng) == _philox_state(ref_rng)
+            n = len(counted)
+            assert {len(rows) for rows in counted} == {1} and n < 600
+            assert sorted(rows.tobytes() for rows in counted) == sorted(
+                rows.tobytes() for rows in ref_rows[:n]
+            )
     finally:
         sys.setswitchinterval(interval)
 
@@ -697,7 +776,7 @@ def test_parallel_row_block_error_reaches_the_caller(monkeypatch, raiser):
     x = as_marginals([0.5] * 2 + [0.1] * 28)
     monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 4 * 30)
     monkeypatch.setattr(workers, "cpus", lambda: 3)
-    est = _SpanCountEstimator(m, x, 200)  # 100 blocks of 2 rows
+    est = _SpanCountEstimator(m, x, 200)  # 200 blocks of one row
     real_count = est.count
     lock = threading.Lock()
     calls, running = [], [0]
@@ -718,7 +797,7 @@ def test_parallel_row_block_error_reaches_the_caller(monkeypatch, raiser):
 
     est.count = count
     with pytest.raises(KeyError, match="count failed"):
-        est._row_counts(0, RngStream(0).generator())
+        est._row_flags(0, 100.0, RngStream(0).generator())
     assert running[0] == 0
     n_calls = len(calls)
     assert n_calls < 100
@@ -726,9 +805,8 @@ def test_parallel_row_block_error_reaches_the_caller(monkeypatch, raiser):
     assert len(calls) == n_calls
     est.count = real_count
     rng, ref_rng = RngStream(1).generator(), RngStream(1).generator()
-    counts = est._row_counts(0b11, rng)
-    monkeypatch.setattr(workers, "cpus", lambda: 1)
-    assert counts.tolist() == est._row_counts(0b11, ref_rng).tolist()
+    flags = est._row_flags(0b11, 100.0, rng)
+    assert flags.tolist() == _full_count_flags(est, 0b11, 100.0, ref_rng).tolist()
     assert _philox_state(rng) == _philox_state(ref_rng)
 
 

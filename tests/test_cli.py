@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from chainocrs import UniformMatroid, matroid_from_descriptor
+from chainocrs import UniformMatroid, cli, matroid_from_descriptor
 from chainocrs.cli import (
     ConfigError,
     generate_marginal,
@@ -105,6 +105,52 @@ def test_parse_config_requires_json_numbers(tmp_path, capsys):
         cfg_path.write_text(json.dumps(cfg))
         assert main(["--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": "uniform", "k": 2.9, "n": 4},
+        {"family": "uniform", "k": "2", "n": 4},
+        {"family": "partition", "blocks": [[0, 1], [2]], "capacities": [1.5, 1]},
+        {"family": "uniform", "n": 4},
+        {"family": "graphic", "n_vertices": 3, "edges": [1, 2]},
+        {"family": "graphic", "n_vertices": 2 * 10**6, "edges": [[0, 1]]},
+    ],
+    ids=["float-k", "string-k", "float-capacity", "missing-k", "flat-edges", "huge-graph"],
+)
+def test_parse_config_rejects_bad_matroid_descriptor(desc, tmp_path, capsys, monkeypatch):
+    # These used to run (a 2.9 k ran U_{2,4} and echoed 2.9; "2" and 1.5
+    # were read as integers), end in a KeyError or TypeError traceback, or
+    # cost 1.6 s and 76 MiB per rank call (2 * 10^6 vertices).  Each is now
+    # a config error found without building the matroid, and exits 1.
+    monkeypatch.setattr(cli, "matroid_from_descriptor", lambda d: pytest.fail("built"))
+    with pytest.raises(ConfigError, match="matroid"):
+        parse_config(base_config(matroid=desc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(matroid=desc)))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parse_config_bounds_matroid_sizes():
+    size = cli.MATROID_SIZE_MAX
+    assert size == 2 * cli.AUDIT_RHO_MAX
+    parse_config(base_config(matroid={"family": "uniform", "k": 2, "n": size}))
+    parse_config(base_config(matroid={"family": "graphic", "n_vertices": size, "edges": []}))
+    for desc in (
+        {"family": "uniform", "k": 2, "n": size + 1},
+        {"family": "graphic", "n_vertices": 2, "edges": [[0, 1]] * (size + 1)},
+        {"family": "partition", "blocks": [[size]], "capacities": [1]},
+        {"family": "laminar", "n": 3, "sets": [[0, -1]], "capacities": [1]},
+        {"family": "explicit", "n": 2, "independent": [[], [0.0]]},
+        {"family": "matrix"},
+        ["uniform", 2, 4],
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(base_config(matroid=desc))
+    # The audit builds its own matroids and needs no descriptor.
+    assert parse_config(base_config(mode="audit", matroid=None)).matroid is None
 
 
 def test_parse_config_rejects_bad_audit_rhos():

@@ -15,6 +15,7 @@ from chainocrs import (
     scale,
     span_probabilities,
 )
+from chainocrs import sampling
 from chainocrs.bitset import full_mask
 from chainocrs.sampling import _sampled_span_probabilities
 from chainocrs.stats import bonferroni_z
@@ -90,14 +91,31 @@ def test_span_probabilities_basics():
         span_probabilities(minor, [0.3] * 4, 0b1000)
 
 
-def test_span_probabilities_samples_beyond_exact_range():
+def test_span_probabilities_samples_beyond_exact_range(monkeypatch):
     big = UniformMatroid(2, 21)
     x = as_marginals([0.1] * 21)
     with pytest.raises(ValueError, match="pass rng and samples"):
         span_probabilities(big, x, 0)
     with pytest.raises(ValueError, match="pass rng and samples"):
         span_probabilities(big, x, 0, RngStream(1).generator(), 0)
-    probs = span_probabilities(big, x, 0, RngStream(1).generator(), 4000)
+    # Every one of the samples rows is counted, in blocks of 7 rows, from
+    # the stream of one (samples, 21) draw: the frequencies are exact
+    # counts over the samples rows, never cut short.
+    monkeypatch.setattr(sampling, "ROW_BLOCK_VALUES", 7 * 21)
+    counted = []
+    real_counter = UniformMatroid.span_counter
+
+    def span_counter(self, cols):
+        count = real_counter(self, cols)
+        return lambda rows, a_mask: counted.append(len(rows)) or count(rows, a_mask)
+
+    monkeypatch.setattr(UniformMatroid, "span_counter", span_counter)
+    rng, ref_rng = RngStream(1).generator(), RngStream(1).generator()
+    probs = span_probabilities(big, x, 0, rng, 4000)
+    assert sum(counted) == 4000 and max(counted) == 7
+    rows = ref_rng.random((4000, 21)) < x
+    assert rng.random() == ref_rng.random()
+    assert probs.tolist() == (real_counter(big, np.arange(21))(rows, 0) / 4000).tolist()
     # Pr[R holds e or two others] = 1 - 0.9^21 - 20 * 0.1 * 0.9^20
     p = 1 - 0.9**21 - 20 * 0.1 * 0.9**20
     assert np.all(np.abs(probs - p) <= bonferroni_z(21) * math.sqrt(p * (1 - p) / 4000))
