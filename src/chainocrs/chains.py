@@ -60,23 +60,22 @@ so only the iterations that change A need a new classification.
   parameters, the cutoff law, the positive mask and the loops span(∅) --
   is fixed once by ``chain_plan``, and ``ChainPlan.sample`` builds each
   chain from it.  ``ocrs_chain`` is a plan used once.
-* Decided row blocks (``_SpanCountEstimator._decided_flags``): an
-  iteration drawn from a Philox generator, with more than a k-th of
-  ``ROW_BLOCK_VALUES`` values on k CPUs, is cut into blocks that the
-  calling thread and one helper thread per extra CPU (``chainocrs.workers``)
-  claim in increasing order; numpy fills and compares them without the
+* Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
+  too large for a batch is cut into row blocks, claimed in increasing
+  order by the calling thread, which draws from the caller's generator,
+  and, for a Philox generator on k CPUs, by one helper thread per extra
+  CPU (``chainocrs.workers``); numpy fills and compares them without the
   interpreter lock.  Running totals decide an element once its count must
   end above the bar, or cannot, whatever the rows not yet counted hold, and
-  once every element is decided no further block is drawn.  The stream is
-  unchanged because Philox is counter-based: a worker's own copy of the
-  generator jumps to its block's offset in the iteration (``advance`` by
-  whole 4-value steps, the rest drawn), so each block holds the values one
-  full draw puts there, and the integer totals do not depend on which
-  worker summed a row.  The caller's generator then jumps to the end of
-  the iteration, so the sets, the accounted draws and the generator state
-  are those of counting all q rows.  With one CPU the same loop runs on
-  the calling thread.  Another bit generator, or an iteration of at most a
-  k-th of a row block, counts all its rows in one sequential loop.
+  once every element is decided no further block is drawn.  A helper's
+  own Philox copy jumps to its block's offset in the iteration
+  (``advance`` by whole 4-value steps, the rest drawn), so each block
+  holds the values one full draw puts there, and the integer totals do
+  not depend on which worker summed a row.  The caller's generator then
+  skips to the end of the iteration, by offset or by drawing, so the sets,
+  the accounted draws and the generator state are those of counting all q
+  rows.  Another bit generator, one CPU, or an iteration of at most a k-th
+  of a row block runs the loop on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
 from .sampling import (
     EXACT_ENUM_MAX,
     as_marginals,
-    count_sample_rows,
     realization_weights,
     span_probabilities,
     spanned_weight,
@@ -377,17 +375,18 @@ class _SpanCountEstimator:
                          which picks the kernel for its family, until the
                          counts decide every element.
 
-    ``link_sets`` runs a whole link and is exact against h̄ calls of
-    ``next_link_set``: it returns the same sets and leaves the generator in
-    the same state.  On the ``multinomial`` path it draws the h̄ count
-    vectors in one call, which numpy makes the same stream as h̄ single
-    draws, and reclassifies only after an iteration whose set differs from
-    A, because an iteration that keeps A leaves the next one unchanged.
-    On the ``rows`` path the batches and blocks follow the row-major order
-    of ``rng.random((q, s))`` calls, so the stream is that of one full draw
+    ``link_sets`` runs a whole link and is exact against h̄ iterations that
+    each draw one multinomial or one (q, s) block of rows and count it in
+    full: it returns the same sets and leaves the generator in the same
+    state.  On the ``multinomial`` path it draws the h̄ count vectors in one
+    call, which numpy makes the same stream as h̄ single draws, and
+    reclassifies only after an iteration whose set differs from A, because
+    an iteration that keeps A leaves the next one unchanged.  On the
+    ``rows`` path the batches and blocks follow the row-major order of
+    ``rng.random((q, s))`` calls, so the stream is that of one full draw
     per iteration, and the rest of a batch is counted again only after an
     iteration whose set differs from A.  The blocks of a larger iteration
-    from a Philox generator are drawn and counted on every CPU, each block
+    are drawn and counted, on every CPU from a Philox generator, each block
     from its own offset in that stream, and drawing stops once the running
     totals decide every element; the generator still ends after the
     iteration's q rows.
@@ -429,7 +428,7 @@ class _SpanCountEstimator:
         if self.path == "empty":
             # No element ever activates, so every estimate is deterministic
             # and the iteration reaches its fixed point span(∅) at once.
-            return [self.next_link_set(0, threshold, rng)] * h_bar
+            return [0 if threshold >= 1.0 else self.m.span(0)] * h_bar
         if self.path == "rows":
             return self._row_link_sets(h_bar, threshold, rng)
         cnt = rng.multinomial(self.q, self.pvals, size=h_bar)
@@ -464,19 +463,19 @@ class _SpanCountEstimator:
         and counted by one kernel call per A that the batch meets: after an
         iteration that changes A, the rest of the batch is counted again
         under the new A from the same values.  An iteration too large for a
-        batch is drawn and decided on its own by ``next_link_set``.
+        batch is drawn and decided on its own by ``_row_flags``.
         """
         q, s = self.q, len(self.sup_ids)
         per_batch = min(ROW_BLOCK_VALUES // 16 // (q * s), h_bar)
         a, sets = 0, []
+        bar = threshold * q
         if not per_batch:
             for _ in range(h_bar):
-                a = self.next_link_set(a, threshold, rng)
+                a = self._set_of(self._row_flags(a, bar, rng))
                 sets.append(a)
             return sets
         values = np.empty((per_batch, q, s))
         active = np.empty(values.shape, dtype=bool)
-        bar = threshold * q
         while len(sets) < h_bar:
             g = min(per_batch, h_bar - len(sets))
             rng.random(out=values[:g])
@@ -487,20 +486,6 @@ class _SpanCountEstimator:
                 above = self.count(rows, a)[:, self.ground_ids] > bar
                 a = self._extend(sets, a, above, self._member_flags(a))
         return sets
-
-    def next_link_set(self, a_mask: int, threshold: float, rng: np.random.Generator) -> int:
-        """A_h from A_{h-1}: elements whose estimated spanning frequency
-        over q fresh samples strictly exceeds the threshold."""
-        bar = threshold * self.q
-        if self.path == "empty":
-            if threshold >= 1.0:
-                return 0
-            return self.m.span(a_mask)
-        if self.path == "multinomial":
-            in_set = rng.multinomial(self.q, self.pvals) @ self._member(a_mask)[0] > bar
-        else:
-            in_set = self._row_flags(a_mask, bar, rng)
-        return self._set_of(in_set)
 
     def _set_of(self, in_set: np.ndarray) -> int:
         """Mask of the ground elements flagged in ``in_set`` (ground order)."""
@@ -536,48 +521,39 @@ class _SpanCountEstimator:
 
     def _row_flags(self, a_mask: int, bar: float, rng: np.random.Generator) -> np.ndarray:
         """Flags, in ground order, of the elements spanned in more than
-        ``bar`` of q fresh rows given A = a_mask."""
-        q, s = self.q, len(self.sup_ids)
-        x_out = self._x_out(a_mask)
-        if isinstance(rng.bit_generator, np.random.Philox):
-            k = workers.cpus()
-            if q * s > ROW_BLOCK_VALUES // k:
-                return self._decided_flags(a_mask, x_out, bar, rng, k)
-        rows = min(q, max(1, ROW_BLOCK_VALUES // s))
-        counts = count_sample_rows(self.count, x_out, a_mask, rng, q, *self._block(0, rows))
-        return counts[self.ground_ids] > bar
+        ``bar`` of q fresh rows given A = a_mask, from as few rows as decide
+        every element, on one worker per CPU for a Philox generator, else one.
 
-    def _decided_flags(
-        self, a_mask: int, x_out: np.ndarray, bar: float, rng: np.random.Generator, k: int
-    ) -> np.ndarray:
-        """``_row_flags`` from as few rows as decide every element, on k workers.
-
-        Workers claim row blocks in increasing order.  Each moves its own
-        copy of ``rng`` to its block's offset in the iteration's stream, so
-        every block holds the values one ``rng.random((q, s))`` call puts
-        there.  Under the claim lock a worker adds its block's counts to the
-        running totals and decides what they settle: after ``done`` rows an
-        element is in once its total exceeds ``bar``, and out once its total
-        plus the q - done rows not yet counted does not, because its full
-        count lies between the two.  A row moves either margin by at most
-        one, so no element is decided before ``needed`` rows: blocks up to
-        that row hold up to a k-th of ROW_BLOCK_VALUES values, and blocks
-        past it a DECIDE_SPLIT-th of that.  Once every element is decided
-        no block is claimed, and ``rng`` is moved to the end of the iteration.
+        Workers claim row blocks in increasing order.  Worker 0 draws from
+        ``rng``, and each helper moves its own Philox copy of ``rng`` to its
+        block's offset in the iteration, so every block holds the values one
+        ``rng.random((q, s))`` call puts there.  Under the claim lock a worker
+        adds its block's counts to the running totals and decides what they
+        settle: after ``done`` rows an element is in once its total exceeds
+        ``bar``, and out once its total plus the q - done rows not yet
+        counted does not.  A row moves either margin by at most one, so no
+        element is decided before ``needed`` rows: blocks up to that row hold
+        up to a k-th of ROW_BLOCK_VALUES values, and blocks past it a
+        DECIDE_SPLIT-th of that.  Once every element is decided no block is
+        claimed, and ``rng`` skips to the end of the iteration; after an
+        error it is left where worker 0 stopped.
         """
         q, s = self.q, len(self.sup_ids)
+        x_out = self._x_out(a_mask)
         in_a = self._member_flags(a_mask)
         if q <= bar:
             # No count can exceed the bar.
             workers.skip_doubles(rng, q * s)
             return np.zeros(len(in_a), dtype=bool)
+        k = workers.cpus() if isinstance(rng.bit_generator, np.random.Philox) else 1
         rows = max(1, ROW_BLOCK_VALUES // (k * s))
         k = min(k, -(-q // rows))
         small = max(1, rows // DECIDE_SPLIT)
         self._blocks += [None] * (k - len(self._blocks))
-        while len(self._gens) < k:
+        while len(self._gens) < k - 1:
             self._gens.append(np.random.Generator(np.random.Philox(key=0)))
-        state = rng.bit_generator.state
+        for gen in self._gens[: k - 1]:
+            gen.bit_generator.state = rng.bit_generator.state
         claim = threading.Lock()
         total = np.zeros(self.m.n_universe, dtype=np.int64)
         # Elements of A are spanned by every row, so q > bar puts them in.
@@ -586,10 +562,9 @@ class _SpanCountEstimator:
         needed = min(bar, q - bar)
         failed = False
 
-        def work(i: int) -> None:
+        def work(i: int) -> int:
             nonlocal undecided, done, claimed, needed, failed
-            gen = self._gens[i]
-            gen.bit_generator.state = state
+            gen = self._gens[i - 1] if i else rng
             values, active = self._block(i, rows)
             counts = None
             at = 0
@@ -605,7 +580,7 @@ class _SpanCountEstimator:
                         needed = done + np.minimum(to_in, to_out)[open_].max(initial=0)
                     start = claimed
                     if failed or not len(undecided) or start == q:
-                        return
+                        return at
                     b = min(max(int(needed) - start, small), rows, q - start)
                     claimed += b
                 try:
@@ -617,8 +592,8 @@ class _SpanCountEstimator:
                     failed = True
                     raise
 
-        workers.run_workers(k, work)
-        workers.skip_doubles(rng, q * s)
+        at = workers.run_workers(k, work)[0]
+        workers.skip_doubles(rng, (q - at) * s)
         return (total[self.ground_ids] > bar) | in_a
 
 

@@ -46,6 +46,8 @@ MATROID_SIZE_MAX = 2 * AUDIT_RHO_MAX
 #: so runs must stay below 2^AUDIT_RUN_BITS to keep the streams distinct.
 AUDIT_RUN_BITS = 20
 
+MARGINAL_KINDS = ("uniform-scaled", "basis-indicator-scaled", "custom")
+
 MODES = (
     "chain",
     "ocrs",
@@ -118,8 +120,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode != "audit" or matroid is not None:
         _check_matroid(matroid)
     marginal = raw.get("marginal", {"kind": "basis-indicator-scaled"})
-    if not isinstance(marginal, dict) or "kind" not in marginal:
-        raise ConfigError("marginal must be an object with a 'kind'")
+    _check_marginal(marginal)
     lam, eps, tau = raw.get("lambda", 0.5), raw.get("eps", 0.05), raw.get("tau")
     # JSON numbers only: float() would also take true and strings like "0.5".
     for key, value in (("lambda", lam), ("eps", eps), ("tau", tau)):
@@ -229,6 +230,21 @@ def _check_talpha(talpha) -> None:
         raise ConfigError(f"talpha.b must be a list of element ids, got {b!r}")
 
 
+def _check_marginal(marginal) -> None:
+    # The length of custom values is checked against n once the matroid exists.
+    if not isinstance(marginal, dict) or marginal.get("kind") not in MARGINAL_KINDS:
+        raise ConfigError(
+            f"marginal must be an object with a kind in {MARGINAL_KINDS}, got {marginal!r}"
+        )
+    values = marginal.get("values")
+    if marginal["kind"] == "custom" and not (
+        isinstance(values, list) and all(_is_number(v) and 0 <= v <= 1 for v in values)
+    ):
+        raise ConfigError(
+            f"custom marginal.values must be a list of numbers in [0, 1], got {values!r}"
+        )
+
+
 def _check_matroid(desc) -> None:
     # Types and sizes only: the matroid is built by ``run``, not here.
     if not isinstance(desc, dict):
@@ -290,6 +306,8 @@ def generate_marginal(spec: dict, m: Matroid, lam: float) -> np.ndarray:
     not valid by construction is brute-force checked, which caps those
     kinds at n <= 20.
     """
+    if not m.ground_mask:
+        raise ConfigError("the matroid's ground set is empty")
     kind = spec.get("kind")
     n = m.n_universe
     x = np.zeros(n)
@@ -564,7 +582,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     out = args.out or (raw.get("out") and Path(raw["out"]))
     if out:
-        write_reports(report, Path(out))
+        try:
+            write_reports(report, Path(out))
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(report.to_json())
     print(f"wall_clock_seconds={report.wall_clock_seconds:.3f}", file=sys.stderr)

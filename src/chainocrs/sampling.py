@@ -145,24 +145,15 @@ def _sampled_span_probabilities(
     sup = np.array([e for e in iter_ids(m.ground_mask & ~base) if x[e] > 0.0], dtype=np.int64)
     if not len(sup):
         return bits_of(m.span(base), m.n_universe).astype(np.float64)
+    count, x_sup = m.span_counter(sup), x[sup]
     values = np.empty((min(samples, max(1, ROW_BLOCK_VALUES // len(sup))), len(sup)))
     active = np.empty(values.shape, dtype=bool)
-    counts = count_sample_rows(m.span_counter(sup), x[sup], base, rng, samples, values, active)
-    return counts / samples
-
-
-def count_sample_rows(count, x_cols, a_mask, rng, total, values, active) -> np.ndarray:
-    """Counts of the ``Matroid.span_counter`` kernel ``count`` over ``total``
-    rows of D(x_cols) from ``rng``, drawn in blocks of ``len(values)`` rows
-    into ``values`` and flagged in ``active``: the stream of one
-    ``rng.random((total, s))`` call."""
-    counts = None
-    for start in range(0, total, len(values)):
-        b = min(len(values), total - start)
+    counts = np.zeros(m.n_universe, dtype=np.int64)
+    for start in range(0, samples, len(values)):
+        b = min(len(values), samples - start)
         rng.random(out=values[:b])
-        block = count(np.less(values[:b], x_cols, out=active[:b]), a_mask)
-        counts = block if counts is None else np.add(counts, block, out=counts)
-    return counts
+        counts += count(np.less(values[:b], x_sup, out=active[:b]), base)
+    return counts / samples
 
 
 def filter_actives(active_mask: int, lam: float, rng: np.random.Generator) -> int:

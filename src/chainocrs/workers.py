@@ -6,8 +6,8 @@ every CPU at once.  ``run_workers`` runs ``work(0)`` on the calling thread
 and ``work(1)``, ..., ``work(k-1)`` on daemon helper threads.  Helpers are
 a process-wide resource: they start on first use, one per worker beyond
 the first, and then wait for the next call.  Importing this module starts
-no thread.  ``skip_doubles`` moves a Philox generator forward by a number
-of draws, so that each worker can draw from its own offset of one stream.
+no thread.  ``skip_doubles`` moves a generator forward by a number of
+draws, so that each worker can draw from its own offset of one stream.
 """
 
 from __future__ import annotations
@@ -26,18 +26,27 @@ def cpus() -> int:
     return os.cpu_count() or 1
 
 
-def skip_doubles(gen: np.random.Generator, d: int) -> None:
-    """Move a Philox generator, state and all, as d ``gen.random()`` calls would.
+#: Doubles drawn per call when skipping on a generator without ``advance``.
+SKIP_CHUNK = 1 << 16
 
-    Philox makes 4 values per counter step and buffers them.  ``advance``
-    moves the counter by whole steps past the buffered values, but drops
-    the buffer and the saved 32-bit half-word, so it stops short of the
-    last 1-4 values, which are drawn to fill the buffer, and the half-word
-    is put back.
+
+def skip_doubles(gen: np.random.Generator, d: int) -> None:
+    """Move ``gen``, state and all, as d ``gen.random()`` calls would.
+
+    A bit generator other than Philox draws the d values and drops them,
+    at most ``SKIP_CHUNK`` at a time.  Philox makes 4 values per counter
+    step and buffers them.  ``advance`` moves the counter by whole steps
+    past the buffered values, but drops the buffer and the saved 32-bit
+    half-word, so it stops short of the last 1-4 values, which are drawn
+    to fill the buffer, and the half-word is put back.
     """
     if not d:
         return
     bg = gen.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        for start in range(0, d, SKIP_CHUNK):
+            gen.random(min(SKIP_CHUNK, d - start))
+        return
     state = bg.state
     buffered = 4 - state["buffer_pos"]
     if d > buffered:

@@ -147,7 +147,7 @@ def test_estimator_paths_agree_in_distribution(u24):
             assert est.path == "multinomial"
             if path == "rows":
                 est.path, est.count = "rows", u24.span_counter(est.sup_ids)
-            counts[est.next_link_set(0, thr, rng)] += 1
+            counts[est.link_sets(1, thr, rng)[0]] += 1
         hist[path] = counts / trials
     base = hist["multinomial"]
     for mask in range(16):
@@ -305,16 +305,24 @@ def _reference_row_counts(est, a_mask, rng, full_rows):
 
 
 def _reference_link(m, x, params, rng, full_rows=None):
-    """The link builder one iteration at a time: h̄, then h̄ next_link_set
-    calls; with ``full_rows``, the rows path counts all q rows of every
-    iteration through span() calls."""
+    """The link builder one iteration at a time: h̄, then h̄ iterations, each
+    from one multinomial draw of the outcome counts or from all q rows of
+    one draw counted through span() calls (recorded in ``full_rows``)."""
     h_bar = truncation_distribution(params.eps, params.rho, params.eta).sample(rng)
     est = _SpanCountEstimator(m, as_marginals(x), params.q)
-    if full_rows is not None:
-        est._row_flags = lambda a, bar, rng: _reference_row_counts(est, a, rng, full_rows) > bar
+    bar = params.threshold * params.q
+    full_rows = [] if full_rows is None else full_rows
     a, sets = 0, []
     for _ in range(h_bar):
-        a = est.next_link_set(a, params.threshold, rng)
+        if est.path == "empty":
+            # No element activates: every count is q * [e in span(A)].
+            spanned = m.span(a)
+            counts = np.array([params.q * ((spanned >> e) & 1) for e in est.ground_ids.tolist()])
+        elif est.path == "multinomial":
+            counts = rng.multinomial(params.q, est.pvals) @ est._member(a)[0]
+        else:
+            counts = _reference_row_counts(est, a, rng, full_rows)
+        a = mask_of(est.ground_ids[counts > bar].tolist())
         sets.append(a)
     return a, LinkTrace(h_bar, tuple(sets), h_bar * params.q, m.ground_mask)
 
@@ -424,7 +432,7 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
             for bar in sorted({c + d for c in counts.tolist() for d in (-0.5, 0.0)}):
                 rng = RngStream(seed).generator()
                 assert est._row_flags(a, bar, rng).tolist() == (counts > bar).tolist()
-                assert _philox_state(rng) == _philox_state(ref_rng)
+                assert _state_of(rng) == _state_of(ref_rng)
 
 
 def test_batched_row_iterations_match_sequential_reference(monkeypatch):
@@ -510,7 +518,7 @@ def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
         calls.clear()
         link = single_ocrs_link(k6, x, params, rng)
         assert not calls
-        assert link == _reference_link(k6, x, params, ref_rng, full_rows=[])
+        assert link == _reference_link(k6, x, params, ref_rng)
         assert rng.random() == ref_rng.random()
         grown += _grows_mid_link(link[1])
     assert grown > 0
@@ -559,10 +567,15 @@ def test_graphic_label_chunks_are_equal(monkeypatch):
 # -- decided row blocks -------------------------------------------------------
 
 
-def _philox_state(rng):
-    st = rng.bit_generator.state
-    counter = st["state"]["counter"].tolist()
-    return counter, st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"]
+def _state_of(rng):
+    """The bit generator's state, arrays as lists, so states compare with ==."""
+
+    def plain(v):
+        if isinstance(v, dict):
+            return {key: plain(val) for key, val in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(rng.bit_generator.state)
 
 
 def _at_buffer_position(rng, pre):
@@ -626,13 +639,13 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
         grown = 0
         for seed, pre in itertools.product(range(2), ("0", "1", "2", "3", "u32")):
             ref_rng = _at_buffer_position(RngStream(seed).generator(), pre)
-            ref = _reference_link(m, x, params, ref_rng, full_rows=[])
+            ref = _reference_link(m, x, params, ref_rng)
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(workers, "cpus", lambda: cpus)
                 rng = _at_buffer_position(RngStream(seed).generator(), pre)
                 runs.clear()
                 assert single_ocrs_link(m, x, params, rng) == ref
-                assert _philox_state(rng) == _philox_state(ref_rng)
+                assert _state_of(rng) == _state_of(ref_rng)
                 assert runs == [(cpus, cpus)] * ref[1].h_bar
             grown += _grows_mid_link(ref[1])
         assert grown > 0
@@ -676,7 +689,7 @@ def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):
             drawn.clear()
             flags = est._row_flags(a_mask, bar, rng)
             assert flags.tolist() == ((totals[-1] > bar) | in_a).tolist()
-            assert _philox_state(rng) == _philox_state(ref_rng)
+            assert _state_of(rng) == _state_of(ref_rng)
             assert set(drawn) == {1}
             assert len(drawn) == first if cpus == 1 else first <= len(drawn) <= q
         at_threshold += first == q
@@ -684,35 +697,49 @@ def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):
     assert at_threshold == 1
 
 
-def test_rows_path_stays_sequential_without_philox_or_a_second_cpu(monkeypatch):
-    # A PCG64 generator, and an iteration of at most a k-th of
-    # ROW_BLOCK_VALUES values on k CPUs, count all their rows in the
-    # sequential loop.  A larger Philox iteration runs the block loop: on
-    # one CPU on this thread alone, starting no thread, and on two CPUs on
-    # both even when it fits in one row block, as criterion 10's rho = 8
-    # iterations (0.82 of one) do.  Every set is the full count's.
+def test_block_loop_runs_on_the_calling_thread_without_philox_or_a_second_cpu(monkeypatch):
+    # PCG64 and MT19937 generators, an iteration of at most a k-th of
+    # ROW_BLOCK_VALUES values on k CPUs, and any iteration on one CPU run
+    # the block loop on this thread alone, drawing from the caller's
+    # generator and starting no thread; the non-Philox iterations span
+    # many row blocks.  A larger Philox iteration on two CPUs runs on both
+    # even when it fits in one row block, as criterion 10's rho = 8
+    # iterations (0.82 of one) do.  Every set and generator state is the
+    # full count's, and far from the threshold (every element is spanned
+    # by about 0.57 or 0.71 of the rows, the bar is 0.3) fewer than q rows
+    # are counted.
     m = UniformMatroid(4, 30)
     x = as_marginals([0.5] * 2 + [0.1] * 28)
     runs = _record_runs(monkeypatch)
-    monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 24 * 30)
 
-    def check(q, generator, cpus):
+    def check(q, generator, cpus, block_rows):
         monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", block_rows * 30)
         est = _SpanCountEstimator(m, x, q)
-        flags = est._row_flags(0, 0.5 * q, generator())
-        assert flags.tolist() == _full_count_flags(est, 0, 0.5 * q, generator()).tolist()
+        real_count, drawn = est.count, []
+        est.count = lambda rows, a_mask: drawn.append(len(rows)) or real_count(rows, a_mask)
+        rng, ref_rng = generator(), generator()
+        flags = est._row_flags(0, 0.3 * q, rng)
+        est.count = real_count
+        assert flags.tolist() == _full_count_flags(est, 0, 0.3 * q, ref_rng).tolist()
+        assert _state_of(rng) == _state_of(ref_rng)
+        assert sum(drawn) < q
+        return drawn
 
     pcg, philox = (lambda: np.random.default_rng(0)), RngStream(0).generator
+    mt = lambda: np.random.Generator(np.random.MT19937(0))  # noqa: E731
     threads = threading.active_count()
-    check(41, pcg, 2)
-    check(12, philox, 2)
-    check(24, philox, 1)
-    assert runs == []
-    check(41, philox, 1)
-    assert runs == [(1, 1)]
+    for generator in (pcg, mt):
+        assert len(check(400, generator, 2, 24)) > 2
+        assert runs == [(1, 1)]
+        runs.clear()
+    check(400, philox, 2, 800)
+    check(41, philox, 1, 24)
+    assert runs == [(1, 1)] * 2
     assert threading.active_count() == threads
-    check(20, philox, 2)
-    assert runs == [(1, 1), (2, 2)]
+    runs.clear()
+    check(400, philox, 2, 480)
+    assert runs == [(2, 2)]
     # Pinned to one CPU (this thread only, restored after).
     if not hasattr(os, "sched_setaffinity"):
         return
@@ -727,6 +754,24 @@ def test_rows_path_stays_sequential_without_philox_or_a_second_cpu(monkeypatch):
     finally:
         os.sched_setaffinity(0, cpus)
     assert runs == [(1, 1)]
+
+
+@pytest.mark.parametrize("pre", ["0", "1", "3", "u32"])
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox]
+)
+def test_skip_doubles_matches_single_draws(bit_generator, pre):
+    # From any buffer position, and with a saved 32-bit half-word, skipping
+    # d doubles leaves the generator as d random() calls do, also for d
+    # past one SKIP_CHUNK of the draw-and-discard loop.
+    for d in (0, 1, 5, workers.SKIP_CHUNK + 7):
+        rng = _at_buffer_position(np.random.Generator(bit_generator(3)), pre)
+        ref_rng = _at_buffer_position(np.random.Generator(bit_generator(3)), pre)
+        workers.skip_doubles(rng, d)
+        for _ in range(d):
+            ref_rng.random()
+        assert _state_of(rng) == _state_of(ref_rng)
+        assert rng.random(3).tolist() == ref_rng.random(3).tolist()
 
 
 def test_parallel_row_blocks_under_thread_switching(monkeypatch):
@@ -757,7 +802,7 @@ def test_parallel_row_blocks_under_thread_switching(monkeypatch):
             est.count = real_count
             ref_rows = ref_rng.random((600, 30)) < est._x_out(0b1)
             assert flags.tolist() == (real_count(ref_rows, 0b1)[est.ground_ids] > 300).tolist()
-            assert _philox_state(rng) == _philox_state(ref_rng)
+            assert _state_of(rng) == _state_of(ref_rng)
             n = len(counted)
             assert {len(rows) for rows in counted} == {1} and n < 600
             assert sorted(rows.tobytes() for rows in counted) == sorted(
@@ -807,7 +852,7 @@ def test_parallel_row_block_error_reaches_the_caller(monkeypatch, raiser):
     rng, ref_rng = RngStream(1).generator(), RngStream(1).generator()
     flags = est._row_flags(0b11, 100.0, rng)
     assert flags.tolist() == _full_count_flags(est, 0b11, 100.0, ref_rng).tolist()
-    assert _philox_state(rng) == _philox_state(ref_rng)
+    assert _state_of(rng) == _state_of(ref_rng)
 
 
 # -- estimator reuse ----------------------------------------------------------

@@ -1,4 +1,9 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +134,34 @@ def test_parse_config_rejects_bad_matroid_descriptor(desc, tmp_path, capsys, mon
         parse_config(base_config(matroid=desc))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config(matroid=desc)))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [
+        {"kind": 5},
+        {"kind": "spicy"},
+        {"kind": "custom", "values": [0.2, None, 0.2, 0.2, 0.2, 0.2]},
+        {"kind": "custom", "values": [0.2, False, 0.2, 0.2, 0.2, 0.2]},
+        {"kind": "custom", "values": [0.2, "0.2", 0.2, 0.2, 0.2, 0.2]},
+        {"kind": "custom", "values": [0.2, 1.5, 0.2, 0.2, 0.2, 0.2]},
+        {"kind": "custom", "values": 0.2},
+    ],
+    ids=["int-kind", "unknown-kind", "null-value", "bool-value", "string-value", "value-above-one",
+         "values-not-a-list"],
+)
+def test_parse_config_rejects_bad_marginal(marginal, tmp_path, capsys, monkeypatch):
+    # A kind of 5 or "spicy" used to be found only after the matroid was
+    # built, null was read as NaN and reported as outside lambda * P_M, and
+    # false ran as 0.0.  Each is now a config error found without building
+    # the matroid, and exits 1.
+    monkeypatch.setattr(cli, "matroid_from_descriptor", lambda d: pytest.fail("built"))
+    with pytest.raises(ConfigError, match="marginal"):
+        parse_config(base_config(marginal=marginal))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(marginal=marginal)))
     assert main(["--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -392,6 +425,54 @@ def test_main_invalid_config_exit_one(tmp_path):
     cfg_path.write_text(json.dumps(base_config(mode="nope")))
     assert main(["--config", str(cfg_path)]) == 1
     assert main(["--config", str(tmp_path / "missing.json")]) == 1
+
+
+def test_empty_ground_set_exits_one(tmp_path, capsys):
+    # U_{0,0} and an edgeless graph used to end in a ZeroDivisionError
+    # traceback (uniform-scaled puts lambda * rank / n on each element), and
+    # verify-inlink and verify-freeness in "need at least one check".
+    cfg_path = tmp_path / "cfg.json"
+    descs = (
+        {"family": "uniform", "k": 0, "n": 0},
+        {"family": "graphic", "n_vertices": 3, "edges": []},
+    )
+    modes = [m for m in cli.MODES if m != "audit"]
+    for desc, mode, kind in itertools.product(
+        descs, modes, ("uniform-scaled", "basis-indicator-scaled")
+    ):
+        cfg = base_config(matroid=desc, mode=mode, marginal={"kind": kind})
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: the matroid's ground set is empty" in err and "Traceback" not in err
+
+
+def test_main_unwritable_out_exits_one(tmp_path, capsys):
+    # An --out path under a file used to end in an OSError traceback.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(trials=1)))
+    parent = tmp_path / "file"
+    parent.write_text("")
+    assert main(["--config", str(cfg_path), "--out", str(parent / "rep.json")]) == 1
+    assert "error: cannot write report:" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_only_numpy_and_starts_no_thread():
+    # Import-time work counts toward every run's setup time, so the CLI
+    # imports no third-party module but numpy, and starts no thread.
+    code = (
+        "import sys, threading\n"
+        "before = set(sys.modules)\n"
+        "import chainocrs.cli\n"
+        "new = {n.split('.')[0] for n in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names)), threading.active_count())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["chainocrs", "numpy", "1"]
 
 
 def test_main_verification_failure_exit_two(tmp_path, monkeypatch):
