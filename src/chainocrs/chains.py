@@ -13,7 +13,8 @@ can activate, ``multinomial`` on small supports, where the counts are
 drawn directly from the corresponding multinomial law instead of
 materializing every sample (the output distribution is identical and the
 draw accounting unchanged), and ``rows`` otherwise, where sample rows are
-drawn and the matroid counts them with the kernel of its family.
+drawn and the matroid counts them: by fundamental circuits when the drawn
+columns are independent after A, else with the kernel of its family.
 
 The known-marginals baseline link (``minimal_link_construction``) and the
 freeness of an element at its level (``chain_freeness``) read their
@@ -21,7 +22,7 @@ probabilities from the package's one spanning-probability oracle in
 ``sampling``: the link, whose base differs per element, through the exact
 branch's per-element entry ``spanned_weight``.
 
-Seven shortcuts save time without changing any output or the generator
+Eight shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
@@ -76,6 +77,13 @@ so only the iterations that change A need a new classification.
   the accounted draws and the generator state are those of counting all q
   rows.  Another bit generator, one CPU, or an iteration of at most a k-th
   of a row block runs the loop on the calling thread alone.
+* Independent rows (``Matroid.span_counter``): when the drawn columns left
+  after A are independent in M/A, every count, in a batch, a row block or
+  the sampled oracle, is column sums and one matmul against the
+  fundamental circuits, planned once per distinct A from a few rank and
+  span calls.  Basis-indicator marginals, the only kind the CLI takes past
+  n = 20, keep them independent in every iteration: an element enters A
+  only with its circuit, whose elements every row that spans it holds.
 """
 
 from __future__ import annotations
@@ -371,9 +379,9 @@ class _SpanCountEstimator:
                          realizations directly (counts are the sufficient
                          statistic of the q samples).
     * ``rows``        -- draw the q sample rows in reused blocks and count
-                         each block with the matroid's ``span_counter``,
-                         which picks the kernel for its family, until the
-                         counts decide every element.
+                         each block with the matroid's ``span_counter``
+                         (fundamental circuits, or the kernel of its
+                         family), until the counts decide every element.
 
     ``link_sets`` runs a whole link and is exact against h̄ iterations that
     each draw one multinomial or one (q, s) block of rows and count it in
@@ -405,6 +413,7 @@ class _SpanCountEstimator:
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
         self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._a_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Reused row blocks and generators, one per worker.
         self._blocks: list[tuple[np.ndarray, np.ndarray] | None] = [None]
         self._gens: list[np.random.Generator] = []
@@ -504,12 +513,22 @@ class _SpanCountEstimator:
 
     def _member_flags(self, a_mask: int) -> np.ndarray:
         """A's membership flags in ground order."""
-        return bits_of(a_mask, self.m.n_universe)[self.ground_ids]
+        return self._of_a(a_mask)[1]
 
     def _x_out(self, a_mask: int) -> np.ndarray:
         # Elements of A are spanned by every row whatever it holds, so their
         # columns are drawn with probability 0 and never flagged.
-        return np.where(bits_of(a_mask, self.m.n_universe)[self.sup_ids], 0.0, self.sup_x)
+        return self._of_a(a_mask)[0]
+
+    def _of_a(self, a_mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_x_out`` and ``_member_flags`` of A, memoized: A changes only
+        when a link grows."""
+        cached = self._a_cache.get(a_mask)
+        if cached is None:
+            in_a = bits_of(a_mask, self.m.n_universe)
+            cached = np.where(in_a[self.sup_ids], 0.0, self.sup_x), in_a[self.ground_ids]
+            self._a_cache[a_mask] = cached
+        return cached
 
     def _block(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Worker i's reused row block: ``rows`` x s values and their flags."""

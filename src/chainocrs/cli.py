@@ -59,6 +59,9 @@ MODES = (
     "audit",
 )
 
+#: The modes that read tau; verify-talpha reads it only without talpha.alpha.
+TAU_MODES = ("chain", "verify-inlink", "verify-progress", "verify-talpha", "audit")
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
@@ -160,7 +163,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     talpha = raw.get("talpha", {})
     _check_audit(audit)
     _check_talpha(talpha)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         mode=mode,
         matroid=matroid,
         marginal=marginal,
@@ -174,6 +177,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         audit=audit,
         talpha=talpha,
     )
+    if mode in TAU_MODES and not (mode == "verify-talpha" and talpha.get("alpha") is not None):
+        _check_tau(config)
+    return config
 
 
 def _is_int(value) -> bool:
@@ -228,6 +234,13 @@ def _check_talpha(talpha) -> None:
     b = talpha.get("b", [])
     if not isinstance(b, list) or not all(_is_int(e) and e >= 0 for e in b):
         raise ConfigError(f"talpha.b must be a list of element ids, got {b!r}")
+
+
+def _check_tau(config: ExperimentConfig) -> None:
+    tau, mode = _chain_tau(config), config.mode
+    low, name = (config.lam, "lambda") if mode == "verify-progress" else (0.0, "0")
+    if not low < tau <= 1.0:
+        raise ConfigError(f"{mode} needs tau in ({name}, 1] (default lambda + 4*eps), got {tau}")
 
 
 def _check_marginal(marginal) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -123,15 +124,116 @@ class Matroid:
         number of rows r with e ∈ span(A ∪ S_r), S_r the set row r flags;
         ids off the ground set count 0.  A (q, s) matrix gives the (n,)
         counts of its rows, and (g, q, s) gives one count vector per group.
-        Rows flag no element of A.  The dense span table does the lookup
-        when ``span_lookup`` exists, else each row costs one ``span`` call.
+        Rows flag no element of A.
+
+        One counter serves every family.  Let D be ``cols`` minus A.  When D
+        is independent in M/A, a row spans e iff it holds the fundamental
+        circuit C_e = {d ∈ D : e ∉ span(A ∪ D - d)} of every e ∈ span(A ∪ D)
+        (C_e = ∅ on span(A), {e} on D), so a count is column sums, one
+        matmul of the rows against the distinct larger C_e, and q
+        (``_circuit_plan``, built once per distinct A).  Otherwise the
+        family's kernel (``_span_kernel``) counts the rows.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        kernel = self._span_kernel(cols)
+        plans: dict = {}
+        building = threading.Lock()
+
+        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+            plan = plans.get(a_mask, building)
+            if plan is building:
+                # Workers may count under a new A at once: one builds its plan.
+                with building:
+                    plan = plans.get(a_mask, building)
+                    if plan is building:
+                        plan = plans[a_mask] = self._circuit_plan(cols, a_mask)
+            return kernel(rows, a_mask) if plan is None else plan(rows)
+
+        return count
+
+    def _circuit_plan(self, cols: np.ndarray, a_mask: int):
+        """``rows -> counts`` from the fundamental circuits of the columns
+        left after A, or None when they are dependent in M/A.
+
+        Two rank calls test D; then one span call per element of D, and one
+        for span(A ∪ D) unless A ∪ D has full rank, through the dense span
+        table when it is already built.
+        """
+        n, s = self.n_universe, len(cols)
+        d_pos = np.flatnonzero(~bits_of(a_mask, n)[cols])
+        d_ids = cols[d_pos].tolist()
+        ad = a_mask | mask_of(d_ids)
+        r_ad = self.rank(ad)
+        if r_ad - self.rank(a_mask) != len(d_ids):
+            return None
+        masks = [ad & ~(1 << d) for d in d_ids]
+        spans_all = r_ad == self.full_rank()
+        if not spans_all:
+            masks.append(ad)
+        lookup = self._built_lookup()
+        if lookup is not None:
+            spans = lookup(np.array(masks, dtype=np.int64)).tolist()
+        else:
+            spans = [self.span(mask) for mask in masks]
+        spanned = bits_of(self.ground_mask if spans_all else spans.pop(), n)
+        # in_circuit[i, e]: d_i ∈ C_e, that is e ∉ span(A ∪ D - d_i).
+        width = (n + 7) // 8
+        packed = b"".join(c.to_bytes(width, "little") for c in spans)
+        in_circuit = ~np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(-1, width),
+            axis=1, count=n, bitorder="little",
+        ).view(bool)
+        sizes = in_circuit.sum(axis=0)
+        # Elements with the same C_e of two or more share one matmul column.
+        multi = np.flatnonzero(spanned & (sizes > 1))
+        group = first = multi
+        if len(multi):
+            keys = np.packbits(in_circuit[:, multi], axis=0).T.copy()
+            _, first, group = np.unique(
+                keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
+            )
+        circuits = in_circuit[:, multi[first]]
+        g = circuits.shape[1]
+        members = np.zeros((s, g), dtype=np.float32)
+        members[d_pos] = circuits
+        # A row holds C_e iff its matmul entry reaches |C_e|, never above.
+        misses = 1 - circuits.sum(axis=0, dtype=np.float32)
+        # Slots of a count row: s column sums, g circuit counts, q, then 0.
+        src = np.full(n, s + g + 1)
+        src[spanned & (sizes == 0)] = s + g
+        single = spanned & (sizes == 1)
+        if single.any():
+            src[single] = d_pos[in_circuit[:, single].argmax(axis=0)]
+        src[multi] = s + group.reshape(-1)
+
+        def count(rows: np.ndarray) -> np.ndarray:
+            # Sums of 0/1 values in float32 are exact below 2^24 rows.
+            q = rows.shape[-2]
+            flags = rows.astype(np.float32 if q < 1 << 24 else np.float64)
+            ones = np.ones(q, dtype=flags.dtype)
+            slots = np.empty(rows.shape[:-2] + (s + g + 2,), dtype=flags.dtype)
+            slots[..., :s] = ones @ flags
+            if g:
+                held = flags @ members
+                held += misses
+                slots[..., s:s + g] = ones @ np.maximum(held, 0, out=held)
+            slots[..., s + g] = q
+            slots[..., s + g + 1] = 0
+            return slots.take(src, axis=-1).astype(np.int64)
+
+        return count
+
+    def _span_kernel(self, cols: np.ndarray):
+        """The family's ``count(rows, a_mask)`` for any A (see
+        ``span_counter``).  The dense span table does the lookup when
+        ``span_lookup`` exists, else each row costs one ``span`` call.
         Families override this with a kernel for all rows at once: the
         cardinality rule (uniform) and component labels (graphic, n > 20).
         """
         n = self.n_universe
         lookup = self.span_lookup()
         if lookup is not None:
-            weights = np.int64(1) << np.asarray(cols, dtype=np.int64)
+            weights = np.int64(1) << cols
             ids = np.arange(n, dtype=np.int64)
 
             def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
@@ -173,6 +275,10 @@ class Matroid:
 
         return lookup
 
+    def _built_lookup(self):
+        """``span_lookup()`` once the dense tables exist, else None."""
+        return self.span_lookup() if self._tables is not None else None
+
     def rank_table(self) -> np.ndarray:
         """Dense table rank(m & ground) for every universe mask m (n <= 20)."""
         if self.n_universe > SPAN_TABLE_MAX:
@@ -212,12 +318,18 @@ class UniformMatroid(Matroid):
     def _rank_masked(self, mask: int) -> int:
         return min(mask.bit_count(), self.k)
 
-    def span_counter(self, cols: np.ndarray):
-        cols = np.asarray(cols, dtype=np.int64)
+    def _span_masked(self, mask: int) -> int:
+        return self.ground_mask if mask.bit_count() >= self.k else mask
+
+    def _span_kernel(self, cols: np.ndarray):
+        a_memo: dict[int, np.ndarray] = {}
 
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
             # A row whose active elements bring |A ∪ S_r| to k spans
             # everything; any other row spans exactly A ∪ S_r.
+            in_a = a_memo.get(a_mask)
+            if in_a is None:
+                in_a = a_memo[a_mask] = bits_of(a_mask, self.n_universe)
             flags = rows.view(np.uint8)
             full = np.add.reduce(flags, axis=-1, dtype=np.int32) >= self.k - a_mask.bit_count()
             n_full = np.count_nonzero(full, axis=-1)
@@ -228,7 +340,7 @@ class UniformMatroid(Matroid):
                 # Full rows are already counted in every column.
                 active -= np.add.reduce(flags, axis=-2, dtype=np.int64, where=full[..., None])
             counts[..., cols] += active
-            counts[..., bits_of(a_mask, self.n_universe)] = rows.shape[-2]
+            counts[..., in_a] = rows.shape[-2]
             return counts
 
         return count
@@ -270,7 +382,9 @@ class GraphicMatroid(Matroid):
 
     A single rank or span query runs one union-find over the set's edges;
     an edge outside the set is spanned iff its ends share a root.  Span counts
-    over sample rows (``span_counter``) use the dense table up to
+    over sample rows (``span_counter``) whose drawn edges are independent
+    after A, as those of basis-indicator marginals stay, come from their
+    fundamental circuits.  Other rows use the dense table up to
     ``SPAN_TABLE_MAX`` edges; beyond it they label the connected components
     of every row's graph S_r, contracted by A, at once in numpy, and edge
     (u, v) is spanned in a row iff the A-components of u and v share a
@@ -316,12 +430,11 @@ class GraphicMatroid(Matroid):
                 out |= 1 << e
         return out
 
-    def span_counter(self, cols: np.ndarray):
+    def _span_kernel(self, cols: np.ndarray):
         if self.n_universe <= SPAN_TABLE_MAX:
-            return super().span_counter(cols)
+            return super()._span_kernel(cols)
         nv, n = self.n_vertices, self.n_universe
         tail, head = self._ends
-        cols = np.asarray(cols, dtype=np.int64)
         col_tail, col_head = tail[cols], head[cols]
         max_chunk = max(1, ROW_BLOCK_VALUES // max(nv, n))
 
@@ -524,16 +637,21 @@ class MinorMatroid(Matroid):
             raise ValueError("set outside the ground set")
         return self.base.span(mask | self.contracted) & self.ground_mask
 
-    def span_counter(self, cols: np.ndarray):
+    def _span_kernel(self, cols: np.ndarray):
         # Same identity as span: count in the base with A ∪ contracted, then
-        # keep this minor's ground columns.
-        base_count = self.base.span_counter(cols)
-        ground = bits_of(self.ground_mask, self.n_universe)
+        # zero the columns off this minor's ground set.
+        base_count = self.base._span_kernel(cols)
+        off = np.flatnonzero(~bits_of(self.ground_mask, self.n_universe))
 
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            return np.where(ground, base_count(rows, a_mask | self.contracted), 0)
+            counts = base_count(rows, a_mask | self.contracted)
+            counts[..., off] = 0
+            return counts
 
         return count
+
+    def _built_lookup(self):
+        return self.span_lookup() if self.base._tables is not None else None
 
     def span_lookup(self):
         base_lookup = self.base.span_lookup()

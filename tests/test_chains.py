@@ -14,6 +14,7 @@ from chainocrs import (
     LinkParams,
     LinkTrace,
     ParamOverrides,
+    PartitionMatroid,
     RngStream,
     SpanningChain,
     UniformMatroid,
@@ -22,6 +23,7 @@ from chainocrs import (
     chain_plan,
     minimal_link_construction,
     ocrs_chain,
+    random_explicit_matroid,
     selectability_experiment,
     single_ocrs_link,
     truncation_distribution,
@@ -246,6 +248,126 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             assert got.tolist() == expected
             assert len(calls) == (3 * 13 if kernel == "span" else 0)
             assert bool(labellings) == (kernel == "labels")
+
+
+def _independent_after(m, a_mask, rng):
+    """Random ground elements outside A that are independent in M/A."""
+    d, r_a = 0, m.rank(a_mask)
+    for e in rng.permutation(ids_of(m.ground_mask & ~a_mask)).tolist():
+        if rng.random() < 0.8 and m.rank(a_mask | d | 1 << e) == r_a + d.bit_count() + 1:
+            d |= 1 << e
+    return d
+
+
+def test_circuit_counter_matches_span_reference(monkeypatch):
+    # Columns D independent in M/A are counted from fundamental circuits, in
+    # every family and minor; columns dependent in M/A fall back to the
+    # family kernel.  The columns also hold elements of A (never flagged),
+    # one column is flagged in every row (x_e = 1), and one case per matroid
+    # has D = ∅.  Loops, parallel edges and A's spans put elements in
+    # span(A) \ A.
+    multi, lam = _multigraph(), _laminar()
+    u = UniformMatroid(6, 30)
+    part = PartitionMatroid([range(0, 5), range(5, 14), range(14, 24)], [2, 4, 1])
+    k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    explicit = random_explicit_matroid(np.random.default_rng(3), 8)
+    cases = [
+        u, u.restrict(full_mask(30) & ~0b111), u.contract(0b1011),
+        part, part.contract(mask_of([0, 5, 6, 14])),
+        lam, lam.restrict(full_mask(24) & ~mask_of([5, 17])).contract(mask_of([0, 12])),
+        multi, multi.restrict(mask_of(range(0, 45, 3)) | 0b11110),
+        multi.contract(mask_of([3, 7, 11, 30])),
+        _theta(19).contract(0b110), k5, k5.contract(0b11), explicit, explicit.restrict(0b11101110),
+    ]
+    built = []
+    real_plan = Matroid._circuit_plan
+    monkeypatch.setattr(
+        Matroid, "_circuit_plan", lambda *a: built.append(real_plan(*a)) or built[-1]
+    )
+    rng = np.random.default_rng(8)
+    seen = {"span(A) beyond A": 0, "D empty": 0, "circuits of 2+": 0, "fallback": 0}
+    for m in cases:
+        ground = ids_of(m.ground_mask)
+        for t in range(7):
+            a_mask = mask_of(e for e in ground if rng.random() < 0.08 * (t % 5))
+            if t == 5:
+                d_mask = 0
+            elif t == 6:
+                d_mask = m.ground_mask & ~a_mask  # dependent unless M/A is free
+            else:
+                d_mask = _independent_after(m, a_mask, rng)
+            dependent = m.rank(a_mask | d_mask) - m.rank(a_mask) != d_mask.bit_count()
+            cols = rng.permutation(np.array(ids_of(d_mask) + ids_of(a_mask)[:3], dtype=np.int64))
+            rows = rng.random((3, 13, len(cols))) < rng.uniform(0.2, 0.8)
+            rows[..., (a_mask >> cols) & 1 == 1] = False
+            d_cols = np.flatnonzero((d_mask >> cols) & 1)
+            if len(d_cols):
+                rows[..., d_cols[0]] = True
+            expected = [_span_reference(m, cols, g, a_mask).tolist() for g in rows]
+            built.clear()
+            count = m.span_counter(cols)
+            assert count(rows, a_mask).tolist() == expected
+            assert count(rows[1], a_mask).tolist() == expected[1]
+            assert len(built) == 1 and (built[0] is None) == dependent
+            spanned_by_a = m.span(a_mask) & ~a_mask
+            seen["span(A) beyond A"] += not dependent and bool(spanned_by_a)
+            seen["D empty"] += not d_mask
+            seen["fallback"] += dependent
+            if not dependent:
+                closures = [m.span(a_mask | d_mask & ~(1 << d)) for d in iter_ids(d_mask)]
+                seen["circuits of 2+"] += any(
+                    sum(not c >> e & 1 for c in closures) > 1
+                    for e in iter_ids(m.span(a_mask | d_mask))
+                )
+    assert all(seen.values()), seen
+
+
+def test_circuit_plans_are_built_once_per_a_across_threads(monkeypatch):
+    # Workers that count under a new A at once build its plan once.  Short
+    # switch intervals make the threads interleave, and a build that sleeps
+    # lets every other thread reach the same A while it runs.
+    lam = _laminar()
+    real_plan = Matroid._circuit_plan
+    built = []
+
+    def plan(self, cols, a_mask):
+        built.append(a_mask)
+        time.sleep(0.005)
+        return real_plan(self, cols, a_mask)
+
+    monkeypatch.setattr(Matroid, "_circuit_plan", plan)
+    rng = np.random.default_rng(4)
+    a_masks = [0, 0b1, 0b1000, 0b1, mask_of([12, 13]), 0]
+    d_mask = _independent_after(lam, 0, rng)
+    cols = np.array(ids_of(d_mask), dtype=np.int64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in (2, 3):
+            count = lam.span_counter(cols)
+            rows = rng.random((k, 20, len(cols))) < 0.4
+            got = [[] for _ in range(k)]
+            start = threading.Barrier(k)
+
+            def work(i):
+                start.wait()
+                for a_mask in a_masks:
+                    flagged = rows[i] & ~((a_mask >> cols) & 1).astype(bool)
+                    got[i].append((count(flagged, a_mask), flagged))
+
+            built.clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(k)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            assert sorted(built) == sorted(set(a_masks))
+            for i in range(k):
+                for a_mask, (counts, flagged) in zip(a_masks, got[i]):
+                    expected = _span_reference(lam, cols, flagged, a_mask)
+                    assert counts.tolist() == expected.tolist()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_graphic_labels_keep_the_components_of_a():

@@ -166,6 +166,46 @@ def test_parse_config_rejects_bad_marginal(marginal, tmp_path, capsys, monkeypat
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mode": "verify-progress", "tau": 0.4},
+        {"mode": "verify-progress", "tau": 0.5},
+        {"mode": "verify-progress", "lambda": 0.9},
+        {"mode": "chain", "tau": 1.2},
+        {"mode": "verify-inlink", "tau": 0.0},
+        {"mode": "audit", "tau": -0.1},
+        {"mode": "verify-talpha", "tau": 1.5},
+    ],
+    ids=["progress-below-lambda", "progress-at-lambda", "progress-default-above-one",
+         "chain-above-one", "inlink-zero", "audit-negative", "talpha-above-one"],
+)
+def test_parse_config_rejects_bad_tau(overrides, tmp_path, capsys, monkeypatch):
+    # A tau outside its range used to be found only after the matroid and
+    # the marginals were built, by the check itself.  Without a tau the
+    # default lambda + 4*eps is checked.
+    monkeypatch.setattr(cli, "matroid_from_descriptor", lambda d: pytest.fail("built"))
+    with pytest.raises(ConfigError, match="tau"):
+        parse_config(base_config(**overrides))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parse_config_checks_tau_only_where_it_is_read():
+    # ocrs and verify-spanning take tau from lambda; verify-talpha with an
+    # explicit alpha does not read it.
+    for overrides in (
+        {"mode": "ocrs", "tau": 1.5},
+        {"mode": "verify-spanning", "tau": 1.5},
+        {"mode": "verify-talpha", "tau": 1.5, "talpha": {"alpha": 0.4}},
+        {"mode": "verify-progress", "tau": 1.0},
+        {"mode": "chain", "tau": 1.0},
+    ):
+        assert parse_config(base_config(**overrides)).tau == overrides["tau"]
+
+
 def test_parse_config_bounds_matroid_sizes():
     size = cli.MATROID_SIZE_MAX
     assert size == 2 * cli.AUDIT_RHO_MAX
@@ -508,3 +548,81 @@ def test_main_verification_failure_exit_two(tmp_path, monkeypatch):
 def test_matroid_descriptor_dispatch():
     m = matroid_from_descriptor(K4_DESC)
     assert m.full_rank() == 3
+
+
+# -- independent sample rows past n = 20 -----------------------------------------
+
+LAMINAR24 = {
+    "family": "laminar",
+    "n": 24,
+    "sets": [list(range(24)), list(range(12)), [0, 1, 2], [3, 4, 5, 6], list(range(12, 18)),
+             [18, 19, 20]],
+    "capacities": [9, 4, 1, 2, 3, 1],
+}
+# Edge (0, 1) plus 19 two-edge 0-1 paths through 2, ..., 20 (n = 39).
+THETA39 = {
+    "family": "graphic",
+    "n_vertices": 21,
+    "edges": [[0, 1]] + [e for w in range(2, 21) for e in ([0, w], [w, 1])],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"matroid": LAMINAR24, "tau": 0.5, "trials": 2, "seed": 0,
+         "overrides": {"q": 60, "eta": 6, "zeta": 4}},
+        # The pinned benchmark chain whose first link grows to C_1 = {f}.
+        {"matroid": THETA39, "lambda": 0.1, "trials": 1, "seed": (10 << 24) | 4,
+         "overrides": {"q": 100}},
+    ],
+    ids=["laminar-24", "theta-39"],
+)
+def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
+    # Past n = 20 the CLI takes only basis-indicator marginals, so the drawn
+    # columns stay independent in M/A in every iteration and the circuit
+    # counter counts every row: each distinct A costs at most |D| + 2 rank
+    # and span calls, no family kernel runs (no per-row span(), no
+    # component labels), and the report equals the family kernels' one.
+    from chainocrs import matroids
+    from chainocrs.matroids import Matroid, MinorMatroid
+
+    config = parse_config(base_config(**overrides))
+    plans, inside = [], []
+    real_span, real_rank, real_plan = Matroid.span, Matroid.rank, Matroid._circuit_plan
+    real_kernel = MinorMatroid._span_kernel
+
+    def oracle(real):
+        def call(self, mask):
+            if inside:
+                inside[-1] += 1
+            return real(self, mask)
+
+        return call
+
+    def plan(self, cols, a_mask):
+        inside.append(0)
+        try:
+            built = real_plan(self, cols, a_mask)
+        finally:
+            calls = inside.pop()
+        d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
+        plans.append((a_mask, built is not None, calls <= d_size + 2))
+        return built
+
+    def kernel(self, cols):
+        count = real_kernel(self, cols)
+        return lambda rows, a_mask: pytest.fail("family kernel ran") or count(rows, a_mask)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matroid, "span", oracle(real_span))
+        patch.setattr(Matroid, "rank", oracle(real_rank))
+        patch.setattr(Matroid, "_circuit_plan", plan)
+        patch.setattr(MinorMatroid, "_span_kernel", kernel)
+        patch.setattr(matroids, "_component_labels", lambda *a: pytest.fail("labels"))
+        report, code = run(config)
+    assert code == 0
+    assert all(built and cheap for _, built, cheap in plans), plans
+    assert len({a for a, _, _ in plans}) > 1
+    monkeypatch.setattr(Matroid, "_circuit_plan", lambda *a: None)
+    assert run(config)[0].to_json() == report.to_json()
