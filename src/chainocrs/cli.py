@@ -237,10 +237,12 @@ def _check_talpha(talpha) -> None:
 
 
 def _check_tau(config: ExperimentConfig) -> None:
-    tau, mode = _chain_tau(config), config.mode
-    low, name = (config.lam, "lambda") if mode == "verify-progress" else (0.0, "0")
+    tau = _chain_tau(config)
+    low = config.lam if config.mode == "verify-progress" else 0.0
     if not low < tau <= 1.0:
-        raise ConfigError(f"{mode} needs tau in ({name}, 1] (default lambda + 4*eps), got {tau}")
+        raise ConfigError(
+            f"{config.mode} needs tau in ({low}, 1] (default lambda + 4*eps), got {tau}"
+        )
 
 
 def _check_marginal(marginal) -> None:
