@@ -743,6 +743,8 @@ def chain_plan(
 ) -> ChainPlan:
     """Run every input check once and fix what all chains of an experiment share.
 
+    No other code derives rho, the link parameters or the cutoff law: the
+    CLI, the selection trials and the verify checks read them from a plan.
     rho = max(rank(M), 3) stays fixed across all links; each link i is built
     on M restricted to C_{i-1} with threshold (1-eps)*tau.  The chain has
     zeta+2 links, with C_0 = N and C_{zeta+1} = ∅ forced.

@@ -163,6 +163,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     talpha = raw.get("talpha", {})
     _check_audit(audit)
     _check_talpha(talpha)
+    out = raw.get("out")
+    if not (out is None or isinstance(out, str) and "\0" not in out):
+        raise ConfigError(f"out must be a path string, got {out!r}")
     config = ExperimentConfig(
         mode=mode,
         matroid=matroid,
@@ -232,8 +235,10 @@ def _check_talpha(talpha) -> None:
             f"talpha.q_trials must be an integer >= 1, got {talpha['q_trials']!r}"
         )
     b = talpha.get("b", [])
-    if not isinstance(b, list) or not all(_is_int(e) and e >= 0 for e in b):
-        raise ConfigError(f"talpha.b must be a list of element ids, got {b!r}")
+    if not _is_ids(b):
+        raise ConfigError(
+            f"talpha.b must be a list of element ids in [0, {MATROID_SIZE_MAX}), got {b!r}"
+        )
 
 
 def _check_tau(config: ExperimentConfig) -> None:
@@ -399,22 +404,10 @@ def run(config: ExperimentConfig) -> tuple[ExperimentReport, int]:
     else:
         m = matroid_from_descriptor(config.matroid)
         x = generate_marginal(config.marginal, m, config.lam)
-        runner = {
-            "chain": _run_chain,
-            "ocrs": _run_ocrs,
-            "verify-inlink": _run_verify_inlink,
-            "verify-progress": _run_verify_progress,
-            "verify-spanning": _run_verify_spanning,
-            "verify-freeness": _run_verify_freeness,
-            "verify-talpha": _run_verify_talpha,
-        }[config.mode]
+        runner = {"chain": _run_chain, "ocrs": _run_ocrs}.get(config.mode, _run_verify)
         report, code = runner(config, m, x)
     report.wall_clock_seconds = time.monotonic() - t0
     return report, code
-
-
-def _stream(config: ExperimentConfig) -> RngStream:
-    return RngStream(config.seed)
 
 
 def _chain_tau(config: ExperimentConfig) -> float:
@@ -424,11 +417,12 @@ def _chain_tau(config: ExperimentConfig) -> float:
 def _run_chain(config, m, x):
     tau = _chain_tau(config)
     plan = chain_plan(m, x, tau, config.eps, config.overrides)
+    stream = RngStream(config.seed)
     per_trial = []
     total_draws = 0
     empty_final = 0
     for t in range(config.trials):
-        rng = _stream(config).substream(t).generator()
+        rng = stream.substream(t).generator()
         chain, trace = plan.sample(rng)
         total_draws += trace.draw_count
         c_zeta = chain.links[trace.zeta]
@@ -459,7 +453,7 @@ def _run_ocrs(config, m, x):
         config.eps,
         config.trials,
         config.adversary,
-        _stream(config),
+        RngStream(config.seed),
         config.overrides,
     )
     results = report.to_jsonable()
@@ -468,62 +462,38 @@ def _run_ocrs(config, m, x):
     return ExperimentReport(config.echo(), results, []), 0
 
 
-def _verify_common(config, verdict) -> tuple[ExperimentReport, int]:
+def _run_verify(config, m, x):
+    """One verify-* check; exit 2 when its verdict fails."""
+    mode, tau, stream = config.mode, _chain_tau(config), RngStream(config.seed)
+    rest = (config.eps, config.trials, stream)
+    if mode == "verify-inlink":
+        verdict = verify_in_link_loss(m, x, tau, *rest, overrides=config.overrides)
+    elif mode == "verify-progress":
+        verdict = verify_progress(m, x, config.lam, tau, *rest, overrides=config.overrides)
+    elif mode == "verify-spanning":
+        verdict = verify_spanning(m, x, config.lam, *rest, overrides=config.overrides)
+    elif mode == "verify-freeness":
+        verdict = verify_freeness_likely(m, x, config.lam, *rest, overrides=config.overrides)
+    else:
+        verdict = _verify_talpha(config, m, x, tau, stream)
     report = ExperimentReport(config.echo(), {}, [verdict.to_jsonable()])
     return report, 0 if verdict.passed else 2
 
 
-def _run_verify_inlink(config, m, x):
-    rho = max(m.full_rank(), 3)
-    tau = _chain_tau(config)
-    verdict = verify_in_link_loss(
-        m, x, rho, tau, config.eps, config.trials, _stream(config),
-        overrides=config.overrides,
-    )
-    return _verify_common(config, verdict)
-
-
-def _run_verify_progress(config, m, x):
-    rho = max(m.full_rank(), 3)
-    tau = _chain_tau(config)
-    verdict = verify_progress(
-        m, x, config.lam, rho, tau, config.eps, config.trials, _stream(config),
-        overrides=config.overrides,
-    )
-    return _verify_common(config, verdict)
-
-
-def _run_verify_spanning(config, m, x):
-    verdict = verify_spanning(
-        m, x, config.lam, config.eps, config.trials, _stream(config),
-        overrides=config.overrides,
-    )
-    return _verify_common(config, verdict)
-
-
-def _run_verify_freeness(config, m, x):
-    verdict = verify_freeness_likely(
-        m, x, config.lam, config.eps, config.trials, _stream(config),
-        overrides=config.overrides,
-    )
-    return _verify_common(config, verdict)
-
-
-def _run_verify_talpha(config, m, x):
+def _verify_talpha(config, m, x, tau, stream):
     opts = config.talpha
     alpha = opts.get("alpha")
     if alpha is None:
-        tau = _chain_tau(config)
         alpha = tau * (1.0 - 2.0 * config.eps)
     elif isinstance(alpha, list):
         from fractions import Fraction
 
         alpha = Fraction(*alpha)
     b_mask = mask_of(opts.get("b", []))
-    rng = _stream(config).substream(0).generator()
+    rng = stream.substream(0).generator()
     verdict = verify_t_alpha(m, x, b_mask, alpha, opts.get("q_trials", 100), rng)
     verdict.meta["seed"] = config.seed
-    return _verify_common(config, verdict)
+    return verdict
 
 
 def _run_audit(config) -> tuple[ExperimentReport, int]:
@@ -583,19 +553,18 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    for key, val in (("mode", args.mode), ("seed", args.seed), ("trials", args.trials)):
-        if val is not None:
-            raw[key] = val
+    # parse_config rejects a config that is not an object.
+    if isinstance(raw, dict):
+        for key, val in (("mode", args.mode), ("seed", args.seed), ("trials", args.trials)):
+            if val is not None:
+                raw[key] = val
     try:
         config = parse_config(raw)
         report, code = run(config)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = args.out or (raw.get("out") and Path(raw["out"]))
+    out = args.out or raw.get("out")
     if out:
         try:
             write_reports(report, Path(out))

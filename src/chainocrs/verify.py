@@ -21,15 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bitset import bits_of, ids_of, submasks
-from .chains import (
-    BuildTrace,
-    LinkParams,
-    ParamOverrides,
-    _sample_link,
-    chain_plan,
-    single_ocrs_link,
-    truncation_distribution,
-)
+from .chains import BuildTrace, ParamOverrides, chain_plan, single_ocrs_link
 from .matroids import Matroid
 from .sampling import (
     EXACT_ENUM_MAX,
@@ -138,7 +130,6 @@ def classify_element(
 def verify_in_link_loss(
     m: Matroid,
     x: np.ndarray,
-    rho: int,
     tau: float,
     eps: float,
     trials: int,
@@ -148,19 +139,18 @@ def verify_in_link_loss(
 ) -> VerifyReport:
     """Check: Pr[e bad] <= eps * Pr[e good] + 2 eps^3 / ln(rho), per element.
 
-    Builds the link with threshold (1-eps)*tau over `trials` runs and
-    classifies every element exactly against the unscaled tau.  The
-    ``builder`` hook lets tests inject a deliberately broken link builder,
-    which must drive this check to a fail verdict.
+    Builds the link of ``chain_plan(m, x, tau, eps, overrides)``, with
+    threshold (1-eps)*tau, over `trials` runs and classifies every element
+    exactly against the unscaled tau.  The ``builder`` hook lets tests
+    inject a deliberately broken link builder, which must drive this check
+    to a fail verdict.
     """
-    if rho < 3:
-        raise ValueError("rho must be at least 3")
     if not 0.0 < eps <= tau:
         raise ValueError("need 0 < eps <= tau")
     if m.n_universe > EXACT_ENUM_MAX:
         raise ValueError(f"exact classification is limited to n <= {EXACT_ENUM_MAX}")
-    x = as_marginals(x)
-    params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
+    plan = chain_plan(m, x, tau, eps, overrides)
+    x, params = plan.x, plan.params
     ids = ids_of(m.ground_mask)
     probs_cache: dict[int, np.ndarray] = {}
     bad = np.zeros((trials, len(ids)), dtype=bool)
@@ -181,7 +171,7 @@ def verify_in_link_loss(
     # per-trial statistic whose mean the guarantee bounds
     vals = bad.astype(float) - eps * good.astype(float)
     z = bonferroni_z(len(ids))
-    additive = 2.0 * eps**3 / math.log(rho)
+    additive = 2.0 * eps**3 / math.log(params.rho)
     checks = []
     for j, e in enumerate(ids):
         mean = float(vals[:, j].mean())
@@ -196,7 +186,7 @@ def verify_in_link_loss(
             )
         )
     meta = {
-        "rho": rho,
+        "rho": params.rho,
         "tau": tau,
         "eps": eps,
         "trials": trials,
@@ -213,25 +203,24 @@ def verify_progress(
     m: Matroid,
     x: np.ndarray,
     lam: float,
-    rho: int,
     tau: float,
     eps: float,
     trials: int,
     seed_stream: RngStream,
     overrides: ParamOverrides | None = None,
 ) -> VerifyReport:
-    """Check: E[rank(A)] <= (1 + lambda - (1-3 eps) tau) * rank(M)."""
+    """Check: E[rank(A)] <= (1 + lambda - (1-3 eps) tau) * rank(M), for the
+    link of ``chain_plan(m, x, tau, eps, overrides)``."""
     if not lam < tau <= 1.0:
         raise ValueError("need lambda < tau <= 1")
-    x = as_marginals(x)
+    plan = chain_plan(m, x, tau, eps, overrides)
+    x, params = plan.x, plan.params
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
-    params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
-    trunc = truncation_distribution(params.eps, params.rho, params.eta)
     ranks = np.zeros(trials)
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
-        a_mask, _ = _sample_link(m, x, params, trunc, rng)
+        a_mask, _ = single_ocrs_link(m, x, params, rng)
         ranks[t] = m.rank(a_mask)
     bound = (1.0 + lam - (1.0 - 3.0 * eps) * tau) * m.full_rank()
     sigma = float(ranks.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -240,7 +229,7 @@ def verify_progress(
         tolerance=3.0 * sigma, direction="<=",
     )
     meta = {
-        "lambda": lam, "rho": rho, "tau": tau, "eps": eps, "trials": trials,
+        "lambda": lam, "rho": params.rho, "tau": tau, "eps": eps, "trials": trials,
         "seed": seed_stream.seed, "rank": m.full_rank(), "q": params.q,
     }
     return VerifyReport(kind="progress", checks=(check,), meta=meta)

@@ -166,7 +166,7 @@ def test_criterion_5_progress():
     m = k4()
     x = k4_basis_x()
     tau = LAM + 4 * EPS
-    rep = verify_progress(m, x, LAM, max(m.full_rank(), 3), tau, EPS, 1000, RngStream(501))
+    rep = verify_progress(m, x, LAM, tau, EPS, 1000, RngStream(501))
     check = rep.checks[0]
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < 3600
@@ -184,7 +184,7 @@ def test_criterion_6_in_link_loss():
     t0 = time.monotonic()
     m = UniformMatroid(2, 4)
     x = as_marginals([0.25] * 4)
-    rep = verify_in_link_loss(m, x, 3, 0.54, EPS, 10_000, RngStream(601))
+    rep = verify_in_link_loss(m, x, 0.54, EPS, 10_000, RngStream(601))
     elapsed = time.monotonic() - t0
     worst = max(c.measured - c.bound - c.tolerance for c in rep.checks)
     ok = rep.passed and elapsed < 3600

@@ -572,9 +572,9 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
     cases = [
         (UniformMatroid(4, 30), [0.5] * 2 + [0.1] * 28, 0.7, 40),  # cardinality
         (k6, [1 / 6] * 15, 0.3, 40),  # span table
-        (theta, x_theta, 0.28, 40),  # labels
-        (_multigraph(), [0.2] * 45, 0.3, 40),  # labels
-        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # labels, minor
+        (theta, x_theta, 0.28, 40),  # circuits
+        (_multigraph(), [0.2] * 45, 0.3, 40),  # labels: dependent columns
+        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # circuits, minor
         (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
     ]
     per_batch = 3
@@ -737,22 +737,31 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
     # state after it equal the reference's, which counts every row of every
     # iteration through span() calls; every iteration runs the block loop
     # on all the workers asked for, and near the threshold A changes
-    # between iterations.
+    # between iterations.  Only the multigraph's dependent columns reach
+    # the graphic label kernel; theta's independent ones count by circuits.
     theta = _theta(19)
     x_theta = np.zeros(39)
     x_theta[[0] + list(range(1, 39, 2))] = 0.3
     k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    multigraph = _multigraph()
     cases = [
         (UniformMatroid(4, 30), [0.5] * 2 + [0.1] * 28, 0.7),  # cardinality
         (k6, [1 / 6] * 15, 0.3),  # span table
-        (theta, x_theta, 0.28),  # labels
-        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28),  # labels, minor
+        (theta, x_theta, 0.28),  # circuits
+        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28),  # circuits, minor
+        (multigraph, [0.2] * 45, 0.3),  # labels: dependent columns
         (_laminar(), [0.3] * 24, 0.6),  # one span() call per row
     ]
     q = 41
     runs = _record_runs(monkeypatch)
+    labellings = []
+    real_labels = matroids._component_labels
+    monkeypatch.setattr(
+        matroids, "_component_labels", lambda *a: labellings.append(1) or real_labels(*a)
+    )
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
     for m, x, threshold in cases:
+        labellings.clear()
         x = as_marginals(x)
         s = int(sum(x[e] > 0 for e in iter_ids(m.ground_mask)))
         monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 12 * s + 1)
@@ -771,6 +780,7 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
                 assert runs == [(cpus, cpus)] * ref[1].h_bar
             grown += _grows_mid_link(ref[1])
         assert grown > 0
+        assert bool(labellings) == (m is multigraph)
 
 
 def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):

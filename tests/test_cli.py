@@ -278,6 +278,19 @@ def test_parse_config_rejects_bad_talpha_b():
             parse_config(base_config(mode="verify-talpha", talpha={"b": b}))
 
 
+def test_parse_config_bounds_talpha_b(tmp_path, capsys, monkeypatch):
+    # An id of 10**7 used to parse, then allocate a 1.25 MB mask before the
+    # T_alpha oracle rejected it.
+    size = cli.MATROID_SIZE_MAX
+    monkeypatch.setattr(cli, "matroid_from_descriptor", lambda d: pytest.fail("built"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(mode="verify-talpha", talpha={"b": [size]})))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "error: talpha.b must be a list of element ids" in capsys.readouterr().err
+    config = parse_config(base_config(mode="verify-talpha", talpha={"b": [size - 1]}))
+    assert config.talpha["b"] == [size - 1]
+
+
 def test_parse_config_rejects_unknown_adversary(tmp_path, capsys):
     # Checked at parse time in every mode, including modes without trials
     # against an adversary.
@@ -497,6 +510,20 @@ def test_main_unwritable_out_exits_one(tmp_path, capsys):
     assert "error: cannot write report:" in capsys.readouterr().err
 
 
+def test_main_rejects_a_non_object_config_and_a_bad_out(tmp_path, capsys, monkeypatch):
+    # A JSON array run with --seed, and "out": 5 or a path with a NUL byte
+    # after the whole run, used to end in TypeError or ValueError tracebacks.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([base_config()]))
+    assert main(["--config", str(cfg_path), "--seed", "3"]) == 1
+    assert "error: config must be a JSON object" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran"))
+    for out in (5, True, ["rep.json"], {"path": "rep.json"}, "rep\0.json"):
+        cfg_path.write_text(json.dumps(base_config(out=out)))
+        assert main(["--config", str(cfg_path)]) == 1
+        assert "error: out must be a path string" in capsys.readouterr().err
+
+
 def test_importing_the_cli_loads_only_numpy_and_starts_no_thread():
     # Import-time work counts toward every run's setup time, so the CLI
     # imports no third-party module but numpy, and starts no thread.
@@ -538,8 +565,8 @@ def test_main_verification_failure_exit_two(tmp_path, monkeypatch):
 
     real = verify_mod.verify_in_link_loss
 
-    def patched(m, x, rho, tau, eps, trials, stream, builder=None, overrides=None):
-        return real(m, x, rho, tau, eps, trials, stream, builder=broken, overrides=overrides)
+    def patched(m, x, tau, eps, trials, stream, builder=None, overrides=None):
+        return real(m, x, tau, eps, trials, stream, builder=broken, overrides=overrides)
 
     monkeypatch.setattr("chainocrs.cli.verify_in_link_loss", patched)
     assert main(["--config", str(cfg_path)]) == 2

@@ -1,21 +1,28 @@
-"""The benchmark's pinned reports, checked from the unit suite.
+"""Pinned report sha256s, checked from the unit suite.
 
 ``bench/worker.py`` rebuilds the first reports of every benchmark workload
 and compares each report's sha256 with the pin in ``bench/pins/``.  A change
 that alters the random stream or any reported value fails here, not only in
 a benchmark run.  ``audit-u128``, whose reports take seconds each, checks
-one report; a ``chain-theta39`` chain, counted by the graphic label kernel
-in batches of iterations, takes a few hundredths of a second, so it checks
-all thirteen pinned reports of seed 0.  ``ocrs-k3`` and ``inlink-u24``
-reports take well under a second each, so they check ten and eight.
+one report; a ``chain-theta39`` chain, whose rows the fundamental-circuit
+counter counts in batches of iterations, takes a few hundredths of a
+second, so it checks all thirteen pinned reports of seed 0.  ``ocrs-k3``
+and ``inlink-u24`` reports take well under a second each, so they check ten
+and eight.
+
+``MODE_PINS`` covers every CLI mode, each on K4 and U_{2,4}, with small
+overrides, so a change to any runner shows in one small report per mode.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from chainocrs.cli import MODES, parse_config, run
 
 WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 
@@ -44,5 +51,53 @@ def test_reports_match_pinned_sha256(workload):
 def test_theta_chain_whose_first_link_grows_matches_its_pin():
     # Report 4 of seed 10 is the only pinned chain whose first link grows
     # (to C_1 = {f}), so it is the pinned case where A changes inside a
-    # batch of iterations and the label kernel counts the rest again.
+    # batch of iterations and the circuit counter counts the rest again.
     _check_pinned_reports("chain-theta39", 10, 5)
+
+
+MODE_MATROIDS = {
+    "k4": {"family": "graphic", "n_vertices": 4,
+           "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+    "u24": {"family": "uniform", "k": 2, "n": 4},
+}
+
+#: sha256 of the JSON report of each (mode, matroid) at seed 0; every run
+#: exits 0.  At lambda = 0.5 every link of these instances is empty, so the
+#: verify reports would not depend on the random stream; lambda = 0.2 and
+#: tau = 0.3 (valid in every mode) let the K4 links of chain, verify-inlink
+#: and verify-progress grow.  ``audit`` builds its own U_{8,16} and reads
+#: the matroid only into the config echo.
+MODE_PINS = {
+    ("chain", "k4"): "284b11609810e2640b4e1568b828561817c06443c4d125cb44a4dc46f0b5a597",
+    ("chain", "u24"): "33d1fe65dbab9282832a5491160e9b9c7596229b97723d24e0be1f45f0640419",
+    ("ocrs", "k4"): "30a47c86e92cf034a5106cc6f6d442cbc717a8d3b4493d31cd9d31ee3d2ec87a",
+    ("ocrs", "u24"): "d6a9e428ba2209486d8a36db999cb498deff0ab25e35e0e1b63639929546c9b2",
+    ("verify-inlink", "k4"): "021c92db5d463b5721c1c3077959c70a515a0f6325a0d7a3b0624b6c4e266e67",
+    ("verify-inlink", "u24"): "0c4f5a8b7c4dc4117585b8e07a60904cb2843334fc93e8ed799d0c128b18307e",
+    ("verify-progress", "k4"): "23173ca4c85faa91b155d95e03a8f75b47cf8bf0830b5e593184ac41ec336121",
+    ("verify-progress", "u24"): "3a9196f1093e54777b1164efe79bfe292644c90309cfb28620eb0ed3d2587003",
+    ("verify-spanning", "k4"): "ca32ca6818180dfb277749a38f7ca9a664d812a2140690d25ef223e41b30752c",
+    ("verify-spanning", "u24"): "0428bd8a1ddd2f9133fb6fab056d0bf46908772da793bacf0bb204aab323c762",
+    ("verify-freeness", "k4"): "1307526e5561e3a2cadbe6689e2ff5b6e1cecf7e510f53e11cff28b51f024669",
+    ("verify-freeness", "u24"): "b9a24586b5d1864aec60ba96d8e5f63a00d9552be40b17c377078e36cfc3741c",
+    ("verify-talpha", "k4"): "f1ed833ea1439123ec607a98295102d66f9d4064da3058cdffd113879af66597",
+    ("verify-talpha", "u24"): "d4943878895ba72e7b6ae22f266a076c16e47079d927e9e35477cc968dbe8a48",
+    ("audit", "k4"): "090840b10671bae065ac3084a98662361aa919f4fdafa3248b405b838979b1ed",
+    ("audit", "u24"): "dfc4e7251c88ea20ddc3307c10937aa1920583f2b27f820ecaba93910d53b9da",
+}
+
+
+def test_mode_pins_cover_every_mode():
+    assert set(MODE_PINS) == {(mode, m) for mode in MODES for m in MODE_MATROIDS}
+
+
+@pytest.mark.parametrize("mode, matroid", list(MODE_PINS))
+def test_mode_report_matches_pinned_sha256(mode, matroid):
+    config = parse_config({
+        "mode": mode, "matroid": MODE_MATROIDS[matroid], "lambda": 0.2, "tau": 0.3,
+        "trials": 6, "seed": 0, "overrides": {"q": 40, "eta": 6, "zeta": 4},
+        "audit": {"rhos": [8]},
+    })
+    report, code = run(config)
+    assert code == 0
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == MODE_PINS[mode, matroid]

@@ -134,7 +134,7 @@ def test_classify_theta39_closed_forms():
 
 def test_in_link_loss_zero_marginals_passes(u24):
     rep = verify_in_link_loss(
-        u24, np.zeros(4), 3, 0.5, 0.05, 40, RngStream(2), overrides=FAST
+        u24, np.zeros(4), 0.5, 0.05, 40, RngStream(2), overrides=FAST
     )
     assert rep.passed
     assert all(v == 0.0 for v in rep.meta["bad_rate"].values())
@@ -142,7 +142,7 @@ def test_in_link_loss_zero_marginals_passes(u24):
 
 def test_in_link_loss_smoke_passes(u24):
     rep = verify_in_link_loss(
-        u24, [0.25] * 4, 3, 0.54, 0.05, 150, RngStream(3), overrides=FAST
+        u24, [0.25] * 4, 0.54, 0.05, 150, RngStream(3), overrides=FAST
     )
     assert rep.passed
     assert len(rep.checks) == 4
@@ -152,7 +152,7 @@ def test_in_link_loss_vacuous_when_link_absorbs_everything(u12):
     # certain activations put every element into A, so nothing is ever
     # classified good or bad
     rep = verify_in_link_loss(
-        u12, [1.0, 1.0], 3, 0.9, 0.05, 30, RngStream(14), overrides=FAST
+        u12, [1.0, 1.0], 0.9, 0.05, 30, RngStream(14), overrides=FAST
     )
     assert rep.passed
     assert all(rate == 0.0 for rate in rep.meta["bad_rate"].values())
@@ -167,7 +167,7 @@ def test_in_link_loss_broken_builder_fails(u12):
         return 0, trace
 
     rep = verify_in_link_loss(
-        u12, [0.6, 0.6], 3, 0.5, 0.05, 60, RngStream(4), builder=broken, overrides=FAST
+        u12, [0.6, 0.6], 0.5, 0.05, 60, RngStream(4), builder=broken, overrides=FAST
     )
     assert not rep.passed
     assert all(rate == 1.0 for rate in rep.meta["bad_rate"].values())
@@ -175,16 +175,14 @@ def test_in_link_loss_broken_builder_fails(u12):
 
 def test_in_link_loss_preconditions(u12):
     with pytest.raises(ValueError):
-        verify_in_link_loss(u12, [0.1, 0.1], 2, 0.5, 0.05, 5, RngStream(0))
-    with pytest.raises(ValueError):
-        verify_in_link_loss(u12, [0.1, 0.1], 3, 0.04, 0.05, 5, RngStream(0))
+        verify_in_link_loss(u12, [0.1, 0.1], 0.04, 0.05, 5, RngStream(0))
 
 
 # -- progress --------------------------------------------------------------------
 
 
 def test_progress_zero_marginals(u24):
-    rep = verify_progress(u24, np.zeros(4), 0.5, 3, 0.7, 0.05, 30, RngStream(5), FAST)
+    rep = verify_progress(u24, np.zeros(4), 0.5, 0.7, 0.05, 30, RngStream(5), FAST)
     assert rep.passed
     assert rep.checks[0].measured == 0.0
 
@@ -192,7 +190,7 @@ def test_progress_zero_marginals(u24):
 def test_progress_bound_formula_value():
     m = UniformMatroid(4, 8)
     rep = verify_progress(
-        m, np.zeros(8), 0.5, 4, 0.7, 0.05, 5, RngStream(6), FAST
+        m, np.zeros(8), 0.5, 0.7, 0.05, 5, RngStream(6), FAST
     )
     assert rep.checks[0].bound == pytest.approx((1 + 0.5 - (1 - 3 * 0.05) * 0.7) * 4)
     assert rep.checks[0].bound == pytest.approx(3.62)
@@ -200,13 +198,13 @@ def test_progress_bound_formula_value():
 
 def test_progress_rejects_marginals_outside_polytope(u12):
     with pytest.raises(ValueError):
-        verify_progress(u12, [0.6, 0.6], 0.5, 3, 0.7, 0.05, 5, RngStream(7), FAST)
+        verify_progress(u12, [0.6, 0.6], 0.5, 0.7, 0.05, 5, RngStream(7), FAST)
 
 
 def test_progress_graphic_smoke(k4):
     x = np.zeros(6)
     x[:3] = 0.5
-    rep = verify_progress(k4, x, 0.5, 3, 0.7, 0.05, 100, RngStream(8), FAST)
+    rep = verify_progress(k4, x, 0.5, 0.7, 0.05, 100, RngStream(8), FAST)
     assert rep.passed
 
 
