@@ -20,9 +20,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from chainocrs import GraphicMatroid, ParamOverrides, RngStream, chain_plan
 from chainocrs.cli import MODES, parse_config, run
+from chainocrs.sampling import _sampled_span_probabilities
 
 WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 
@@ -101,3 +104,57 @@ def test_mode_report_matches_pinned_sha256(mode, matroid):
     report, code = run(config)
     assert code == 0
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == MODE_PINS[mode, matroid]
+
+
+def _theta39_paths():
+    """Theta-39 with x = 0.263 on the 38 path edges and x_f = 0 on the edge
+    f = (0, 1): the instance of the theta-39 level-structure gate."""
+    m = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    x = np.full(39, 0.263)
+    x[0] = 0.0
+    return m, x
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _state(rng) -> list:
+    state = rng.bit_generator.state
+    return [state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"]]
+
+
+def test_sampled_oracle_on_dependent_columns_matches_its_pin():
+    # The drawn path columns are dependent, so the graphic label kernel
+    # counts the 20 000 rows, in six row blocks of the sampled oracle.
+    m, x = _theta39_paths()
+    probs = _sampled_span_probabilities(m, x, 0, RngStream(100).generator(), 20_000)
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == (
+        "3df92074420e0a1a04c6a57c3903802ee5d769194ccb1a6b8a950116d7120d7a"
+    )
+
+
+#: sha256 of (links, link sets of the sampled links, tail cutoffs, final
+#: generator position) of the theta-39 path chain on ``RngStream(seed)``.
+THETA_PATH_CHAIN_PINS = {
+    100: "dc165c28d43b7e6815998589c79c5d2caea0f17e481faf4da4abca8a17ceadd3",
+    101: "4678d555ed2ac1dd17106575242ce57aef27f183bd494191f89127a5fc96dd64",
+}
+
+
+@pytest.mark.parametrize("seed", list(THETA_PATH_CHAIN_PINS))
+def test_theta_path_chain_matches_its_pin(seed):
+    # Dependent columns past n = 20: the label kernel counts every row, and
+    # the first iteration puts f in A, so a batch that holds several
+    # iterations counts its later ones again under A = {f}.
+    m, x = _theta39_paths()
+    rng = RngStream(seed).generator()
+    chain, trace = chain_plan(m, x, 0.7, 0.05, ParamOverrides(q=200)).sample(rng)
+    assert chain.links[1] == 0b1  # C_1 = {f}
+    pinned = [
+        list(chain.links),
+        [list(lt.a_sets) for lt in trace.sampled],
+        list(trace.tail_h_bars),
+        _state(rng),
+    ]
+    assert _sha256(pinned) == THETA_PATH_CHAIN_PINS[seed]
