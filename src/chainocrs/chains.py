@@ -27,10 +27,13 @@ state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
 ``rng.multinomial(q, p, size=h)`` equals h calls of ``rng.multinomial(q, p)``,
-and ``rng.random(out=block)`` over consecutive row blocks, or over a
-(g, q, s) batch, equals that many calls of ``rng.random((q, s))``.  And an
-iteration whose set equals A_{h-1} leaves the next iteration where it was,
-so only the iterations that change A need a new classification.
+and ``sampling.draw_rows`` over consecutive row blocks, or over a (g, q, s)
+batch, flags what that many calls of ``rng.random((q, s)) < x`` flag: it
+compares the 53-bit integers k of the doubles k * 2^-53, drawn as 64-bit
+words for the bit generators that make doubles from one word, with
+ceil(x * 2^53).  And an iteration whose set equals A_{h-1} leaves the next
+iteration where it was, so only the iterations that change A need a new
+classification.
 
 * Absorbing tail (``ocrs_chain``): once a link's ground set C holds no
   element with a positive marginal, the link's estimates are
@@ -41,13 +44,14 @@ so only the iterations that change A need a new classification.
   vectors are drawn at once and classified against the current A in one
   product; the builder jumps to the first row whose set differs from A.
 * Sample rows (``_SpanCountEstimator.link_sets``): when whole iterations
-  fit in a batch of random values, the q x s rows of several iterations
-  are drawn by one call and counted by one call of the matroid's span
-  counter (``Matroid.span_counter``), which sums each iteration's rows on
-  its own; the builder jumps to the first iteration whose set differs from
-  A and counts the rest of the batch again under the new A, from the same
-  values.  A larger iteration is drawn in reused row blocks and counted
-  block by block.  Rows are never copied.
+  fit in a batch of a ``BATCH_SPLIT``-th of ``ROW_BLOCK_VALUES`` random
+  values, the q x s row flags of several iterations are drawn by one call
+  against the support's marginals and counted by one call of the matroid's
+  span counter (``Matroid.span_counter``), which sums each iteration's rows
+  on its own; the builder jumps to the first iteration whose set differs
+  from A and counts the rest of the batch again under the new A, from the
+  same draws with A's columns cleared.  A larger iteration is drawn in
+  reused row blocks and counted block by block.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
   ``BuildTrace.link_traces`` expands it only when read.
@@ -80,10 +84,11 @@ so only the iterations that change A need a new classification.
 * Independent rows (``Matroid.span_counter``): when the drawn columns left
   after A are independent in M/A, every count, in a batch, a row block or
   the sampled oracle, is column sums and one matmul against the
-  fundamental circuits, planned once per distinct A from a few rank and
-  span calls.  Basis-indicator marginals, the only kind the CLI takes past
-  n = 20, keep them independent in every iteration: an element enters A
-  only with its circuit, whose elements every row that spans it holds.
+  fundamental circuits, planned once per distinct A from two rank calls
+  and one call of the family's kernel.  Basis-indicator marginals, the
+  only kind the CLI takes past n = 20, keep them independent in every
+  iteration: an element enters A only with its circuit, whose elements
+  every row that spans it holds.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
 from .sampling import (
     EXACT_ENUM_MAX,
     as_marginals,
+    draw_rows,
     realization_weights,
     span_probabilities,
     spanned_weight,
@@ -117,6 +123,11 @@ ESTIMATOR_MEMO_MAX = 16
 #: Row blocks claimed past the first row that may decide an iteration hold
 #: a DECIDE_SPLIT-th of a worker's share of ROW_BLOCK_VALUES.
 DECIDE_SPLIT = 8
+
+#: Whole iterations are batched in a BATCH_SPLIT-th of ROW_BLOCK_VALUES
+#: random values: a smaller batch pays more fixed cost per call, a larger
+#: one falls out of the cache.
+BATCH_SPLIT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +424,9 @@ class _SpanCountEstimator:
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
         self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._a_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._a_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
         # Reused row blocks and generators, one per worker.
-        self._blocks: list[tuple[np.ndarray, np.ndarray] | None] = [None]
+        self._blocks: list[np.ndarray | None] = [None]
         self._gens: list[np.random.Generator] = []
         if not sup_ids:
             self.path = "empty"
@@ -467,15 +478,16 @@ class _SpanCountEstimator:
     def _row_link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
         """The ``rows`` path of ``link_sets``.
 
-        Whole iterations go in batches of at most a sixteenth of
-        ``ROW_BLOCK_VALUES`` random values, drawn by one ``rng.random`` call
-        and counted by one kernel call per A that the batch meets: after an
+        Whole iterations go in batches of at most a ``BATCH_SPLIT``-th of
+        ``ROW_BLOCK_VALUES`` random values, drawn by one ``draw_rows`` call
+        against the support's marginals and counted by one kernel call per
+        A that the batch meets, with A's columns cleared: after an
         iteration that changes A, the rest of the batch is counted again
-        under the new A from the same values.  An iteration too large for a
+        under the new A from the same draws.  An iteration too large for a
         batch is drawn and decided on its own by ``_row_flags``.
         """
         q, s = self.q, len(self.sup_ids)
-        per_batch = min(ROW_BLOCK_VALUES // 16 // (q * s), h_bar)
+        per_batch = min(ROW_BLOCK_VALUES // BATCH_SPLIT // (q * s), h_bar)
         a, sets = 0, []
         bar = threshold * q
         if not per_batch:
@@ -483,17 +495,20 @@ class _SpanCountEstimator:
                 a = self._set_of(self._row_flags(a, bar, rng))
                 sets.append(a)
             return sets
-        values = np.empty((per_batch, q, s))
-        active = np.empty(values.shape, dtype=bool)
+        drawn = np.empty((per_batch, q, s), dtype=bool)
+        active = np.empty(drawn.shape, dtype=bool)
         while len(sets) < h_bar:
             g = min(per_batch, h_bar - len(sets))
-            rng.random(out=values[:g])
+            draw_rows(rng, self.sup_x, (g, q, s), out=drawn[:g])
             first = len(sets)
             while len(sets) < first + g:
                 i = len(sets) - first
-                rows = np.less(values[i:g], self._x_out(a), out=active[i:g])
+                _, in_a, outside_a = self._of_a(a)
+                rows = drawn[i:g]
+                if outside_a is not None:
+                    rows = np.logical_and(rows, outside_a, out=active[i:g])
                 above = self.count(rows, a)[:, self.ground_ids] > bar
-                a = self._extend(sets, a, above, self._member_flags(a))
+                a = self._extend(sets, a, above, in_a)
         return sets
 
     def _set_of(self, in_set: np.ndarray) -> int:
@@ -520,22 +535,27 @@ class _SpanCountEstimator:
         # columns are drawn with probability 0 and never flagged.
         return self._of_a(a_mask)[0]
 
-    def _of_a(self, a_mask: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_x_out`` and ``_member_flags`` of A, memoized: A changes only
-        when a link grows."""
+    def _of_a(self, a_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``_x_out`` and ``_member_flags`` of A, and the support columns
+        outside A (None when A holds none), memoized: A changes only when
+        a link grows."""
         cached = self._a_cache.get(a_mask)
         if cached is None:
             in_a = bits_of(a_mask, self.m.n_universe)
-            cached = np.where(in_a[self.sup_ids], 0.0, self.sup_x), in_a[self.ground_ids]
+            outside_a = ~in_a[self.sup_ids]
+            cached = (
+                np.where(outside_a, self.sup_x, 0.0),
+                in_a[self.ground_ids],
+                None if outside_a.all() else outside_a,
+            )
             self._a_cache[a_mask] = cached
         return cached
 
-    def _block(self, i: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Worker i's reused row block: ``rows`` x s values and their flags."""
-        s = len(self.sup_ids)
+    def _block(self, i: int, rows: int) -> np.ndarray:
+        """Worker i's reused block of ``rows`` x s row flags."""
         block = self._blocks[i]
-        if block is None or len(block[0]) != rows:
-            block = self._blocks[i] = np.empty((rows, s)), np.empty((rows, s), dtype=bool)
+        if block is None or len(block) != rows:
+            block = self._blocks[i] = np.empty((rows, len(self.sup_ids)), dtype=bool)
         return block
 
     def _row_flags(self, a_mask: int, bar: float, rng: np.random.Generator) -> np.ndarray:
@@ -584,7 +604,7 @@ class _SpanCountEstimator:
         def work(i: int) -> int:
             nonlocal undecided, done, claimed, needed, failed
             gen = self._gens[i - 1] if i else rng
-            values, active = self._block(i, rows)
+            active = self._block(i, rows)
             counts = None
             at = 0
             while True:
@@ -605,8 +625,7 @@ class _SpanCountEstimator:
                 try:
                     workers.skip_doubles(gen, (start - at) * s)
                     at = start + b
-                    gen.random(out=values[:b])
-                    counts = self.count(np.less(values[:b], x_out, out=active[:b]), a_mask)
+                    counts = self.count(draw_rows(gen, x_out, (b, s), out=active[:b]), a_mask)
                 except BaseException:
                     failed = True
                     raise

@@ -336,11 +336,7 @@ def generate_marginal(spec: dict, m: Matroid, lam: float) -> np.ndarray:
         for e in iter_ids(m.ground_mask):
             x[e] = level
     elif kind == "basis-indicator-scaled":
-        basis = 0
-        for e in iter_ids(m.ground_mask):
-            if m.is_independent(basis | (1 << e)):
-                basis |= 1 << e
-        for e in iter_ids(basis):
+        for e in iter_ids(m.greedy_basis()):
             x[e] = lam
         return x  # in lambda * P_M by construction
     elif kind == "custom":

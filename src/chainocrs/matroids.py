@@ -28,12 +28,12 @@ SPAN_TABLE_MAX = 20
 #: Largest universe on which exhaustive axiom validation is allowed.
 AXIOM_CHECK_MAX = 12
 
-#: Values per block of sample rows (1 MiB of float64): large enough that
+#: Values per block of sample rows (1 MiB of 64-bit draws): large enough that
 #: per-block call overhead is small, small enough that a block never holds
 #: a full q x rank matrix.  The estimator draws the rows of one iteration
 #: in blocks of this many random values, shared by the workers that fill
 #: them (k workers hold a k-th of it each), and whole iterations in batches
-#: of a sixteenth of it; the graphic span kernel labels at most this many
+#: of a quarter of it; the graphic span kernel labels at most this many
 #: vertices (and compares as many edge endpoints) at once.
 ROW_BLOCK_VALUES = 1 << 17
 
@@ -97,6 +97,15 @@ class Matroid:
             self._rank_full = self._rank_masked(self.ground_mask)
         return self._rank_full
 
+    def greedy_basis(self) -> int:
+        """The basis that keeps, in id order, each ground element that is
+        independent of the elements kept before it."""
+        basis = 0
+        for e in iter_ids(self.ground_mask):
+            if self.is_independent(basis | (1 << e)):
+                basis |= 1 << e
+        return basis
+
     # -- minors ----------------------------------------------------------
 
     def restrict(self, keep_mask: int) -> "Matroid":
@@ -131,8 +140,9 @@ class Matroid:
         circuit C_e = {d ∈ D : e ∉ span(A ∪ D - d)} of every e ∈ span(A ∪ D)
         (C_e = ∅ on span(A), {e} on D), so a count is column sums, one
         matmul of the rows against the distinct larger C_e, and q
-        (``_circuit_plan``, built once per distinct A).  Otherwise the
-        family's kernel (``_span_kernel``) counts the rows.
+        (``_circuit_plan``, built once per distinct A by one call of the
+        family's kernel).  Otherwise the family's kernel (``_span_kernel``)
+        counts the rows.
         """
         cols = np.asarray(cols, dtype=np.int64)
         kernel = self._span_kernel(cols)
@@ -146,43 +156,28 @@ class Matroid:
                 with building:
                     plan = plans.get(a_mask, building)
                     if plan is building:
-                        plan = plans[a_mask] = self._circuit_plan(cols, a_mask)
+                        plan = plans[a_mask] = self._circuit_plan(cols, a_mask, kernel)
             return kernel(rows, a_mask) if plan is None else plan(rows)
 
         return count
 
-    def _circuit_plan(self, cols: np.ndarray, a_mask: int):
+    def _circuit_plan(self, cols: np.ndarray, a_mask: int, kernel):
         """``rows -> counts`` from the fundamental circuits of the columns
         left after A, or None when they are dependent in M/A.
 
-        Two rank calls test D; then one span call per element of D, and one
-        for span(A ∪ D) unless A ∪ D has full rank, through the dense span
-        table when it is already built.
+        Two rank calls test D; then one call of the family's ``kernel`` on
+        |D| + 1 one-row groups, the rows D - d for every d ∈ D and then D,
+        gives span(A ∪ D - d) and span(A ∪ D).
         """
         n, s = self.n_universe, len(cols)
         d_pos = np.flatnonzero(~bits_of(a_mask, n)[cols])
-        d_ids = cols[d_pos].tolist()
-        ad = a_mask | mask_of(d_ids)
-        r_ad = self.rank(ad)
-        if r_ad - self.rank(a_mask) != len(d_ids):
+        if self.rank(a_mask | mask_of(cols[d_pos].tolist())) - self.rank(a_mask) != len(d_pos):
             return None
-        masks = [ad & ~(1 << d) for d in d_ids]
-        spans_all = r_ad == self.full_rank()
-        if not spans_all:
-            masks.append(ad)
-        lookup = self._built_lookup()
-        if lookup is not None:
-            spans = lookup(np.array(masks, dtype=np.int64)).tolist()
-        else:
-            spans = [self.span(mask) for mask in masks]
-        spanned = bits_of(self.ground_mask if spans_all else spans.pop(), n)
+        rows = np.zeros((len(d_pos) + 1, 1, s), dtype=bool)
+        rows[:, 0, d_pos] = ~np.eye(len(d_pos) + 1, len(d_pos), dtype=bool)
+        spans = kernel(rows, a_mask) > 0
         # in_circuit[i, e]: d_i ∈ C_e, that is e ∉ span(A ∪ D - d_i).
-        width = (n + 7) // 8
-        packed = b"".join(c.to_bytes(width, "little") for c in spans)
-        in_circuit = ~np.unpackbits(
-            np.frombuffer(packed, dtype=np.uint8).reshape(-1, width),
-            axis=1, count=n, bitorder="little",
-        ).view(bool)
+        in_circuit, spanned = ~spans[:-1], spans[-1]
         sizes = in_circuit.sum(axis=0)
         # Elements with the same C_e of two or more share one matmul column.
         multi = np.flatnonzero(spanned & (sizes > 1))
@@ -244,7 +239,7 @@ class Matroid:
         pow2 = [1 << int(e) for e in cols]
 
         def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            groups = rows.reshape((-1,) + rows.shape[-2:])
+            groups = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
             out = np.zeros((len(groups), n), dtype=np.int64)
             for group, group_rows in zip(out, groups):
                 counts = [0] * n
@@ -274,10 +269,6 @@ class Matroid:
             return span_t[masks]
 
         return lookup
-
-    def _built_lookup(self):
-        """``span_lookup()`` once the dense tables exist, else None."""
-        return self.span_lookup() if self._tables is not None else None
 
     def rank_table(self) -> np.ndarray:
         """Dense table rank(m & ground) for every universe mask m (n <= 20)."""
@@ -400,7 +391,8 @@ class GraphicMatroid(Matroid):
         self._ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
 
     def _forest(self, mask: int):
-        """Union-find over the edges of ``mask``: its ``find`` and the rank."""
+        """Union-find over the edges of ``mask`` in id order: its ``find``
+        and the mask of the edges that joined two components."""
         parent = list(range(self.n_vertices))
 
         def find(a: int) -> int:
@@ -409,17 +401,22 @@ class GraphicMatroid(Matroid):
                 a = parent[a]
             return a
 
-        r = 0
+        forest = 0
         for e in iter_ids(mask):
             u, v = self.edges[e]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-                r += 1
-        return find, r
+                forest |= 1 << e
+        return find, forest
 
     def _rank_masked(self, mask: int) -> int:
-        return self._forest(mask)[1]
+        return self._forest(mask)[1].bit_count()
+
+    def greedy_basis(self) -> int:
+        # An edge is independent of the edges kept before it iff it joins
+        # two of their components.
+        return self._forest(self.ground_mask)[1]
 
     def _span_masked(self, mask: int) -> int:
         find = self._forest(mask)[0]
@@ -454,7 +451,7 @@ class GraphicMatroid(Matroid):
                 a_memo[a_mask] = ends
             row_tail, row_head, edge_tail, edge_head = ends
             q = rows.shape[-2]
-            flat = rows.reshape(-1, rows.shape[-1])
+            flat = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
             counts = np.zeros((math.prod(rows.shape[:-2]), n), dtype=np.int64)
             # Equal chunks: a short remainder chunk would cost nearly as
             # many labelling rounds as a full one.
@@ -649,9 +646,6 @@ class MinorMatroid(Matroid):
             return counts
 
         return count
-
-    def _built_lookup(self):
-        return self.span_lookup() if self.base._tables is not None else None
 
     def span_lookup(self):
         base_lookup = self.base.span_lookup()

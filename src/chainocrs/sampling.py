@@ -10,7 +10,8 @@ frequency over sample rows, counted by the matroid's span kernel, beyond.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream)``: trial i uses stream id i, so its draws do not depend
-on any other trial.
+on any other trial.  Every block of sample rows is drawn by ``draw_rows``,
+which compares 53-bit integers where the bit generator allows it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,26 @@ def sample_active_set(x: np.ndarray, rng: np.random.Generator) -> int:
     """One realization of D(x) as a bitmask."""
     bits = rng.random(len(x)) < x
     return _pack_bits(bits)
+
+
+def draw_rows(
+    rng: np.random.Generator, x: np.ndarray, shape: tuple, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row flags ``rng.random(shape) < x``, with the same generator state after.
+
+    ``random()`` returns k * 2^-53 for an integer k < 2^53, and
+    k * 2^-53 < x iff k < ceil(x * 2^53).  Philox, PCG64, PCG64DXSM and
+    SFC64 make k as ``next_uint64 >> 11``, so for them the words are drawn
+    as integers and compared without a float block; MT19937, which builds
+    its doubles from two 32-bit words, and any other bit generator draw
+    the doubles.  ``out`` takes the flags.
+    """
+    bg = rng.bit_generator
+    if not isinstance(bg, (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)):
+        return np.less(rng.random(shape), x, out=out)
+    k = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    np.right_shift(k, 11, out=k)
+    return np.less(k, np.ceil(np.multiply(x, 2.0**53)).astype(np.uint64), out=out)
 
 
 def _pack_bits(bits: np.ndarray) -> int:
@@ -146,13 +167,11 @@ def _sampled_span_probabilities(
     if not len(sup):
         return bits_of(m.span(base), m.n_universe).astype(np.float64)
     count, x_sup = m.span_counter(sup), x[sup]
-    values = np.empty((min(samples, max(1, ROW_BLOCK_VALUES // len(sup))), len(sup)))
-    active = np.empty(values.shape, dtype=bool)
+    active = np.empty((min(samples, max(1, ROW_BLOCK_VALUES // len(sup))), len(sup)), dtype=bool)
     counts = np.zeros(m.n_universe, dtype=np.int64)
-    for start in range(0, samples, len(values)):
-        b = min(len(values), samples - start)
-        rng.random(out=values[:b])
-        counts += count(np.less(values[:b], x_sup, out=active[:b]), base)
+    for start in range(0, samples, len(active)):
+        b = min(len(active), samples - start)
+        counts += count(draw_rows(rng, x_sup, (b, len(sup)), out=active[:b]), base)
     return counts / samples
 
 

@@ -398,6 +398,14 @@ def _exact_weights(m: Matroid, x) -> tuple[list[int], list[int], int]:
     return masks, nums, denom
 
 
+#: ``_exact_weights`` of x and the rank table as a Python list.
+_ExactTables = tuple[list[int], list[int], int, list[int]]
+
+
+def _exact_tables(m: Matroid, x) -> _ExactTables:
+    return (*_exact_weights(m, x), [int(v) for v in m.rank_table()])
+
+
 def brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> TAlphaResult:
     """Exhaustive T_alpha(B) with exact rational expectations.
 
@@ -405,6 +413,11 @@ def brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> TAlphaResult:
     smallest mask.  Limited to n <= 12; cost is 2^n candidates times 2^n
     realizations (integer arithmetic throughout).
     """
+    return _brute_force_T_alpha(m, x, b_mask, alpha)[0]
+
+
+def _brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> tuple[TAlphaResult, _ExactTables]:
+    """``brute_force_T_alpha`` and the tables it built."""
     if m.n_universe > T_ALPHA_MAX:
         raise ValueError(f"T_alpha brute force is limited to n <= {T_ALPHA_MAX}")
     if b_mask & ~m.ground_mask:
@@ -412,8 +425,8 @@ def brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> TAlphaResult:
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    masks, nums, denom = _exact_weights(m, x)
-    rank_t = [int(v) for v in m.rank_table()]
+    tables = _exact_tables(m, x)
+    masks, nums, denom, rank_t = tables
     a_num, a_den = alpha.numerator, alpha.denominator
     # score(T) = (a_den - a_num) * denom * r(T|B)  -  a_den * sum_R num_R * r(T | B ∪ R)
     # is the objective scaled by the positive constant (1-alpha)^{-1}-free
@@ -439,7 +452,7 @@ def brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> TAlphaResult:
         for r_mask, n_r, rbr in zip(masks, nums, r_b_or_r)
     )
     objective = Fraction(rank_t[best] - r_b) - Fraction(e_num_best, denom) / (1 - alpha)
-    return TAlphaResult(b_mask=b_mask, alpha=alpha, t_mask=best, objective=objective)
+    return TAlphaResult(b_mask=b_mask, alpha=alpha, t_mask=best, objective=objective), tables
 
 
 def t_alpha_bullets_hold(
@@ -451,9 +464,14 @@ def t_alpha_bullets_hold(
     Second (for a given Q disjoint from T):
     E[r(Q ∩ span(T ∪ R) | T)] <= alpha * r(Q | T).
     """
-    masks, nums, denom = _exact_weights(m, x)
-    rank_t = [int(v) for v in m.rank_table()]
-    span_t = m._dense_tables()[1]
+    return _bullets_hold(m, _exact_tables(m, x), result, q_mask)
+
+
+def _bullets_hold(
+    m: Matroid, tables: _ExactTables, result: TAlphaResult, q_mask: int | None
+) -> tuple[bool, bool | None]:
+    """``t_alpha_bullets_hold`` from tables built once per verdict."""
+    masks, nums, denom, rank_t = tables
     a_num, a_den = result.alpha.numerator, result.alpha.denominator
     b, t = result.b_mask, result.t_mask
     lhs1 = sum(
@@ -466,10 +484,8 @@ def t_alpha_bullets_hold(
     if q_mask & t:
         raise ValueError("Q must be disjoint from T")
     r_t = rank_t[t]
-    lhs2 = sum(
-        n_r * (rank_t[(q_mask & int(span_t[t | r_mask])) | t] - r_t)
-        for r_mask, n_r in zip(masks, nums)
-    )
+    spans = m.span_lookup()(np.array(masks, dtype=np.int64) | np.int64(t)).tolist()
+    lhs2 = sum(n_r * (rank_t[(q_mask & span) | t] - r_t) for span, n_r in zip(spans, nums))
     second = a_den * lhs2 <= a_num * denom * (rank_t[q_mask | t] - r_t)
     return first, second
 
@@ -483,8 +499,8 @@ def verify_t_alpha(
     rng: np.random.Generator,
 ) -> VerifyReport:
     """Build T_alpha(B) and check both guarantees, the second over random Q."""
-    result = brute_force_T_alpha(m, x, b_mask, alpha)
-    first, _ = t_alpha_bullets_hold(m, x, result)
+    result, tables = _brute_force_T_alpha(m, x, b_mask, alpha)
+    first, _ = _bullets_hold(m, tables, result, None)
     checks = [
         VerifyCheck(
             name="contains-B",
@@ -502,7 +518,7 @@ def verify_t_alpha(
         for e in out_ids:
             if rng.random() < 0.5:
                 q_mask |= 1 << e
-        _, second = t_alpha_bullets_hold(m, x, result, q_mask)
+        _, second = _bullets_hold(m, tables, result, q_mask)
         if not second:
             failures += 1
     checks.append(

@@ -1,8 +1,10 @@
 """Helper threads that run numpy work beside the calling thread.
 
-numpy releases the interpreter lock inside ``Generator.random(out=...)``
-and inside most ufuncs and reductions, so blocks of such work can run on
-every CPU at once.  ``run_workers`` runs ``work(0)`` on the calling thread
+numpy releases the interpreter lock while a generator fills an array,
+whether with doubles (``Generator.random``) or with 64-bit integers
+(``Generator.integers``, as ``sampling.draw_rows`` draws rows), and inside
+most ufuncs and reductions, so blocks of such work can run on every CPU at
+once.  ``run_workers`` runs ``work(0)`` on the calling thread
 and ``work(1)``, ..., ``work(k-1)`` on daemon helper threads.  Helpers are
 a process-wide resource: they start on first use, one per worker beyond
 the first, and then wait for the next call.  Importing this module starts

@@ -32,7 +32,7 @@ from chainocrs import chains, matroids, workers
 from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
-from chainocrs.sampling import realization_weights
+from chainocrs.sampling import draw_rows, realization_weights
 from chainocrs.stats import bonferroni_z
 from conftest import small_corpus
 
@@ -265,7 +265,8 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
     # family kernel.  The columns also hold elements of A (never flagged),
     # one column is flagged in every row (x_e = 1), and one case per matroid
     # has D = ∅.  Loops, parallel edges and A's spans put elements in
-    # span(A) \ A.
+    # span(A) \ A.  A plan is built by one call of the family's kernel, so
+    # past n = 20 a graphic plan makes no span() call.
     multi, lam = _multigraph(), _laminar()
     u = UniformMatroid(6, 30)
     part = PartitionMatroid([range(0, 5), range(5, 14), range(14, 24)], [2, 4, 1])
@@ -276,14 +277,27 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
         part, part.contract(mask_of([0, 5, 6, 14])),
         lam, lam.restrict(full_mask(24) & ~mask_of([5, 17])).contract(mask_of([0, 12])),
         multi, multi.restrict(mask_of(range(0, 45, 3)) | 0b11110),
-        multi.contract(mask_of([3, 7, 11, 30])),
-        _theta(19).contract(0b110), k5, k5.contract(0b11), explicit, explicit.restrict(0b11101110),
+        multi.contract(mask_of([3, 7, 11, 30])), _theta(19), _theta(19).contract(0b110),
+        k5, k5.contract(0b11), explicit, explicit.restrict(0b11101110),
     ]
-    built = []
-    real_plan = Matroid._circuit_plan
-    monkeypatch.setattr(
-        Matroid, "_circuit_plan", lambda *a: built.append(real_plan(*a)) or built[-1]
-    )
+    built, planning, plan_spans = [], [], []
+    real_plan, real_span = Matroid._circuit_plan, Matroid.span
+
+    def plan(*args):
+        planning.append(1)
+        try:
+            built.append(real_plan(*args))
+        finally:
+            planning.pop()
+        return built[-1]
+
+    def span(self, mask):
+        if planning:
+            plan_spans.append(mask)
+        return real_span(self, mask)
+
+    monkeypatch.setattr(Matroid, "_circuit_plan", plan)
+    monkeypatch.setattr(Matroid, "span", span)
     rng = np.random.default_rng(8)
     seen = {"span(A) beyond A": 0, "D empty": 0, "circuits of 2+": 0, "fallback": 0}
     for m in cases:
@@ -305,10 +319,13 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
                 rows[..., d_cols[0]] = True
             expected = [_span_reference(m, cols, g, a_mask).tolist() for g in rows]
             built.clear()
+            plan_spans.clear()
             count = m.span_counter(cols)
             assert count(rows, a_mask).tolist() == expected
             assert count(rows[1], a_mask).tolist() == expected[1]
             assert len(built) == 1 and (built[0] is None) == dependent
+            graphic = isinstance(getattr(m, "base", m), GraphicMatroid)
+            assert not (graphic and m.n_universe > 20 and plan_spans)
             spanned_by_a = m.span(a_mask) & ~a_mask
             seen["span(A) beyond A"] += not dependent and bool(spanned_by_a)
             seen["D empty"] += not d_mask
@@ -330,10 +347,10 @@ def test_circuit_plans_are_built_once_per_a_across_threads(monkeypatch):
     real_plan = Matroid._circuit_plan
     built = []
 
-    def plan(self, cols, a_mask):
+    def plan(self, cols, a_mask, kernel):
         built.append(a_mask)
         time.sleep(0.005)
-        return real_plan(self, cols, a_mask)
+        return real_plan(self, cols, a_mask, kernel)
 
     monkeypatch.setattr(Matroid, "_circuit_plan", plan)
     rng = np.random.default_rng(4)
@@ -598,7 +615,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
     for m, x, threshold, q in cases:
         x = as_marginals(x)
         s = sum(x[e] > 0 for e in iter_ids(m.ground_mask))
-        monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", 16 * per_batch * q * s)
+        monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", chains.BATCH_SPLIT * per_batch * q * s)
         assert _SpanCountEstimator(m, x, q).path == "rows"
         params = LinkParams(rho=3, threshold=threshold, eps=0.05, q=q, eta=10)
         seen = set()
@@ -738,7 +755,8 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
     # iteration through span() calls; every iteration runs the block loop
     # on all the workers asked for, and near the threshold A changes
     # between iterations.  Only the multigraph's dependent columns reach
-    # the graphic label kernel; theta's independent ones count by circuits.
+    # the graphic label kernel; theta's independent ones count by circuits,
+    # and label components only to plan them.
     theta = _theta(19)
     x_theta = np.zeros(39)
     x_theta[[0] + list(range(1, 39, 2))] = 0.3
@@ -754,11 +772,23 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
     ]
     q = 41
     runs = _record_runs(monkeypatch)
-    labellings = []
-    real_labels = matroids._component_labels
-    monkeypatch.setattr(
-        matroids, "_component_labels", lambda *a: labellings.append(1) or real_labels(*a)
-    )
+    labellings, planning = [], []
+    real_labels, real_plan = matroids._component_labels, Matroid._circuit_plan
+
+    def labels(*args):
+        if not planning:
+            labellings.append(1)
+        return real_labels(*args)
+
+    def plan(*args):
+        planning.append(1)
+        try:
+            return real_plan(*args)
+        finally:
+            planning.pop()
+
+    monkeypatch.setattr(matroids, "_component_labels", labels)
+    monkeypatch.setattr(Matroid, "_circuit_plan", plan)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
     for m, x, threshold in cases:
         labellings.clear()
@@ -904,6 +934,41 @@ def test_skip_doubles_matches_single_draws(bit_generator, pre):
             ref_rng.random()
         assert _state_of(rng) == _state_of(ref_rng)
         assert rng.random(3).tolist() == ref_rng.random(3).tolist()
+
+
+@pytest.mark.parametrize("pre", ["0", "1", "3", "u32"])
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox, np.random.MT19937],
+)
+def test_draw_rows_matches_double_draws(bit_generator, pre):
+    # Rows drawn as 53-bit integers flag what rng.random(shape) < x flags
+    # and leave the generator where it leaves it, from any buffer position
+    # and with a saved 32-bit half-word.  The thresholds include 0, 1 and
+    # the steps next to them, and, for the last columns, a value drawn in
+    # the column itself, its neighbours k * 2^-53 on either side, and the
+    # point halfway to the next one.
+    step = 2.0**-53
+    fixed = [0.0, step, 0.25, 1 / 3, 1 - step, 1.0]
+    shape = (2, 9, len(fixed) + 8)
+
+    def fresh():
+        return _at_buffer_position(np.random.Generator(bit_generator(11)), pre)
+
+    drawn = fresh().random(shape)
+    # Below 1/2, k + 1/2 steps is a double.
+    low = [drawn[..., c][drawn[..., c] < 0.5][0] for c in range(len(fixed), shape[-1])]
+    x = np.array(fixed + low)
+    x[len(fixed):] += np.repeat([0.0, -step, step, step / 2], 2)
+    rng, ref = fresh(), fresh()
+    out = np.empty(shape, dtype=bool)
+    flags = draw_rows(rng, x, shape, out=out)
+    expected = ref.random(shape) < x
+    assert flags is out and flags.tolist() == expected.tolist()
+    assert _state_of(rng) == _state_of(ref)
+    assert expected[..., 6:].any() and not expected[..., 6:].all()
+    assert draw_rows(rng, x[:6], (5, 6)).tolist() == (ref.random((5, 6)) < x[:6]).tolist()
+    assert _state_of(rng) == _state_of(ref)
 
 
 def test_parallel_row_blocks_under_thread_switching(monkeypatch):

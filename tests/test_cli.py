@@ -608,45 +608,59 @@ THETA39 = {
 def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
     # Past n = 20 the CLI takes only basis-indicator marginals, so the drawn
     # columns stay independent in M/A in every iteration and the circuit
-    # counter counts every row: each distinct A costs at most |D| + 2 rank
-    # and span calls, no family kernel runs (no per-row span(), no
-    # component labels), and the report equals the family kernels' one.
+    # counter counts every row.  Each distinct A costs two rank calls and
+    # one family-kernel call on its |D| + 1 one-row groups, with no span()
+    # call on the graphic matroid; the family kernel counts no sample row
+    # (no per-row span(), no component labels outside a plan), and the
+    # report equals the family kernels' one.
     from chainocrs import matroids
     from chainocrs.matroids import Matroid, MinorMatroid
 
     config = parse_config(base_config(**overrides))
     plans, inside = [], []
     real_span, real_rank, real_plan = Matroid.span, Matroid.rank, Matroid._circuit_plan
-    real_kernel = MinorMatroid._span_kernel
+    real_kernel, real_labels = MinorMatroid._span_kernel, matroids._component_labels
 
-    def oracle(real):
+    def oracle(real, name):
         def call(self, mask):
             if inside:
-                inside[-1] += 1
+                inside[-1][name] += 1
             return real(self, mask)
 
         return call
 
-    def plan(self, cols, a_mask):
-        inside.append(0)
+    def plan(self, cols, a_mask, kernel):
+        inside.append({"span": 0, "rank": 0, "kernel": []})
         try:
-            built = real_plan(self, cols, a_mask)
+            built = real_plan(self, cols, a_mask, kernel)
         finally:
             calls = inside.pop()
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
-        plans.append((a_mask, built is not None, calls <= d_size + 2))
+        spans_ok = calls["span"] == 0 or overrides["matroid"] is LAMINAR24
+        cheap = calls["rank"] == 2 and calls["kernel"] == [d_size + 1] and spans_ok
+        plans.append((a_mask, built is not None, cheap))
         return built
 
     def kernel(self, cols):
         count = real_kernel(self, cols)
-        return lambda rows, a_mask: pytest.fail("family kernel ran") or count(rows, a_mask)
+
+        def counted(rows, a_mask):
+            if not inside:
+                pytest.fail("family kernel ran")
+            inside[-1]["kernel"].append(len(rows))
+            return count(rows, a_mask)
+
+        return counted
+
+    def labels(*args):
+        return real_labels(*args) if inside else pytest.fail("labels")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Matroid, "span", oracle(real_span))
-        patch.setattr(Matroid, "rank", oracle(real_rank))
+        patch.setattr(Matroid, "span", oracle(real_span, "span"))
+        patch.setattr(Matroid, "rank", oracle(real_rank, "rank"))
         patch.setattr(Matroid, "_circuit_plan", plan)
         patch.setattr(MinorMatroid, "_span_kernel", kernel)
-        patch.setattr(matroids, "_component_labels", lambda *a: pytest.fail("labels"))
+        patch.setattr(matroids, "_component_labels", labels)
         report, code = run(config)
     assert code == 0
     assert all(built and cheap for _, built, cheap in plans), plans

@@ -11,6 +11,7 @@ from chainocrs import (
     ExplicitMatroid,
     GraphicMatroid,
     LaminarMatroid,
+    Matroid,
     PartitionMatroid,
     UniformMatroid,
     matroid_from_descriptor,
@@ -19,7 +20,7 @@ from chainocrs import (
 )
 from chainocrs.bitset import full_mask, ids_of, submasks
 
-from conftest import small_corpus
+from conftest import explicit_corpus, small_corpus
 
 
 def brute_rank(independents, mask):
@@ -87,6 +88,24 @@ def test_span_properties(seed, data):
 
 
 # -- minors --------------------------------------------------------------
+
+
+def test_greedy_basis_matches_the_independence_loop():
+    # Every family's greedy basis is the loop that keeps, in id order, each
+    # element independent of those kept, and is a basis; the graphic
+    # override reads it from one union-find, also with loops, parallel
+    # edges and isolated vertices, and on a minor the loop runs.
+    multigraph = GraphicMatroid(
+        7, [(0, 0), (1, 2), (2, 1), (3, 4), (4, 5), (3, 5), (5, 5), (1, 4), (0, 6)]
+    )
+    theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
+    corpus = small_corpus() + explicit_corpus() + [multigraph, theta, theta.contract(0b110)]
+    for m in corpus:
+        basis = m.greedy_basis()
+        assert basis == Matroid.greedy_basis(m), m
+        assert m.is_independent(basis) and basis.bit_count() == m.full_rank()
+    assert multigraph.greedy_basis() == 0b110011010
+    assert theta.greedy_basis() == 1 | sum(1 << e for e in range(1, 39, 2))
 
 
 def test_restrict_identity(u24):

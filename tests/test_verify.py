@@ -305,6 +305,29 @@ def test_t_alpha_random_explicit_instance():
     assert rep.passed
 
 
+def test_verify_t_alpha_builds_its_tables_once(monkeypatch):
+    # One verdict enumerates the realizations and reads the rank table once,
+    # whatever q_trials, and gives the verdict of the per-call checks.
+    from chainocrs import verify
+
+    m, x, b_mask, alpha = UniformMatroid(4, 10), [0.3] * 10, 0b11, Fraction(1, 5)
+    res = brute_force_T_alpha(m, x, b_mask, alpha)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    failures = 0
+    for _ in range(20):
+        q_mask = sum(1 << e for e in ids_of(m.ground_mask & ~res.t_mask) if ref_rng.random() < 0.5)
+        failures += not t_alpha_bullets_hold(m, x, res, q_mask)[1]
+    builds = []
+    real = verify._exact_weights
+    monkeypatch.setattr(verify, "_exact_weights", lambda *a: builds.append(1) or real(*a))
+    rep = verify_t_alpha(m, x, b_mask, alpha, 20, rng)
+    assert len(builds) == 1
+    assert rep.meta["T"] == ids_of(res.t_mask)
+    assert rep.checks[1].measured == float(not t_alpha_bullets_hold(m, x, res)[0])
+    assert rep.checks[2].measured == failures
+    assert rng.random() == ref_rng.random()
+
+
 def test_t_alpha_refuses_large():
     with pytest.raises(ValueError):
         brute_force_T_alpha(UniformMatroid(3, 13), [0.1] * 13, 0, 0.3)
