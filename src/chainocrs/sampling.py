@@ -88,8 +88,8 @@ def draw_rows(
     its doubles from two 32-bit words, and any other bit generator draw
     the doubles.  ``out`` takes the flags.
     """
-    bg = rng.bit_generator
-    if not isinstance(bg, (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)):
+    one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+    if not isinstance(rng.bit_generator, one_word):
         return np.less(rng.random(shape), x, out=out)
     k = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
     np.right_shift(k, 11, out=k)

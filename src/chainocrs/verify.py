@@ -416,7 +416,9 @@ def brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> TAlphaResult:
     return _brute_force_T_alpha(m, x, b_mask, alpha)[0]
 
 
-def _brute_force_T_alpha(m: Matroid, x, b_mask: int, alpha) -> tuple[TAlphaResult, _ExactTables]:
+def _brute_force_T_alpha(
+    m: Matroid, x, b_mask: int, alpha
+) -> tuple[TAlphaResult, _ExactTables]:
     """``brute_force_T_alpha`` and the tables it built."""
     if m.n_universe > T_ALPHA_MAX:
         raise ValueError(f"T_alpha brute force is limited to n <= {T_ALPHA_MAX}")

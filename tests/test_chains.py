@@ -576,12 +576,13 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
 
 def test_batched_row_iterations_match_sequential_reference(monkeypatch):
     # The rows path with three iterations per batch of random values (a
-    # sixteenth of ROW_BLOCK_VALUES): near the threshold, links grow in the
-    # middle of a batch and at its last iteration, and h̄ often leaves a
-    # partial last batch; label chunks of a few rows cut across a batch's
-    # iterations.  Every link matches the one-iteration-at-a-time reference
-    # in its sets, its trace and the next draw, and every batch takes one
-    # kernel call, plus one for the rest of the batch after each change of A.
+    # BATCH_SPLIT-th of ROW_BLOCK_VALUES): near the threshold, links grow
+    # in the middle of a batch and at its last iteration, and h̄ often
+    # leaves a partial last batch; label chunks of a few rows cut across a
+    # batch's iterations.  Every link matches the one-iteration-at-a-time
+    # reference in its sets, its trace and the next draw, and every batch
+    # takes one kernel call, plus one for the rest of the batch after each
+    # change of A.
     theta = _theta(19)
     x_theta = np.zeros(39)
     x_theta[[0] + list(range(1, 39, 2))] = 0.3  # on a spanning tree
