@@ -565,7 +565,7 @@ class _SpanCountEstimator:
 
         Workers claim row blocks in increasing order.  Worker 0 draws from
         ``rng``, and each helper moves its own Philox copy of ``rng`` to its
-        block's offset in the iteration, so every block holds the values one
+        block's offset in the iteration, so every block flags the values one
         ``rng.random((q, s))`` call puts there.  Under the claim lock a worker
         adds its block's counts to the running totals and decides what they
         settle: after ``done`` rows an element is in once its total exceeds
