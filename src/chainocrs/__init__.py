@@ -9,7 +9,6 @@ from .chains import (
     ParamOverrides,
     SpanningChain,
     TruncationDistribution,
-    chain_freeness,
     chain_plan,
     minimal_link_construction,
     ocrs_chain,
@@ -25,7 +24,6 @@ from .matroids import (
     UniformMatroid,
     ValidationReport,
     matroid_from_descriptor,
-    random_explicit_matroid,
     validate_axioms,
 )
 from .sampling import (
@@ -50,11 +48,9 @@ from .selection import (
 )
 from .verify import (
     AuditTable,
-    GoodBadVerdict,
     TAlphaResult,
     VerifyReport,
     brute_force_T_alpha,
-    classify_element,
     sample_complexity_audit,
     t_alpha_bullets_hold,
     verify_freeness_likely,

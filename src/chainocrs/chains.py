@@ -16,11 +16,11 @@ draw accounting unchanged), and ``rows`` otherwise, where sample rows are
 drawn and the matroid counts them: by fundamental circuits when the drawn
 columns are independent after A, else with the kernel of its family.
 
-The known-marginals baseline link (``minimal_link_construction``) and the
-freeness of an element at its level (``chain_freeness``) read their
-probabilities from the package's one spanning-probability oracle in
-``sampling``: the link, whose base differs per element, through the exact
-branch's per-element entry ``spanned_weight``.
+The known-marginals baseline link (``minimal_link_construction``) reads
+its probabilities from the package's one spanning-probability oracle in
+``sampling``, through the exact branch's per-element entry
+``spanned_weight``, because its base differs per element.  The freeness of
+an element at its level is read from the same oracle by ``verify``.
 
 Eight shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
@@ -109,7 +109,6 @@ from .sampling import (
     as_marginals,
     draw_rows,
     realization_weights,
-    span_probabilities,
     spanned_weight,
     universe_marginals,
 )
@@ -370,7 +369,9 @@ class SpanningChain:
         raise AssertionError("unreachable: element in C_0 has a level")
 
     def to_jsonable(self) -> list[list[int]]:
-        return [ids_of(c) for c in self.links]
+        # An absorbing tail repeats one set, so ids_of runs once per distinct link.
+        ids = {c: ids_of(c) for c in set(self.links)}
+        return [ids[c] for c in self.links]
 
 
 # ---------------------------------------------------------------------------
@@ -522,23 +523,18 @@ class _SpanCountEstimator:
         if cached is None:
             spans = self.lookup(self.outcome_masks | np.int64(a_mask))
             member = (spans[:, None] >> self.ground_ids[None, :]) & 1
-            cached = member, self._member_flags(a_mask)
+            cached = member, self._of_a(a_mask)[1]
             self._member_cache[a_mask] = cached
         return cached
 
-    def _member_flags(self, a_mask: int) -> np.ndarray:
-        """A's membership flags in ground order."""
-        return self._of_a(a_mask)[1]
-
-    def _x_out(self, a_mask: int) -> np.ndarray:
-        # Elements of A are spanned by every row whatever it holds, so their
-        # columns are drawn with probability 0 and never flagged.
-        return self._of_a(a_mask)[0]
-
     def _of_a(self, a_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``_x_out`` and ``_member_flags`` of A, and the support columns
-        outside A (None when A holds none), memoized: A changes only when
-        a link grows."""
+        """The support's marginals with A's columns at 0, A's membership
+        flags in ground order, and the support columns outside A (None when
+        A holds none), memoized: A changes only when a link grows.
+
+        Elements of A are spanned by every row whatever it holds, so their
+        columns are drawn with probability 0 and never flagged.
+        """
         cached = self._a_cache.get(a_mask)
         if cached is None:
             in_a = bits_of(a_mask, self.m.n_universe)
@@ -578,8 +574,7 @@ class _SpanCountEstimator:
         error it is left where worker 0 stopped.
         """
         q, s = self.q, len(self.sup_ids)
-        x_out = self._x_out(a_mask)
-        in_a = self._member_flags(a_mask)
+        x_out, in_a, _ = self._of_a(a_mask)
         if q <= bar:
             # No count can exceed the bar.
             workers.skip_doubles(rng, q * s)
@@ -779,9 +774,7 @@ def chain_plan(
         zeta, conforming = overrides.zeta, False
     params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
 
-    x = as_marginals(x).copy()
-    if len(x) != m.n_universe:
-        raise ValueError("marginal vector length must match the universe size")
+    x = universe_marginals(m, x).copy()
     x.flags.writeable = False
     return ChainPlan(
         m=m,
@@ -836,23 +829,3 @@ def minimal_link_construction(m: Matroid, x: np.ndarray, tau: float) -> int:
         if new == a:
             return a
         a = new
-
-
-def chain_freeness(
-    m: Matroid,
-    x: np.ndarray,
-    chain: SpanningChain,
-    e: int,
-    rng: np.random.Generator | None = None,
-    samples: int | None = None,
-) -> float:
-    """Pr[e ∉ span(((R(x) \\ {e}) ∩ C_i) ∪ C_{i+1})] at e's level i.
-
-    That is 1 - Pr[e ∈ span(C_{i+1} ∪ R(x'))] for x' = x on C_i \\ {e} and
-    0 elsewhere, from one ``span_probabilities`` call: exact for n <= 20,
-    and beyond from ``samples`` rows drawn from ``rng``.
-    """
-    i = chain.level_of(e)
-    x = universe_marginals(m, x)
-    x_level = np.where(bits_of(chain.links[i] & ~(1 << e), len(x)), x, 0.0)
-    return 1.0 - float(span_probabilities(m, x_level, chain.links[i + 1], rng, samples)[e])

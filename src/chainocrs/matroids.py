@@ -587,7 +587,7 @@ class ExplicitMatroid(Matroid):
                 raise ValueError(f"not a matroid: {'; '.join(report.failures)}")
 
     def _rank_masked(self, mask: int) -> int:
-        return max((i.bit_count() for i in self.independent if not i & ~mask), default=0)
+        return _family_rank(mask, self.independent)
 
     def is_independent(self, mask: int) -> bool:
         if mask & ~self.ground_mask:
@@ -811,42 +811,3 @@ def matroid_from_descriptor(desc: dict) -> Matroid:
     if family == "explicit":
         return ExplicitMatroid(int(desc["n"]), desc["independent"])
     raise ValueError(f"unknown matroid family {family!r}")
-
-
-def random_explicit_matroid(rng: np.random.Generator, n: int) -> ExplicitMatroid:
-    """Random explicit matroid on n <= 8 elements.
-
-    Draws a random structured matroid (uniform, partition, graphic or
-    laminar), enumerates its independent sets and relabels the elements
-    with a random permutation, so the result carries no family structure.
-    """
-    if n > 8:
-        raise ValueError("random explicit matroids are kept at n <= 8")
-    kind = rng.integers(4)
-    if kind == 0:
-        base: Matroid = UniformMatroid(int(rng.integers(0, n + 1)), n)
-    elif kind == 1:
-        ids = list(range(n))
-        cut = int(rng.integers(1, n)) if n > 1 else 1
-        blocks = [ids[:cut], ids[cut:]] if cut < n else [ids]
-        caps = [int(rng.integers(1, len(b) + 1)) for b in blocks]
-        base = PartitionMatroid(blocks, caps)
-    elif kind == 2:
-        n_vertices = int(rng.integers(2, max(3, n)))
-        edges = [
-            (int(rng.integers(n_vertices)), int(rng.integers(n_vertices)))
-            for _ in range(n)
-        ]
-        base = GraphicMatroid(n_vertices, edges)
-    else:
-        ids = list(range(n))
-        inner = ids[: max(1, n // 2)]
-        base = LaminarMatroid(
-            n,
-            [ids, inner],
-            [int(rng.integers(1, n + 1)), int(rng.integers(1, len(inner) + 1))],
-        )
-    independents = [s for s in submasks(base.ground_mask) if base.is_independent(s)]
-    perm = rng.permutation(n)
-    relabeled = [mask_of(int(perm[e]) for e in iter_ids(s)) for s in independents]
-    return ExplicitMatroid(n, [ids_of(s) for s in relabeled])

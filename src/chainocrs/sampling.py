@@ -108,9 +108,20 @@ def realization_weights(x: np.ndarray) -> np.ndarray:
     n = len(x)
     if n > EXACT_ENUM_MAX:
         raise ValueError(f"exact enumeration is limited to n <= {EXACT_ENUM_MAX}, got {n}")
-    w = np.ones(1, dtype=np.float64)
-    for e in range(n):
-        w = np.concatenate([w * (1.0 - x[e]), w * x[e]])
+    return realization_products(1.0 - x, x)
+
+
+def realization_products(off: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """For every mask m in [0, 2^n), the product over elements e of ``on[e]``
+    if bit e of m is set, else ``off[e]``.
+
+    The one loop that builds realization weights: float64 factors
+    (1 - x_e, x_e) give ``realization_weights``, and integer numerators
+    in an object array give the exact weights of the ``T_alpha`` oracle.
+    """
+    w = np.ones(1, dtype=off.dtype)
+    for f_off, f_on in zip(off, on):
+        w = np.concatenate([w * f_off, w * f_on])
     return w
 
 
@@ -195,9 +206,7 @@ def in_scaled_polytope(m: Matroid, x: np.ndarray, lam: float) -> bool:
     n = m.n_universe
     if n > EXACT_ENUM_MAX:
         raise ValueError(f"polytope check is limited to n <= {EXACT_ENUM_MAX}, got {n}")
-    x = as_marginals(x)
-    if len(x) != n:
-        raise ValueError("marginal vector length must match the universe size")
+    x = universe_marginals(m, x)
     outside = [e for e in range(n) if x[e] > 0.0 and not (m.ground_mask >> e) & 1]
     if outside:
         raise ValueError(f"positive marginals outside the ground set: {outside}")

@@ -28,8 +28,8 @@ from .sampling import (
     RngStream,
     as_marginals,
     in_scaled_polytope,
+    realization_products,
     span_probabilities,
-    universe_marginals,
 )
 from .stats import binomial_stderr, bonferroni_z
 
@@ -85,42 +85,6 @@ class VerifyReport:
             ],
             "meta": self.meta,
         }
-
-
-# ---------------------------------------------------------------------------
-# Good/bad classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GoodBadVerdict:
-    element: int
-    status: str  # "member" | "good" | "bad"
-    spanning_probability: float | None
-
-
-def classify_element(
-    m: Matroid,
-    x: np.ndarray,
-    a_mask: int,
-    tau: float,
-    e: int,
-    rng: np.random.Generator | None = None,
-    samples: int | None = None,
-) -> GoodBadVerdict:
-    """Good/bad status of e for the set A: members of A are neither; others
-    are bad iff Pr[e ∈ span(A ∪ R(x))] > tau.
-
-    The probability comes from ``span_probabilities``: exact for n <= 20,
-    and beyond from ``samples`` rows drawn from ``rng``.
-    """
-    x = universe_marginals(m, x)
-    if not (m.ground_mask >> e) & 1:
-        raise ValueError(f"element {e} is outside the ground set")
-    if (a_mask >> e) & 1:
-        return GoodBadVerdict(e, "member", None)
-    p = float(span_probabilities(m, x, a_mask, rng, samples)[e])
-    return GoodBadVerdict(e, "bad" if p > tau else "good", p)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +294,8 @@ def verify_freeness_likely(
 
 
 def _level_freeness(m: Matroid, x: np.ndarray, c_i: int, c_next: int) -> np.ndarray:
-    """``chain_freeness`` of every element e of C_i \\ C_{i+1}, from one oracle call.
+    """Freeness Pr[e ∉ span(((R(x) \\ {e}) ∩ C_i) ∪ C_{i+1})] of every
+    element e of C_i \\ C_{i+1}, from one oracle call.
 
     With x' = x on C_i and p_e = Pr[e ∈ span(C_{i+1} ∪ R(x'))], e's
     freeness is (1 - p_e) / (1 - x_e): e ∈ span(C_{i+1} ∪ R) iff e ∈ R or
@@ -372,7 +337,7 @@ class TAlphaResult:
 
 
 def _exact_weights(m: Matroid, x) -> tuple[list[int], list[int], int]:
-    """Realization masks over the ground set with exact integer weights.
+    """Realizations of positive weight, as masks, with exact integer weights.
 
     Returns (masks, numerators, denominator) with sum(numerators) == denominator.
     """
@@ -384,18 +349,11 @@ def _exact_weights(m: Matroid, x) -> tuple[list[int], list[int], int]:
             raise ValueError("marginal probabilities must lie in [0, 1]")
         if v > 0 and not (m.ground_mask >> e) & 1:
             raise ValueError(f"positive marginal outside the ground set: {e}")
-    g_ids = ids_of(m.ground_mask)
-    denom = math.prod(xs[e].denominator for e in g_ids)
-    masks = [0]
-    nums = [denom]
-    for e in g_ids:
-        a, d = xs[e].numerator, xs[e].denominator
-        on = [(n * a) // d for n in nums]
-        off = [(n * (d - a)) // d for n in nums]
-        bit = 1 << e
-        masks = masks + [mk | bit for mk in masks]
-        nums = off + on
-    return masks, nums, denom
+    on = np.array([v.numerator for v in xs], dtype=object)
+    den = np.array([v.denominator for v in xs], dtype=object)
+    nums = realization_products(den - on, on)
+    masks = np.flatnonzero(nums)
+    return masks.tolist(), nums[masks].tolist(), math.prod(v.denominator for v in xs)
 
 
 #: ``_exact_weights`` of x and the rank table as a Python list.

@@ -25,7 +25,6 @@ from chainocrs import (
     brute_force_T_alpha,
     element_last_accepts,
     ocrs_chain,
-    random_explicit_matroid,
     run_selection,
     sample_complexity_audit,
     selectability_experiment,
@@ -40,7 +39,7 @@ from chainocrs import (
 from chainocrs.bitset import ids_of, submasks
 from chainocrs.chains import ParamOverrides, formula_eta
 from chainocrs.cli import generate_marginal, parse_config, run
-from conftest import explicit_corpus, small_corpus
+from conftest import explicit_corpus, random_explicit_matroid, small_corpus
 
 pytestmark = pytest.mark.acceptance
 

@@ -19,11 +19,9 @@ from chainocrs import (
     SpanningChain,
     UniformMatroid,
     as_marginals,
-    chain_freeness,
     chain_plan,
     minimal_link_construction,
     ocrs_chain,
-    random_explicit_matroid,
     selectability_experiment,
     single_ocrs_link,
     truncation_distribution,
@@ -34,7 +32,7 @@ from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
 from chainocrs.sampling import draw_rows, realization_weights
 from chainocrs.stats import bonferroni_z
-from conftest import small_corpus
+from conftest import chain_freeness, random_explicit_matroid, small_corpus
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
 
@@ -743,7 +741,7 @@ def _record_runs(monkeypatch):
 
 def _full_count_flags(est, a_mask, bar, rng):
     """The set of one iteration from all q rows of ``rng``, counted at once."""
-    rows = rng.random((est.q, len(est.sup_ids))) < est._x_out(a_mask)
+    rows = rng.random((est.q, len(est.sup_ids))) < est._of_a(a_mask)[0]
     return est.count(rows, a_mask)[est.ground_ids] > bar
 
 
@@ -836,10 +834,10 @@ def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):
     cases = [(0, 0, 200.0), (1, 0b1, 150.0), (2, 0b101, 250.0), (4, 0, 320.0), (5, 0, None)]
     for seed, a_mask, bar in cases:
         ref_rng = RngStream(seed).generator()
-        rows = ref_rng.random((q, 30)) < est._x_out(a_mask)
+        rows = ref_rng.random((q, 30)) < est._of_a(a_mask)[0]
         spanned = np.array([real_count(rows[r : r + 1], a_mask)[est.ground_ids] for r in range(q)])
         totals = np.cumsum(spanned, axis=0)
-        in_a = est._member_flags(a_mask)
+        in_a = est._of_a(a_mask)[1]
         if bar is None:
             e = int(np.flatnonzero(~in_a & (spanned[-1] == 0))[0])
             bar = float(totals[-1, e])
@@ -998,7 +996,7 @@ def test_parallel_row_blocks_under_thread_switching(monkeypatch):
             est.count = recording
             flags = est._row_flags(0b1, 300.0, rng)
             est.count = real_count
-            ref_rows = ref_rng.random((600, 30)) < est._x_out(0b1)
+            ref_rows = ref_rng.random((600, 30)) < est._of_a(0b1)[0]
             assert flags.tolist() == (real_count(ref_rows, 0b1)[est.ground_ids] > 300).tolist()
             assert _state_of(rng) == _state_of(ref_rng)
             n = len(counted)

@@ -15,12 +15,11 @@ from chainocrs import (
     PartitionMatroid,
     UniformMatroid,
     matroid_from_descriptor,
-    random_explicit_matroid,
     validate_axioms,
 )
 from chainocrs.bitset import full_mask, ids_of, submasks
 
-from conftest import explicit_corpus, small_corpus
+from conftest import explicit_corpus, random_explicit_matroid, small_corpus
 
 
 def brute_rank(independents, mask):

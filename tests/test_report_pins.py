@@ -33,10 +33,10 @@ WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 REPORTS = {"ocrs-k3": 10, "inlink-u24": 8, "audit-u128": 1, "chain-theta39": 13}
 
 
-def _check_pinned_reports(workload, seed, reports):
+def _check_pinned_reports(workload, seed, reports, trace=0):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", str(seed),
-         "--reports", str(reports)],
+         "--reports", str(reports), "--trace", str(trace)],
         cwd=WORKER.parents[1], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, timeout=300,
     )
@@ -49,6 +49,13 @@ def _check_pinned_reports(workload, seed, reports):
 @pytest.mark.parametrize("workload", list(REPORTS))
 def test_reports_match_pinned_sha256(workload):
     _check_pinned_reports(workload, 0, REPORTS[workload])
+
+
+@pytest.mark.parametrize("workload", ["ocrs-k3", "inlink-u24", "chain-theta39"])
+def test_traced_worker_matches_pinned_sha256(workload):
+    # The tracer wraps package functions by name, so a traced run fails
+    # once one of them is renamed or deleted.
+    _check_pinned_reports(workload, 1, 2, trace=1)
 
 
 def test_theta_chain_whose_first_link_grows_matches_its_pin():

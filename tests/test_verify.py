@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from chainocrs import (
+    ExplicitMatroid,
     GraphicMatroid,
     ParamOverrides,
+    PartitionMatroid,
     RngStream,
     SpanningChain,
     UniformMatroid,
     brute_force_T_alpha,
-    chain_freeness,
-    classify_element,
-    random_explicit_matroid,
     sample_complexity_audit,
+    span_probabilities,
     t_alpha_bullets_hold,
     verify_freeness_likely,
     verify_in_link_loss,
@@ -22,45 +22,45 @@ from chainocrs import (
     verify_spanning,
     verify_t_alpha,
 )
-from chainocrs.bitset import full_mask, ids_of, submasks
+from chainocrs.bitset import full_mask, ids_of, mask_of, submasks
 from chainocrs.chains import BuildTrace, LinkTrace
 from chainocrs.stats import bonferroni_z
 from chainocrs.verify import VerifyCheck, _level_freeness
+from conftest import chain_freeness, random_explicit_matroid
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
 
 
 # -- classification ------------------------------------------------------------
+# verify_in_link_loss skips the members of A and calls any other element bad
+# iff Pr[e ∈ span(A ∪ R(x))] > tau; span_probabilities gives that probability.
 
 
 def test_classify_member(u24):
-    v = classify_element(u24, [0.2] * 4, 0b0001, 0.5, 0)
-    assert v.status == "member" and v.spanning_probability is None
+    # Members of A are spanned by every realization, so the oracle gives
+    # them probability 1 and in-link loss must skip them rather than call
+    # them bad.
+    p = span_probabilities(u24, [0.2] * 4, 0b0001)
+    assert p[0] == pytest.approx(1.0) and p[1] < 0.99
 
 
 def test_classify_good_on_zero_marginals(u24):
-    v = classify_element(u24, np.zeros(4), 0, 0.2, 1)
-    assert v.status == "good"
-    assert v.spanning_probability == pytest.approx(0.0)
+    assert span_probabilities(u24, np.zeros(4), 0)[1] == pytest.approx(0.0)
 
 
 def test_classify_bad_u12(u12):
     # R(x) includes e itself, so Pr[0 ∈ span(R)] = 1 - 0.4^2
-    v = classify_element(u12, [0.6, 0.6], 0, 0.5, 0)
-    assert v.status == "bad"
-    assert v.spanning_probability == pytest.approx(0.84)
+    assert span_probabilities(u12, [0.6, 0.6], 0)[0] == pytest.approx(0.84)
 
 
 def test_classify_invariant_under_relabeling():
-    # verdicts commute with element relabeling
+    # the probabilities commute with element relabeling
     rng = np.random.default_rng(55)
     m = random_explicit_matroid(rng, 5)
     perm = [int(v) for v in rng.permutation(5)]
     relabeled = [
         [perm[e] for e in ids_of(mask)] for mask in m.independent
     ]
-    from chainocrs import ExplicitMatroid
-
     m2 = ExplicitMatroid(5, relabeled)
     x = [0.3, 0.5, 0.2, 0.4, 0.6]
     x2 = [0.0] * 5
@@ -70,42 +70,28 @@ def test_classify_invariant_under_relabeling():
     a2 = 0
     for e in ids_of(a_mask):
         a2 |= 1 << perm[e]
+    p1 = span_probabilities(m, x, a_mask)
+    p2 = span_probabilities(m2, x2, a2)
     for e in range(5):
-        v1 = classify_element(m, x, a_mask, 0.45, e)
-        v2 = classify_element(m2, x2, a2, 0.45, perm[e])
-        assert v1.status == v2.status
-        if v1.spanning_probability is not None:
-            assert v1.spanning_probability == pytest.approx(v2.spanning_probability)
-
-
-def test_classify_partition_exhaustive(u24):
-    # good/bad/member partition the ground set
-    x = [0.5, 0.4, 0.3, 0.6]
-    for a_mask in (0, 0b0101):
-        statuses = {}
-        for e in range(4):
-            v = classify_element(u24, x, a_mask, 0.45, e)
-            statuses[e] = v.status
-        members = {e for e in range(4) if (a_mask >> e) & 1}
-        assert {e for e, s in statuses.items() if s == "member"} == members
+        assert p1[e] == pytest.approx(p2[perm[e]])
 
 
 def test_classify_restriction_ignores_marginals_off_ground(u24):
     # U_{2,4}|{0,1,2} is U_{2,3}: Pr[0 ∈ span R] = 0.3 + 0.7 * 0.3^2, and
     # the marginal of element 3, outside the ground set, plays no part.
-    v = classify_element(u24.restrict(0b0111), [0.3, 0.3, 0.3, 0.9], 0, 0.5, 0)
-    assert v.status == "good"
-    assert v.spanning_probability == pytest.approx(0.363)
+    p = span_probabilities(u24.restrict(0b0111), [0.3, 0.3, 0.3, 0.9], 0)
+    assert p[0] == pytest.approx(0.363)
+    assert p[3] == 0.0
 
 
 def test_classify_rejects_wrong_length_marginals(u24):
     with pytest.raises(ValueError, match="universe size"):
-        classify_element(u24, [0.2] * 3, 0, 0.5, 3)
+        span_probabilities(u24, [0.2] * 3, 0)
     with pytest.raises(ValueError, match="universe size"):
-        classify_element(u24, [0.2] * 5, 0, 0.5, 0)
-    # x is checked for a member of A too, whose verdict needs no probability
+        span_probabilities(u24, [0.2] * 5, 0)
+    # x is checked whatever the base holds
     with pytest.raises(ValueError, match="universe size"):
-        classify_element(u24, [0.2] * 3, 0b1000, 0.5, 3)
+        span_probabilities(u24, [0.2] * 3, 0b1000)
 
 
 def test_classify_theta39_closed_forms():
@@ -122,11 +108,12 @@ def test_classify_theta39_closed_forms():
     }
     z = bonferroni_z(len(expected))
     for e, p in expected.items():
-        v = classify_element(theta, x, 0, 0.5, e, RngStream(39, e).generator(), samples)
-        assert abs(v.spanning_probability - p) <= z * math.sqrt(p * (1 - p) / samples)
-        assert v.status == ("bad" if p > 0.5 else "good")
+        got = span_probabilities(theta, x, 0, RngStream(39, e).generator(), samples)[e]
+        assert abs(got - p) <= z * math.sqrt(p * (1 - p) / samples)
+        # the sampled probability lands on the closed form's side of tau = 0.5
+        assert (got > 0.5) == (p > 0.5)
     with pytest.raises(ValueError, match="pass rng and samples"):
-        classify_element(theta, x, 0, 0.5, 0)
+        span_probabilities(theta, x, 0)
 
 
 # -- in-link loss ---------------------------------------------------------------
@@ -306,7 +293,7 @@ def test_t_alpha_random_explicit_instance():
 
 
 def test_verify_t_alpha_builds_its_tables_once(monkeypatch):
-    # One verdict enumerates the realizations and reads the rank table once,
+    # One verdict runs the realization loop and reads the rank table once,
     # whatever q_trials, and gives the verdict of the per-call checks.
     from chainocrs import verify
 
@@ -318,14 +305,41 @@ def test_verify_t_alpha_builds_its_tables_once(monkeypatch):
         q_mask = sum(1 << e for e in ids_of(m.ground_mask & ~res.t_mask) if ref_rng.random() < 0.5)
         failures += not t_alpha_bullets_hold(m, x, res, q_mask)[1]
     builds = []
-    real = verify._exact_weights
-    monkeypatch.setattr(verify, "_exact_weights", lambda *a: builds.append(1) or real(*a))
+    real = verify.realization_products
+    monkeypatch.setattr(verify, "realization_products", lambda *a: builds.append(1) or real(*a))
     rep = verify_t_alpha(m, x, b_mask, alpha, 20, rng)
     assert len(builds) == 1
     assert rep.meta["T"] == ids_of(res.t_mask)
     assert rep.checks[1].measured == float(not t_alpha_bullets_hold(m, x, res)[0])
     assert rep.checks[2].measured == failures
     assert rng.random() == ref_rng.random()
+
+
+def test_t_alpha_ground_smaller_than_universe():
+    # Element 2 of the universe lies outside the ground set.  The oracle and
+    # the verdict equal those of the instance relabeled onto {0, 1, 2},
+    # with and without a zero marginal on the ground set.
+    m = PartitionMatroid([[0, 1], [3]], [1, 1])
+    full = PartitionMatroid([[0, 1], [2]], [1, 1])
+    label = {0: 0, 1: 1, 3: 2}
+    for x1 in (Fraction(1, 2), Fraction(0)):
+        x = [Fraction(1, 3), x1, Fraction(0), Fraction(3, 4)]
+        x_full = [x[0], x[1], x[3]]
+        for b_ids in ([], [0], [3], [1, 3]):
+            b_full = mask_of(label[e] for e in b_ids)
+            for alpha in (Fraction(0), Fraction(2, 5), Fraction(4, 5)):
+                res = brute_force_T_alpha(m, x, mask_of(b_ids), alpha)
+                ref = brute_force_T_alpha(full, x_full, b_full, alpha)
+                assert [label[e] for e in ids_of(res.t_mask)] == ids_of(ref.t_mask)
+                assert res.objective == ref.objective
+                rep = verify_t_alpha(m, x, mask_of(b_ids), alpha, 10, np.random.default_rng(3))
+                ref_rep = verify_t_alpha(full, x_full, b_full, alpha, 10, np.random.default_rng(3))
+                assert rep.passed and ref_rep.passed
+                assert [c.measured for c in rep.checks] == [c.measured for c in ref_rep.checks]
+    with pytest.raises(ValueError, match="outside the ground set: 2"):
+        brute_force_T_alpha(m, [0, 0, Fraction(1, 4), 0], 0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="outside the ground set: 2"):
+        verify_t_alpha(m, [0, 0, Fraction(1, 4), 0], 0, Fraction(1, 2), 10, np.random.default_rng(3))
 
 
 def test_t_alpha_refuses_large():
