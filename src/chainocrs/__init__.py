@@ -8,12 +8,11 @@ from .chains import (
     LinkTrace,
     ParamOverrides,
     SpanningChain,
-    TruncationDistribution,
     chain_plan,
     minimal_link_construction,
     ocrs_chain,
+    scheme_plan,
     single_ocrs_link,
-    truncation_distribution,
 )
 from .matroids import (
     ExplicitMatroid,

@@ -61,10 +61,12 @@ classification.
   shares its first link's estimator.  ``rows`` estimators are rebuilt per
   link, because their row blocks would otherwise outlive the link.
 * Chain plan (``ChainPlan``): everything that depends only on
-  (M, x, tau, eps, overrides) -- the checks, rho, zeta, the link
-  parameters, the cutoff law, the positive mask and the loops span(∅) --
-  is fixed once by ``chain_plan``, and ``ChainPlan.sample`` builds each
-  chain from it.  ``ocrs_chain`` is a plan used once.
+  (M, x, tau, eps, overrides) -- the checks, zeta, the ``LinkParams``
+  (rho, q, eta, the threshold and eps, which also fix the cutoff law),
+  the positive mask and the loops span(∅) -- is fixed once by
+  ``chain_plan``, and ``ChainPlan.sample`` builds each chain from it; every
+  trace it returns holds the plan's ``LinkParams``.  ``ocrs_chain`` is a
+  plan used once.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
   too large for a batch is cut into row blocks, claimed in increasing
   order by the calling thread, which draws from the caller's generator,
@@ -96,7 +98,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -130,37 +132,8 @@ BATCH_SPLIT = 4
 
 
 # ---------------------------------------------------------------------------
-# Truncation distribution
+# Link parameters and traces
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncationDistribution:
-    """Law of the randomized iteration cutoff h̄ on {1, ..., eta}.
-
-    Pr[h̄=1] = (1+eps)^(1-eta) and Pr[h̄=h] = eps * Pr[h̄<h] for h >= 2,
-    equivalently Pr[h̄<=h] = (1+eps) * Pr[h̄<=h-1].
-    """
-
-    eps: float
-    rho: int
-    eta: int
-    pmf: np.ndarray
-    _cdf: np.ndarray = field(repr=False)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw h̄; deterministic given the generator state."""
-        u = rng.random()
-        idx = int(self._cdf.searchsorted(u, side="right"))
-        return min(idx + 1, self.eta)
-
-    def sample_many(self, rng: np.random.Generator, k: int) -> list[int]:
-        """k cutoffs; the same values and generator state as k ``sample`` calls."""
-        idx = self._cdf.searchsorted(rng.random(k), side="right")
-        return np.minimum(idx + 1, self.eta).tolist()
-
-    def mean(self) -> float:
-        return float(np.dot(self.pmf, np.arange(1, self.eta + 1)))
 
 
 def formula_eta(eps: float, rho: int) -> int:
@@ -173,33 +146,19 @@ def formula_eta(eps: float, rho: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _truncation_cached(eps: float, rho: int, eta: int) -> TruncationDistribution:
+def _h_bar_law(eps: float, eta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pmf and cdf of the cutoff h̄ on {1, ..., eta}, shared by
+    every ``LinkParams`` with this (eps, eta)."""
     pmf = np.empty(eta, dtype=np.float64)
     pmf[0] = (1.0 + eps) ** (-(eta - 1))
     # Pr[h̄=h] = eps * Pr[h̄<h] and Pr[h̄<h] = (1+eps)^(h-1-eta) telescope.
+    # One power per h, not a vectorised one, which could move the cdf by an
+    # ulp and so change drawn cutoffs.
     for h in range(2, eta + 1):
         pmf[h - 1] = eps * (1.0 + eps) ** (h - 1 - eta)
-    return TruncationDistribution(eps=eps, rho=rho, eta=eta, pmf=pmf, _cdf=np.cumsum(pmf))
-
-
-def truncation_distribution(
-    eps: float, rho: int, eta: int | None = None
-) -> TruncationDistribution:
-    """Build the cutoff law; ``eta`` may be overridden for smoke runs."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if rho < 3:
-        raise ValueError(f"rho must be at least 3, got {rho}")
-    if eta is None:
-        eta = formula_eta(eps, rho)
-    if eta < 1:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return _truncation_cached(eps, rho, eta)
-
-
-# ---------------------------------------------------------------------------
-# Link parameters and traces
-# ---------------------------------------------------------------------------
+    cdf = np.cumsum(pmf)
+    pmf.flags.writeable = cdf.flags.writeable = False
+    return pmf, cdf
 
 
 @dataclass(frozen=True)
@@ -217,12 +176,14 @@ class ParamOverrides:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Parameters of one link build.
+    """Parameters of one link build, and the law of its cutoff h̄.
 
     ``threshold`` is used verbatim in the strict comparison P̂r[...] >
     threshold; callers that follow the chain recipe pass (1-eps)*tau here.
     ``q`` and ``eta`` default to their formula values; ``conforming`` is
-    False whenever either was overridden.
+    False whenever either was overridden.  h̄ lies in {1, ..., eta}, with
+    Pr[h̄=1] = (1+eps)^(1-eta) and Pr[h̄=h] = eps * Pr[h̄<h] for h >= 2,
+    equivalently Pr[h̄<=h] = (1+eps) * Pr[h̄<=h-1].
     """
 
     rho: int
@@ -233,14 +194,18 @@ class LinkParams:
     conforming: bool = True
 
     def __post_init__(self):
-        if self.rho < 3:
-            raise ValueError(f"rho must be at least 3, got {self.rho}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {self.threshold}")
-        if not 0.0 < self.eps <= 0.05:
-            raise ValueError(f"eps must lie in (0, 1/20], got {self.eps}")
+        self._check_ranges(self.rho, self.threshold, self.eps)
         if self.q < 1 or self.eta < 1:
             raise ValueError("q and eta must be positive")
+
+    @staticmethod
+    def _check_ranges(rho: int, threshold: float, eps: float) -> None:
+        if not 0.0 < eps <= 0.05:
+            raise ValueError(f"eps must lie in (0, 1/20], got {eps}")
+        if rho < 3:
+            raise ValueError(f"rho must be at least 3, got {rho}")
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
 
     @classmethod
     def from_formula(
@@ -251,10 +216,7 @@ class LinkParams:
         overrides: ParamOverrides | None = None,
     ) -> "LinkParams":
         """q = ceil(6/(threshold*eps^2) * ln(ln(rho)/eps)), eta per formula_eta."""
-        if rho < 3:
-            raise ValueError(f"rho must be at least 3, got {rho}")
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+        cls._check_ranges(rho, threshold, eps)
         q = math.ceil(6.0 / (threshold * eps**2) * math.log(math.log(rho) / eps))
         eta = formula_eta(eps, rho)
         conforming = True
@@ -264,6 +226,26 @@ class LinkParams:
             if overrides.eta is not None:
                 eta, conforming = overrides.eta, False
         return cls(rho=rho, threshold=threshold, eps=eps, q=q, eta=eta, conforming=conforming)
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """Pr[h̄=h] at index h-1 (read-only)."""
+        return _h_bar_law(self.eps, self.eta)[0]
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """Pr[h̄<=h] at index h-1 (read-only)."""
+        return _h_bar_law(self.eps, self.eta)[1]
+
+    def sample_h_bar(self, rng: np.random.Generator) -> int:
+        """Draw h̄ from one ``rng.random()`` value."""
+        u = rng.random()
+        return min(int(self.cdf.searchsorted(u, side="right")) + 1, self.eta)
+
+    def sample_h_bars(self, rng: np.random.Generator, k: int) -> list[int]:
+        """k cutoffs; the same values and generator state as k ``sample_h_bar`` calls."""
+        idx = self.cdf.searchsorted(rng.random(k), side="right")
+        return np.minimum(idx + 1, self.eta).tolist()
 
 
 @dataclass(frozen=True)
@@ -285,19 +267,17 @@ class LinkTrace:
 class BuildTrace:
     """Aggregate record of a chain build.
 
-    ``sampled`` holds the links the link builder ran.  An absorbing tail is
-    one record: its cutoffs ``tail_h_bars``, the ground set ``tail_ground``
-    of its first link, and ``tail``, the set every tail link returns (and
-    the ground set of every tail link after the first).  ``link_traces``
-    expands the tail into per-link records only when it is read.
+    ``params`` is the plan's ``LinkParams`` (rho, q, eta, the threshold and
+    eps).  ``sampled`` holds the links the link builder ran.  An absorbing
+    tail is one record: its cutoffs ``tail_h_bars``, the ground set
+    ``tail_ground`` of its first link, and ``tail``, the set every tail link
+    returns (and the ground set of every tail link after the first).
+    ``link_traces`` expands the tail into per-link records only when it is
+    read.
     """
 
-    rho: int
+    params: LinkParams
     zeta: int
-    q: int
-    eta: int
-    threshold: float
-    eps: float
     conforming: bool
     sampled: tuple[LinkTrace, ...]
     tail_h_bars: tuple[int, ...] = ()
@@ -312,20 +292,21 @@ class BuildTrace:
     @property
     def link_traces(self) -> tuple[LinkTrace, ...]:
         """One record per link, the absorbing tail expanded."""
+        q = self.params.q
         grounds = [self.tail_ground] + [self.tail] * (len(self.tail_h_bars) - 1)
         return self.sampled + tuple(
-            LinkTrace(h_bar=h, a_sets=(self.tail,) * h, draws=h * self.q, ground_mask=g)
+            LinkTrace(h_bar=h, a_sets=(self.tail,) * h, draws=h * q, ground_mask=g)
             for h, g in zip(self.tail_h_bars, grounds)
         )
 
     @property
     def draw_count(self) -> int:
-        return self.q * sum(self.h_bars)
+        return self.params.q * sum(self.h_bars)
 
     @property
     def draw_bound(self) -> int:
         """Hard ceiling zeta * eta * q on the draw count."""
-        return self.zeta * self.eta * self.q
+        return self.zeta * self.params.eta * self.params.q
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +640,10 @@ def _sample_link(
     m: Matroid,
     x: np.ndarray,
     params: LinkParams,
-    trunc: TruncationDistribution,
     rng: np.random.Generator,
 ) -> tuple[int, LinkTrace]:
-    """One link from validated marginals and the cutoff law of ``params``."""
-    h_bar = trunc.sample(rng)
+    """One link from validated marginals and ``params``."""
+    h_bar = params.sample_h_bar(rng)
     est = _link_estimator(m, x, params.q)
     a_sets = est.link_sets(h_bar, params.threshold, rng)
     return a_sets[-1], LinkTrace(
@@ -683,12 +663,11 @@ def single_ocrs_link(
 
         A_h = {e : P̂r[e ∈ span(A_{h-1} ∪ S)] > params.threshold},
 
-    stopping after h̄ ~ truncation law iterations and returning A_h̄.  The
-    threshold is applied verbatim; the (1-eps) safety factor is the
-    caller's responsibility.
+    stopping after h̄ iterations, drawn from the cutoff law of ``params``,
+    and returning A_h̄.  The threshold is applied verbatim; the (1-eps)
+    safety factor is the caller's responsibility.
     """
-    trunc = truncation_distribution(params.eps, params.rho, params.eta)
-    return _sample_link(m, as_marginals(x), params, trunc, rng)
+    return _sample_link(m, as_marginals(x), params, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -696,10 +675,10 @@ class ChainPlan:
     """What is fixed for every chain of one (M, x, tau, eps, overrides).
 
     Built once by ``chain_plan``; ``sample`` builds one chain per call.
-    rho, q, eta and the threshold (1-eps)*tau are in ``params``.  ``x`` is
-    a read-only copy, so a caller that later edits its own array cannot
-    change the plan's chains.  ``loops`` is span(∅) of M: the absorbing
-    tail on a ground set C is ``loops & C``, span(∅) of M|C.
+    rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
+    ``params``.  ``x`` is a read-only copy, so a caller that later edits
+    its own array cannot change the plan's chains.  ``loops`` is span(∅) of
+    M: the absorbing tail on a ground set C is ``loops & C``, span(∅) of M|C.
     """
 
     m: Matroid
@@ -707,18 +686,17 @@ class ChainPlan:
     zeta: int
     conforming: bool
     params: LinkParams
-    trunc: TruncationDistribution
     positive: int
     loops: int
 
     def sample(self, rng: np.random.Generator) -> tuple[SpanningChain, BuildTrace]:
         """One spanning chain; the links C_1, ..., C_zeta are drawn from ``rng``."""
-        m, zeta = self.m, self.zeta
+        m, zeta, params = self.m, self.zeta, self.params
         links = [m.ground_mask]
         sampled: list[LinkTrace] = []
         cur = m.ground_mask
         while len(sampled) < zeta and cur & self.positive:
-            cur, lt = _sample_link(m.restrict(cur), self.x, self.params, self.trunc, rng)
+            cur, lt = _sample_link(m.restrict(cur), self.x, params, rng)
             links.append(cur)
             sampled.append(lt)
         tail_h_bars: tuple[int, ...] = ()
@@ -728,17 +706,12 @@ class ChainPlan:
             # this link is span(∅) of M|C (its loops; the threshold (1-eps)*tau
             # is below 1) and every later link, built on that set, repeats it.
             tail_ground, tail = cur, self.loops & cur
-            tail_h_bars = tuple(self.trunc.sample_many(rng, zeta - len(sampled)))
+            tail_h_bars = tuple(params.sample_h_bars(rng, zeta - len(sampled)))
             links += [tail] * len(tail_h_bars)
         links.append(0)
-        params = self.params
         trace = BuildTrace(
-            rho=params.rho,
+            params=params,
             zeta=zeta,
-            q=params.q,
-            eta=params.eta,
-            threshold=params.threshold,
-            eps=params.eps,
             conforming=self.conforming,
             sampled=tuple(sampled),
             tail_h_bars=tail_h_bars,
@@ -757,22 +730,20 @@ def chain_plan(
 ) -> ChainPlan:
     """Run every input check once and fix what all chains of an experiment share.
 
-    No other code derives rho, the link parameters or the cutoff law: the
-    CLI, the selection trials and the verify checks read them from a plan.
+    No other code derives rho or the link parameters: the CLI, the
+    selection trials and the verify checks read them from a plan.
     rho = max(rank(M), 3) stays fixed across all links; each link i is built
     on M restricted to C_{i-1} with threshold (1-eps)*tau.  The chain has
     zeta+2 links, with C_0 = N and C_{zeta+1} = ∅ forced.
     """
-    if not 0.0 < eps <= 0.05:
-        raise ValueError(f"eps must lie in (0, 1/20], got {eps}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    rho = max(m.full_rank(), 3)
-    zeta = math.ceil(math.log(rho / eps) / eps)
+    # LinkParams checks eps, so it is built before zeta divides by eps.
+    params = LinkParams.from_formula(max(m.full_rank(), 3), (1.0 - eps) * tau, eps, overrides)
+    zeta = math.ceil(math.log(params.rho / eps) / eps)
     conforming = True
     if overrides is not None and overrides.zeta is not None:
         zeta, conforming = overrides.zeta, False
-    params = LinkParams.from_formula(rho, (1.0 - eps) * tau, eps, overrides)
 
     x = universe_marginals(m, x).copy()
     x.flags.writeable = False
@@ -782,10 +753,24 @@ def chain_plan(
         zeta=zeta,
         conforming=conforming and params.conforming,
         params=params,
-        trunc=truncation_distribution(params.eps, params.rho, params.eta),
         positive=mask_of(np.flatnonzero(x > 0.0).tolist()),
         loops=m.span(0),
     )
+
+
+def scheme_plan(
+    m: Matroid,
+    x: np.ndarray,
+    lam: float,
+    eps: float,
+    overrides: ParamOverrides | None = None,
+) -> ChainPlan:
+    """The chain plan of the full scheme at thinning level lam, for marginals
+    ``x`` in lam * P_M: ``chain_plan`` with tau = lam + 4*eps, once lam is
+    checked to lie in (0, 1-4*eps]."""
+    if not 0.0 < lam <= 1.0 - 4.0 * eps:
+        raise ValueError(f"lambda must lie in (0, 1-4*eps], got {lam}")
+    return chain_plan(m, x, lam + 4.0 * eps, eps, overrides)
 
 
 def ocrs_chain(

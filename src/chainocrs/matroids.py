@@ -99,11 +99,13 @@ class Matroid:
 
     def greedy_basis(self) -> int:
         """The basis that keeps, in id order, each ground element that is
-        independent of the elements kept before it."""
+        independent of the elements kept before it; its size is stored as
+        the full rank."""
         basis = 0
         for e in iter_ids(self.ground_mask):
             if self.is_independent(basis | (1 << e)):
                 basis |= 1 << e
+        self._rank_full = basis.bit_count()
         return basis
 
     # -- minors ----------------------------------------------------------
@@ -416,7 +418,9 @@ class GraphicMatroid(Matroid):
     def greedy_basis(self) -> int:
         # An edge is independent of the edges kept before it iff it joins
         # two of their components.
-        return self._forest(self.ground_mask)[1]
+        basis = self._forest(self.ground_mask)[1]
+        self._rank_full = basis.bit_count()
+        return basis
 
     def _span_masked(self, mask: int) -> int:
         find = self._forest(mask)[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitset import ids_of, iter_ids
-from .chains import ParamOverrides, SpanningChain, chain_plan
+from .chains import ParamOverrides, SpanningChain, scheme_plan
 from .matroids import Matroid
 from .sampling import RngStream, as_marginals, filter_actives, sample_active_set, scale
 from .stats import wilson_interval
@@ -282,15 +282,10 @@ def selectability_experiment(
     threshold λ+4ε, draws R(x), thins it, and plays the adversary.  Trial i
     draws from stream i of ``seed_stream``.
     """
-    if not 0.0 < eps <= 0.05:
-        raise ValueError(f"eps must lie in (0, 1/20], got {eps}")
-    if not 0.0 < lam <= 1.0 - 4.0 * eps:
-        raise ValueError(f"lambda must lie in (0, 1-4*eps], got {lam}")
     if trials < 1:
         raise ValueError("at least one trial is required")
     x = as_marginals(x)
-    x_scaled = scale(x, lam)
-    plan = chain_plan(m, x_scaled, lam + 4.0 * eps, eps, overrides)
+    plan = scheme_plan(m, scale(x, lam), lam, eps, overrides)
     draw_counts = [0] * trials
 
     def one_trial(t: int) -> TrialOutcome:

@@ -21,12 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .bitset import bits_of, ids_of, submasks
-from .chains import BuildTrace, ParamOverrides, chain_plan, single_ocrs_link
+from .chains import BuildTrace, ParamOverrides, chain_plan, scheme_plan, single_ocrs_link
 from .matroids import Matroid
 from .sampling import (
     EXACT_ENUM_MAX,
     RngStream,
-    as_marginals,
     in_scaled_polytope,
     realization_products,
     span_probabilities,
@@ -209,11 +208,9 @@ def verify_spanning(
     overrides: ParamOverrides | None = None,
 ) -> VerifyReport:
     """Check: the second-to-last chain link C_zeta is empty w.p. >= 1 - eps."""
-    _check_chain_params(lam, eps)
-    x = as_marginals(x)
-    if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
+    plan = scheme_plan(m, x, lam, eps, overrides)
+    if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, plan.x, lam):
         raise ValueError("marginals are not in lambda * P_M")
-    plan = chain_plan(m, x, lam + 4.0 * eps, eps, overrides)
     empty = 0
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
@@ -241,10 +238,10 @@ def verify_freeness_likely(
 ) -> VerifyReport:
     """Check: Pr[freeness >= 1-lambda-4 eps | e not in C_zeta]
     >= 1 - eps - 2 eps / Pr[e not in C_zeta], per element."""
-    _check_chain_params(lam, eps)
-    x = as_marginals(x)
     if m.n_universe > EXACT_ENUM_MAX:
         raise ValueError("exact freeness needs n <= 20")
+    plan = scheme_plan(m, x, lam, eps, overrides)
+    x = plan.x
     if not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
     ids = ids_of(m.ground_mask)
@@ -252,7 +249,6 @@ def verify_freeness_likely(
     high = np.zeros((trials, len(ids)), dtype=bool)
     level = 1.0 - lam - 4.0 * eps
     cache: dict[tuple[int, int], np.ndarray] = {}
-    plan = chain_plan(m, x, lam + 4.0 * eps, eps, overrides)
     for t in range(trials):
         rng = seed_stream.substream(t).generator()
         chain, trace = plan.sample(rng)
@@ -304,13 +300,6 @@ def _level_freeness(m: Matroid, x: np.ndarray, c_i: int, c_next: int) -> np.ndar
     """
     x_level = np.where(bits_of(c_i, len(x)), x, 0.0)
     return (1.0 - span_probabilities(m, x_level, c_next)) / (1.0 - x_level)
-
-
-def _check_chain_params(lam: float, eps: float) -> None:
-    if not 0.0 < eps <= 0.05:
-        raise ValueError(f"eps must lie in (0, 1/20], got {eps}")
-    if not 0.0 < lam <= 1.0 - 4.0 * eps:
-        raise ValueError(f"lambda must lie in (0, 1-4*eps], got {lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +545,7 @@ def sample_complexity_audit(traces: list[BuildTrace]) -> AuditTable:
             raise ValueError("audit requires conforming (non-overridden) traces")
     by_rho: dict[int, list[BuildTrace]] = {}
     for tr in traces:
-        by_rho.setdefault(tr.rho, []).append(tr)
+        by_rho.setdefault(tr.params.rho, []).append(tr)
     rows = []
     for rho in sorted(by_rho):
         group = by_rho[rho]

@@ -29,7 +29,6 @@ from chainocrs import (
     sample_complexity_audit,
     selectability_experiment,
     t_alpha_bullets_hold,
-    truncation_distribution,
     validate_axioms,
     verify_in_link_loss,
     verify_progress,
@@ -37,7 +36,7 @@ from chainocrs import (
     worst_case_order,
 )
 from chainocrs.bitset import ids_of, submasks
-from chainocrs.chains import ParamOverrides, formula_eta
+from chainocrs.chains import LinkParams, ParamOverrides, formula_eta
 from chainocrs.cli import generate_marginal, parse_config, run
 from conftest import explicit_corpus, random_explicit_matroid, small_corpus
 
@@ -82,7 +81,7 @@ def test_criterion_2_truncation_distribution():
     worst_rec = 0.0
     for eps in (0.05, 0.04, 0.02):
         for rho in (3, 10, 100):
-            td = truncation_distribution(eps, rho)
+            td = LinkParams.from_formula(rho, (1 - eps) * (LAM + 4 * eps), eps)
             worst_sum = max(worst_sum, abs(float(td.pmf.sum()) - 1.0))
             cdf = np.cumsum(td.pmf)
             for h in range(2, td.eta + 1):

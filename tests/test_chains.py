@@ -24,9 +24,8 @@ from chainocrs import (
     ocrs_chain,
     selectability_experiment,
     single_ocrs_link,
-    truncation_distribution,
 )
-from chainocrs import chains, matroids, workers
+from chainocrs import chains, cli, matroids, workers
 from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
@@ -37,11 +36,16 @@ from conftest import chain_freeness, random_explicit_matroid, small_corpus
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
 
 
-# -- truncation distribution ----------------------------------------------
+# -- cutoff law ------------------------------------------------------------
+
+
+def _law(eps, rho, eta=None):
+    """The cutoff law of the link parameters at (eps, rho), eta overridable."""
+    return LinkParams.from_formula(rho, 0.5, eps, ParamOverrides(eta=eta))
 
 
 def test_truncation_known_values():
-    td = truncation_distribution(0.05, 3)
+    td = _law(0.05, 3)
     assert td.eta == 188
     assert td.pmf.sum() == pytest.approx(1.0, abs=1e-12)
     assert td.pmf[0] <= 0.05**3 / math.log(3)
@@ -49,7 +53,7 @@ def test_truncation_known_values():
 
 
 def test_truncation_recurrence():
-    td = truncation_distribution(0.04, 10)
+    td = _law(0.04, 10)
     cdf = np.cumsum(td.pmf)
     for h in range(2, td.eta + 1):
         assert cdf[h - 1] == pytest.approx(1.04 * cdf[h - 2], abs=1e-12)
@@ -58,23 +62,47 @@ def test_truncation_recurrence():
 
 def test_truncation_domain_errors():
     with pytest.raises(ValueError):
-        truncation_distribution(0.05, 2)
+        _law(0.05, 2)
     with pytest.raises(ValueError):
-        truncation_distribution(0.0, 3)
+        _law(0.0, 3)
     with pytest.raises(ValueError):
-        truncation_distribution(1.0, 3)
+        _law(1.0, 3)
 
 
 def test_truncation_sampling_matches_pmf():
-    td = truncation_distribution(0.05, 3, eta=12)
+    td = _law(0.05, 3, eta=12)
     rng = RngStream(3).generator()
     trials = 50_000
     counts = np.zeros(td.eta)
     for _ in range(trials):
-        counts[td.sample(rng) - 1] += 1
+        counts[td.sample_h_bar(rng) - 1] += 1
     freq = counts / trials
     sigma = np.sqrt(td.pmf * (1 - td.pmf) / trials)
     assert np.all(np.abs(freq - td.pmf) <= 4 * sigma + 1e-9)
+
+
+@pytest.mark.parametrize("eta", [None, 12])
+def test_cutoff_law_matches_the_closed_form_loop_bytewise(eta):
+    # Criterion 2's (eps, rho) grid: the law is the closed form, one power
+    # per h, and its cumulative sum, to the last bit, since one ulp of the
+    # cdf can move a drawn cutoff.
+    for eps in (0.05, 0.04, 0.02):
+        for rho in (3, 10, 100):
+            td = _law(eps, rho, eta)
+            pmf = [(1.0 + eps) ** (-(td.eta - 1))]
+            pmf += [eps * (1.0 + eps) ** (h - 1 - td.eta) for h in range(2, td.eta + 1)]
+            assert td.pmf.tobytes() == np.array(pmf).tobytes()
+            assert td.cdf.tobytes() == np.cumsum(pmf).tobytes()
+
+
+def test_cutoff_law_is_read_only_and_draws_like_single_calls():
+    td = _law(0.05, 3, eta=12)
+    for arr in (td.pmf, td.cdf):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    rngs = [RngStream(5).generator() for _ in range(2)]
+    assert td.sample_h_bars(rngs[0], 50) == [td.sample_h_bar(rngs[1]) for _ in range(50)]
+    assert rngs[0].random() == rngs[1].random()
 
 
 # -- link parameters -------------------------------------------------------
@@ -96,6 +124,11 @@ def test_link_params_overrides_flag():
         LinkParams.from_formula(3, 1.5, 0.05)
     with pytest.raises(ValueError):
         LinkParams(rho=3, threshold=0.5, eps=0.2, q=5, eta=5)
+    # eps is checked before q divides by it or takes its logarithm.
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError) as exc:
+            LinkParams.from_formula(3, 0.5, eps)
+        assert str(exc.value) == f"eps must lie in (0, 1/20], got {eps}"
 
 
 # -- single link ------------------------------------------------------------
@@ -445,7 +478,7 @@ def _reference_link(m, x, params, rng, full_rows=None):
     """The link builder one iteration at a time: h̄, then h̄ iterations, each
     from one multinomial draw of the outcome counts or from all q rows of
     one draw counted through span() calls (recorded in ``full_rows``)."""
-    h_bar = truncation_distribution(params.eps, params.rho, params.eta).sample(rng)
+    h_bar = params.sample_h_bar(rng)
     est = _SpanCountEstimator(m, as_marginals(x), params.q)
     bar = params.threshold * params.q
     full_rows = [] if full_rows is None else full_rows
@@ -1128,6 +1161,7 @@ def test_chain_plan_samples_match_ocrs_chain(k3, u24, k4):
         for seed in range(3):
             rngs = [RngStream(seed).generator() for _ in range(2 + reference)]
             chain, trace = plan.sample(rngs[0])
+            assert trace.params is plan.params
             assert (chain, trace) == ocrs_chain(m, x, tau, 0.05, rngs[1], overrides)
             if reference:
                 links, traces = _reference_chain(m, x, tau, 0.05, rngs[2], overrides)
@@ -1178,6 +1212,31 @@ def test_selectability_computes_the_loops_once(monkeypatch):
     )
     assert report.trials == 100
     assert empty_spans == [k3]
+
+
+def test_basis_indicator_chain_reads_the_rank_from_the_greedy_basis(monkeypatch):
+    # The CLI's basis-indicator marginals come from a greedy basis, whose
+    # size is the full rank, so the chain plan's rho needs no rank call on
+    # the whole ground set of theta-39.
+    full_rank_calls = []
+    real_rank = GraphicMatroid._rank_masked
+
+    def rank_masked(self, mask):
+        if mask == self.ground_mask:
+            full_rank_calls.append(mask)
+        return real_rank(self, mask)
+
+    monkeypatch.setattr(GraphicMatroid, "_rank_masked", rank_masked)
+    theta = {"family": "graphic", "n_vertices": 21, "edges": [[0, 1]] + [
+        e for w in range(2, 21) for e in ([0, w], [w, 1])
+    ]}
+    config = cli.parse_config({
+        "mode": "chain", "matroid": theta, "lambda": 0.1, "trials": 1,
+        "marginal": {"kind": "basis-indicator-scaled"}, "overrides": {"q": 100},
+    })
+    _, code = cli.run(config)
+    assert code == 0
+    assert full_rank_calls == []
 
 
 def test_one_matroid_runs_experiments_like_fresh_ones():

@@ -11,7 +11,8 @@ and ``inlink-u24`` reports take well under a second each, so they check ten
 and eight.
 
 ``MODE_PINS`` covers every CLI mode, each on K4 and U_{2,4}, with small
-overrides, so a change to any runner shows in one small report per mode.
+overrides, so a change to any runner shows in one small report per mode;
+``ADVERSARY_PINS`` adds the other two ``ocrs`` adversaries on K4.
 """
 
 import hashlib
@@ -97,20 +98,37 @@ MODE_PINS = {
 }
 
 
+#: ``ocrs`` on K4 under the two adversaries ``MODE_PINS`` leaves out (it
+#: runs ``element-last``), with the same config.
+ADVERSARY_PINS = {
+    "exhaustive-worst": "35e4a0ddb85326f85e71bbd7dd577a072e89e571c37cf4174e7011a2314037a6",
+    "random-order": "72e0a6d8ec0b78e4cf5c5e55cb6c8fa3e0961760a649b1206fe7cdc9f8c730a2",
+}
+
+
 def test_mode_pins_cover_every_mode():
     assert set(MODE_PINS) == {(mode, m) for mode in MODES for m in MODE_MATROIDS}
 
 
-@pytest.mark.parametrize("mode, matroid", list(MODE_PINS))
-def test_mode_report_matches_pinned_sha256(mode, matroid):
+def _mode_report_sha256(mode, matroid, adversary="element-last"):
     config = parse_config({
         "mode": mode, "matroid": MODE_MATROIDS[matroid], "lambda": 0.2, "tau": 0.3,
         "trials": 6, "seed": 0, "overrides": {"q": 40, "eta": 6, "zeta": 4},
-        "audit": {"rhos": [8]},
+        "audit": {"rhos": [8]}, "adversary": adversary,
     })
     report, code = run(config)
     assert code == 0
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == MODE_PINS[mode, matroid]
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode, matroid", list(MODE_PINS))
+def test_mode_report_matches_pinned_sha256(mode, matroid):
+    assert _mode_report_sha256(mode, matroid) == MODE_PINS[mode, matroid]
+
+
+@pytest.mark.parametrize("adversary", list(ADVERSARY_PINS))
+def test_ocrs_adversary_report_matches_pinned_sha256(adversary):
+    assert _mode_report_sha256("ocrs", "k4", adversary) == ADVERSARY_PINS[adversary]
 
 
 def _theta39_paths():

@@ -23,7 +23,7 @@ from chainocrs import (
     verify_t_alpha,
 )
 from chainocrs.bitset import full_mask, ids_of, mask_of, submasks
-from chainocrs.chains import BuildTrace, LinkTrace
+from chainocrs.chains import BuildTrace, LinkParams, LinkTrace
 from chainocrs.stats import bonferroni_z
 from chainocrs.verify import VerifyCheck, _level_freeness
 from conftest import chain_freeness, random_explicit_matroid
@@ -367,10 +367,8 @@ def _trace(rho, zeta, q, eta, h_bars, conforming=True):
     links = tuple(
         LinkTrace(h_bar=h, a_sets=(0,) * h, draws=h * q, ground_mask=0) for h in h_bars
     )
-    return BuildTrace(
-        rho=rho, zeta=zeta, q=q, eta=eta, threshold=0.5, eps=0.05,
-        conforming=conforming, sampled=links,
-    )
+    params = LinkParams(rho=rho, threshold=0.5, eps=0.05, q=q, eta=eta)
+    return BuildTrace(params=params, zeta=zeta, conforming=conforming, sampled=links)
 
 
 def test_audit_single_link_draws():
