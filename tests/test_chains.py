@@ -95,14 +95,12 @@ def test_cutoff_law_matches_the_closed_form_loop_bytewise(eta):
             assert td.cdf.tobytes() == np.cumsum(pmf).tobytes()
 
 
-def test_cutoff_law_is_read_only_and_draws_like_single_calls():
+def test_cutoff_law_is_read_only():
+    # Every LinkParams with this (eps, eta) shares the cached arrays.
     td = _law(0.05, 3, eta=12)
     for arr in (td.pmf, td.cdf):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    rngs = [RngStream(5).generator() for _ in range(2)]
-    assert td.sample_h_bars(rngs[0], 50) == [td.sample_h_bar(rngs[1]) for _ in range(50)]
-    assert rngs[0].random() == rngs[1].random()
 
 
 # -- link parameters -------------------------------------------------------
