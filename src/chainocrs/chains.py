@@ -59,7 +59,11 @@ classification.
   state, only tables fixed by (minor, x, q), so ``single_ocrs_link`` takes
   it from a memo on the base matroid, and every trial of an experiment
   shares its first link's estimator.  ``rows`` estimators are rebuilt per
-  link, because their row blocks would otherwise outlive the link.
+  link, because their row blocks would otherwise outlive the link.  The
+  trials of an experiment run on several threads (``workers.map_trials``)
+  and share the memo: one lock guards its lookup, build, insert and
+  eviction, and a shared estimator holds only caches that every thread
+  fills alike.
 * Chain plan (``ChainPlan``): everything that depends only on
   (M, x, tau, eps, overrides) -- the checks, zeta, the ``LinkParams``
   (rho, q, eta, the threshold and eps, which also fix the cutoff law),
@@ -108,6 +112,7 @@ from .bitset import bits_of, ids_of, iter_ids, mask_of
 from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
 from .sampling import (
     EXACT_ENUM_MAX,
+    RngStream,
     as_marginals,
     draw_rows,
     realization_weights,
@@ -120,6 +125,10 @@ MULTINOMIAL_MAX_SUPPORT = 12
 
 #: Link estimators kept per base matroid; the oldest is dropped beyond this.
 ESTIMATOR_MEMO_MAX = 16
+
+# Guards the lookup, build, insert and eviction of every estimator memo, which
+# the trial threads of one experiment share, so each entry is built once.
+_estimator_memo_lock = threading.Lock()
 
 #: Row blocks claimed past the first row that may decide an iteration hold
 #: a DECIDE_SPLIT-th of a worker's share of ROW_BLOCK_VALUES.
@@ -626,13 +635,14 @@ def _link_estimator(m: Matroid, x: np.ndarray, q: int) -> _SpanCountEstimator:
     base, contracted = (m.base, m.contracted) if isinstance(m, MinorMatroid) else (m, 0)
     memo = base._link_estimators
     key = (m.ground_mask, contracted, x.tobytes(), q)
-    est = memo.get(key)
-    if est is None:
-        est = _SpanCountEstimator(m, x, q)
-        if est.path != "rows":
-            if len(memo) >= ESTIMATOR_MEMO_MAX:
-                del memo[next(iter(memo))]
-            memo[key] = est
+    with _estimator_memo_lock:
+        est = memo.get(key)
+        if est is None:
+            est = _SpanCountEstimator(m, x, q)
+            if est.path != "rows":
+                if len(memo) >= ESTIMATOR_MEMO_MAX:
+                    del memo[next(iter(memo))]
+                memo[key] = est
     return est
 
 
@@ -719,6 +729,13 @@ class ChainPlan:
             tail=tail,
         )
         return SpanningChain(tuple(links)), trace
+
+    def sample_trials(
+        self, trials: int, stream: RngStream
+    ) -> list[tuple[SpanningChain, BuildTrace]]:
+        """``sample`` on substream t of ``stream``, for t < trials, in trial
+        order; the trials run on every CPU (``workers.map_trials``)."""
+        return workers.map_trials(trials, lambda t: self.sample(stream.substream(t).generator()))
 
 
 def chain_plan(

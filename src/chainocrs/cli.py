@@ -413,13 +413,10 @@ def _chain_tau(config: ExperimentConfig) -> float:
 def _run_chain(config, m, x):
     tau = _chain_tau(config)
     plan = chain_plan(m, x, tau, config.eps, config.overrides)
-    stream = RngStream(config.seed)
     per_trial = []
     total_draws = 0
     empty_final = 0
-    for t in range(config.trials):
-        rng = stream.substream(t).generator()
-        chain, trace = plan.sample(rng)
+    for chain, trace in plan.sample_trials(config.trials, RngStream(config.seed)):
         total_draws += trace.draw_count
         c_zeta = chain.links[trace.zeta]
         empty_final += c_zeta == 0

@@ -50,6 +50,8 @@ class Matroid:
         self.ground_mask = ground_mask
         self._rank_full: int | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        # Trial threads may reach the tables at once: one of them builds.
+        self._tables_lock = threading.Lock()
         # Link estimators of this matroid and its minors, keyed and filled
         # by chains._link_estimator.
         self._link_estimators: dict = {}
@@ -281,21 +283,21 @@ class Matroid:
         return self._dense_tables()[0]
 
     def _dense_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._tables is not None:
-            return self._tables
-        n = self.n_universe
-        g = self.ground_mask
-        size = 1 << n
-        rank_t = np.zeros(size, dtype=np.int64)
-        for m in range(size):
-            rank_t[m] = self._rank_masked(m & g)
-        masks = np.arange(size, dtype=np.int64)
-        span_t = masks & g
-        for e in iter_ids(g):
-            bit = np.int64(1 << e)
-            spanned = rank_t[masks | bit] == rank_t
-            span_t = np.where(spanned, span_t | bit, span_t)
-        self._tables = (rank_t, span_t)
+        with self._tables_lock:
+            if self._tables is None:
+                n = self.n_universe
+                g = self.ground_mask
+                size = 1 << n
+                rank_t = np.zeros(size, dtype=np.int64)
+                for m in range(size):
+                    rank_t[m] = self._rank_masked(m & g)
+                masks = np.arange(size, dtype=np.int64)
+                span_t = masks & g
+                for e in iter_ids(g):
+                    bit = np.int64(1 << e)
+                    spanned = rank_t[masks | bit] == rank_t
+                    span_t = np.where(spanned, span_t | bit, span_t)
+                self._tables = (rank_t, span_t)
         return self._tables
 
 

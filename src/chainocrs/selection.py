@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .bitset import ids_of, iter_ids
 from .chains import ParamOverrides, SpanningChain, scheme_plan
 from .matroids import Matroid
@@ -280,7 +281,8 @@ def selectability_experiment(
 
     Each trial samples a fresh chain for the thinned marginals λ·x with
     threshold λ+4ε, draws R(x), thins it, and plays the adversary.  Trial i
-    draws from stream i of ``seed_stream``.
+    draws from stream i of ``seed_stream``; the trials run on every CPU
+    (``workers.map_trials``) and are counted in trial order.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -298,7 +300,7 @@ def selectability_experiment(
 
         return chain_ocrs_trial(m, x, lam, sampler, adversary, rng)
 
-    outcomes = [one_trial(t) for t in range(trials)]
+    outcomes = workers.map_trials(trials, one_trial)
 
     ids = ids_of(m.ground_mask)
     act = {e: 0 for e in ids}

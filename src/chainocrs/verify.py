@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import workers
 from .bitset import bits_of, ids_of, submasks
 from .chains import BuildTrace, ParamOverrides, chain_plan, scheme_plan, single_ocrs_link
 from .matroids import Matroid
@@ -118,9 +119,10 @@ def verify_in_link_loss(
     probs_cache: dict[int, np.ndarray] = {}
     bad = np.zeros((trials, len(ids)), dtype=bool)
     good = np.zeros((trials, len(ids)), dtype=bool)
-    for t in range(trials):
-        rng = seed_stream.substream(t).generator()
-        a_mask, _ = builder(m, x, params, rng)
+    a_masks = workers.map_trials(
+        trials, lambda t: builder(m, x, params, seed_stream.substream(t).generator())[0]
+    )
+    for t, a_mask in enumerate(a_masks):
         if a_mask not in probs_cache:
             probs_cache[a_mask] = span_probabilities(m, x, a_mask)
         probs = probs_cache[a_mask]
@@ -180,11 +182,10 @@ def verify_progress(
     x, params = plan.x, plan.params
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
-    ranks = np.zeros(trials)
-    for t in range(trials):
-        rng = seed_stream.substream(t).generator()
-        a_mask, _ = single_ocrs_link(m, x, params, rng)
-        ranks[t] = m.rank(a_mask)
+    a_masks = workers.map_trials(
+        trials, lambda t: single_ocrs_link(m, x, params, seed_stream.substream(t).generator())[0]
+    )
+    ranks = np.array([m.rank(a) for a in a_masks], dtype=np.float64)
     bound = (1.0 + lam - (1.0 - 3.0 * eps) * tau) * m.full_rank()
     sigma = float(ranks.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     check = VerifyCheck(
@@ -211,12 +212,9 @@ def verify_spanning(
     plan = scheme_plan(m, x, lam, eps, overrides)
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, plan.x, lam):
         raise ValueError("marginals are not in lambda * P_M")
-    empty = 0
-    for t in range(trials):
-        rng = seed_stream.substream(t).generator()
-        chain, trace = plan.sample(rng)
-        if chain.links[trace.zeta] == 0:
-            empty += 1
+    empty = sum(
+        chain.links[trace.zeta] == 0 for chain, trace in plan.sample_trials(trials, seed_stream)
+    )
     frac = empty / trials
     sigma = binomial_stderr(frac, trials)
     check = VerifyCheck(
@@ -249,9 +247,7 @@ def verify_freeness_likely(
     high = np.zeros((trials, len(ids)), dtype=bool)
     level = 1.0 - lam - 4.0 * eps
     cache: dict[tuple[int, int], np.ndarray] = {}
-    for t in range(trials):
-        rng = seed_stream.substream(t).generator()
-        chain, trace = plan.sample(rng)
+    for t, (chain, trace) in enumerate(plan.sample_trials(trials, seed_stream)):
         c_zeta = chain.links[trace.zeta]
         for j, e in enumerate(ids):
             if (c_zeta >> e) & 1:

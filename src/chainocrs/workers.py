@@ -10,6 +10,14 @@ a process-wide resource: they start on first use, one per worker beyond
 the first, and then wait for the next call.  Importing this module starts
 no thread.  ``skip_doubles`` moves a generator forward by a number of
 draws, so that each worker can draw from its own offset of one stream.
+
+``map_trials`` runs the independent trials of an experiment on the same
+helpers: trial t draws only from its own substream, so the trials can run
+in any order and on any thread, and the results come back in trial order.
+The caller fills its caches and totals from them in one loop over that
+list, so a report does not depend on the number of CPUs.
+Work inside a trial that calls ``run_workers`` while the trials hold the
+helpers runs on its own thread alone.
 """
 
 from __future__ import annotations
@@ -137,3 +145,44 @@ def run_workers(k: int, work: Callable[[int], object]) -> list:
         if exc is not None:
             raise exc
     return [result for result, _ in outcomes]
+
+
+def map_trials(trials: int, fn: Callable[[int], object]) -> list:
+    """``[fn(0), ..., fn(trials - 1)]``, on up to ``cpus()`` workers.
+
+    Workers claim trial indices one at a time, in increasing order, under
+    a lock, and each result lands at its trial's index.  ``fn(t)`` may run
+    on any thread, so it must draw only from its own generator and write
+    nothing that another trial reads.  Once a trial raises, no further
+    trial is claimed; every claimed trial below it finishes, and the error
+    of the lowest failing trial is raised, the one a loop over the trials
+    in order would raise.  With fewer than two trials or one CPU the loop
+    runs on the calling thread and starts no helper.
+    """
+    k = min(cpus(), trials)
+    if k < 2:
+        return [fn(t) for t in range(trials)]
+    results: list = [None] * trials
+    errors: dict[int, BaseException] = {}
+    claim = threading.Lock()
+    claimed = 0
+
+    def work(_: int) -> None:
+        nonlocal claimed
+        while True:
+            with claim:
+                t = claimed
+                if errors or t == trials:
+                    return
+                claimed += 1
+            try:
+                results[t] = fn(t)
+            except BaseException as exc:
+                with claim:
+                    errors[t] = exc
+                return
+
+    run_workers(k, work)
+    if errors:
+        raise errors[min(errors)]
+    return results

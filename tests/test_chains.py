@@ -1082,6 +1082,50 @@ def test_parallel_row_block_error_reaches_the_caller(monkeypatch, raiser):
     assert _state_of(rng) == _state_of(ref_rng)
 
 
+# -- trial map ----------------------------------------------------------------
+
+
+def test_map_trials_returns_results_in_trial_order(monkeypatch):
+    # Six workers, more than this machine may have cores, on trials of
+    # uneven length under a short switch interval: each trial runs once and
+    # its result lands at its index, whatever thread ran it.
+    monkeypatch.setattr(workers, "cpus", lambda: 6)
+    ran = []
+
+    def trial(t):
+        ran.append(t)
+        time.sleep(0.001 * (t % 3))
+        return t, threading.current_thread().name
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = workers.map_trials(60, trial)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t for t, _ in got] == list(range(60)) and sorted(ran) == list(range(60))
+    assert len({name for _, name in got}) > 1
+
+
+def test_map_trials_runs_inline_for_one_trial_or_one_cpu(monkeypatch):
+    # One trial, no trial, or one CPU: the trials run on the calling thread
+    # and no helper starts.  Two trials on two CPUs would start one.
+    class NoHelper:
+        def __init__(self, i):
+            raise AssertionError("a helper was started")
+
+    monkeypatch.setattr(workers, "_Helper", NoHelper)
+    monkeypatch.setattr(workers, "_helpers", [])
+    caller = threading.current_thread()
+    for cpus, trials in ((3, 1), (3, 0), (1, 5)):
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        got = workers.map_trials(trials, lambda t: (t, threading.current_thread() is caller))
+        assert got == [(t, True) for t in range(trials)]
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
+    with pytest.raises(AssertionError, match="a helper was started"):
+        workers.map_trials(2, lambda t: t)
+
+
 # -- estimator reuse ----------------------------------------------------------
 
 
@@ -1127,6 +1171,52 @@ def test_estimator_memo_is_bounded(u24):
     for i in range(chains.ESTIMATOR_MEMO_MAX + 5):
         single_ocrs_link(u24, as_marginals([0.01 * (i + 1)] * 4), params, RngStream(i).generator())
     assert len(u24._link_estimators) == chains.ESTIMATOR_MEMO_MAX
+
+
+class _SlowMemo(dict):
+    """An estimator memo that pauses between choosing its oldest entry and
+    handing it out, so another thread can evict in between."""
+
+    def __iter__(self):
+        it = super().__iter__()
+        time.sleep(0.001)
+        return it
+
+
+def test_estimator_memo_is_safe_across_threads():
+    # Three threads build links on 30 distinct minors of one base under a
+    # short switch interval, so they evict from its memo at once: no lookup,
+    # insert or eviction fails, and the memo stays bounded.
+    m = UniformMatroid(3, 10)
+    x = as_marginals([0.2] * 10)
+    minors = [m.restrict(m.ground_mask & ~(1 << i) & ~(1 << j)) for i, j in
+              itertools.combinations(range(10), 2)][:30]
+    params = LinkParams.from_formula(3, 0.5, 0.05, FAST)
+    m.span_lookup()
+    m._link_estimators = _SlowMemo()
+    errors = []
+
+    def work(i):
+        try:
+            for r in range(4):
+                for minor in minors[i:] + minors[:i]:
+                    single_ocrs_link(minor, x, params, RngStream(i, r).generator())
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(10 * i,)) for i in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(m._link_estimators) == chains.ESTIMATOR_MEMO_MAX
 
 
 # -- chain plan ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -617,24 +618,29 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
     from chainocrs.matroids import Matroid, MinorMatroid
 
     config = parse_config(base_config(**overrides))
-    plans, inside = [], []
+    plans, local = [], threading.local()
+
+    def inside():
+        # The plan builds open on this thread: the trials run on several.
+        return local.__dict__.setdefault("builds", [])
+
     real_span, real_rank, real_plan = Matroid.span, Matroid.rank, Matroid._circuit_plan
     real_kernel, real_labels = MinorMatroid._span_kernel, matroids._component_labels
 
     def oracle(real, name):
         def call(self, mask):
-            if inside:
-                inside[-1][name] += 1
+            if inside():
+                inside()[-1][name] += 1
             return real(self, mask)
 
         return call
 
     def plan(self, cols, a_mask, kernel):
-        inside.append({"span": 0, "rank": 0, "kernel": []})
+        inside().append({"span": 0, "rank": 0, "kernel": []})
         try:
             built = real_plan(self, cols, a_mask, kernel)
         finally:
-            calls = inside.pop()
+            calls = inside().pop()
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
         spans_ok = calls["span"] == 0 or overrides["matroid"] is LAMINAR24
         cheap = calls["rank"] == 2 and calls["kernel"] == [d_size + 1] and spans_ok
@@ -645,15 +651,15 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         count = real_kernel(self, cols)
 
         def counted(rows, a_mask):
-            if not inside:
+            if not inside():
                 pytest.fail("family kernel ran")
-            inside[-1]["kernel"].append(len(rows))
+            inside()[-1]["kernel"].append(len(rows))
             return count(rows, a_mask)
 
         return counted
 
     def labels(*args):
-        return real_labels(*args) if inside else pytest.fail("labels")
+        return real_labels(*args) if inside() else pytest.fail("labels")
 
     with monkeypatch.context() as patch:
         patch.setattr(Matroid, "span", oracle(real_span, "span"))

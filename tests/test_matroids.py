@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -193,6 +195,41 @@ def test_minor_span_lookup_reads_masks_modulo_the_ground_set(u24, k4):
         expected = [minor.span(int(mk) & minor.ground_mask) for mk in masks]
         assert minor.span_lookup()(masks).tolist() == expected, minor
     assert u24.restrict(0b0111).span_lookup()(np.array([0b1010]))[0] == 0b0010
+
+
+def test_dense_tables_are_built_once_across_threads():
+    # Two threads reach the tables of a fresh matroid at once, under a short
+    # switch interval: one builds them, with one rank call per mask, and
+    # both read the same table.
+    m = UniformMatroid(3, 12)
+    real_rank = m._rank_masked
+    calls = []
+
+    def spy(mask):
+        calls.append(mask)
+        return real_rank(mask)
+
+    m._rank_masked = spy
+    start = threading.Barrier(2)
+    tables = []
+
+    def work():
+        start.wait()
+        tables.append(m.rank_table())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(calls) == 1 << 12
+    assert tables[0] is tables[1]
 
 
 # -- axioms ---------------------------------------------------------------

@@ -12,7 +12,9 @@ and eight.
 
 ``MODE_PINS`` covers every CLI mode, each on K4 and U_{2,4}, with small
 overrides, so a change to any runner shows in one small report per mode;
-``ADVERSARY_PINS`` adds the other two ``ocrs`` adversaries on K4.
+``ADVERSARY_PINS`` adds the other two ``ocrs`` adversaries on K4.  The
+modes that run several trials are checked against the same pins on one,
+two and three trial workers.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainocrs import GraphicMatroid, ParamOverrides, RngStream, chain_plan
+from chainocrs import GraphicMatroid, ParamOverrides, RngStream, chain_plan, workers
 from chainocrs.cli import MODES, parse_config, run
 from chainocrs.sampling import _sampled_span_probabilities
 
@@ -129,6 +131,32 @@ def test_mode_report_matches_pinned_sha256(mode, matroid):
 @pytest.mark.parametrize("adversary", list(ADVERSARY_PINS))
 def test_ocrs_adversary_report_matches_pinned_sha256(adversary):
     assert _mode_report_sha256("ocrs", "k4", adversary) == ADVERSARY_PINS[adversary]
+
+
+#: Every report whose trials ``workers.map_trials`` shares out, with its pin.
+TRIAL_LOOP_PINS = {
+    **{
+        (mode, matroid, "element-last"): pin
+        for (mode, matroid), pin in MODE_PINS.items()
+        if mode not in ("verify-talpha", "audit")
+    },
+    **{("ocrs", "k4", adversary): pin for adversary, pin in ADVERSARY_PINS.items()},
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_trial_loops_match_their_pins_on_any_number_of_workers(monkeypatch, cpus):
+    # A short switch interval makes the trial threads interleave; every
+    # report still equals its pin, so no report depends on which worker
+    # ran a trial or on the order the trials finished in.
+    monkeypatch.setattr(workers, "cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for (mode, matroid, adversary), pin in TRIAL_LOOP_PINS.items():
+            assert _mode_report_sha256(mode, matroid, adversary) == pin, (mode, matroid)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _theta39_paths():

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from chainocrs import (
     verify_spanning,
     verify_t_alpha,
 )
+from chainocrs import workers
 from chainocrs.bitset import full_mask, ids_of, mask_of, submasks
 from chainocrs.chains import BuildTrace, LinkParams, LinkTrace
 from chainocrs.stats import bonferroni_z
@@ -158,6 +161,38 @@ def test_in_link_loss_broken_builder_fails(u12):
     )
     assert not rep.passed
     assert all(rate == 1.0 for rate in rep.meta["bad_rate"].values())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_in_link_loss_raises_the_error_of_the_lowest_failing_trial(u12, monkeypatch, cpus):
+    # Trials 3, 4 and 7 raise, trial 3 after the others have had time to.
+    # On any number of workers the caller gets trial 3's error, as a loop
+    # over the trials in order would give, and no trial is claimed once a
+    # failure is recorded.
+    monkeypatch.setattr(workers, "cpus", lambda: cpus)
+    started = []
+
+    def failing(m, x, params, rng):
+        t = int(rng.bit_generator.state["state"]["key"][1]) - 1  # substream t
+        started.append(t)
+        time.sleep(0.05 if t == 3 else 0.0 if t in (4, 7) else 0.01)
+        if t in (3, 4, 7):
+            raise RuntimeError(f"trial {t} failed")
+        return 0, LinkTrace(h_bar=1, a_sets=(0,), draws=params.q, ground_mask=m.ground_mask)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(RuntimeError, match="trial 3 failed"):
+            verify_in_link_loss(
+                u12, [0.6, 0.6], 0.5, 0.05, 40, RngStream(4), builder=failing, overrides=FAST
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    # Trials 0-3 ran; the other workers claimed at most one trial each
+    # after trial 3.
+    assert set(range(4)) <= set(started)
+    assert len(started) == len(set(started)) and max(started) <= 3 + cpus - 1
 
 
 def test_in_link_loss_preconditions(u12):
