@@ -22,7 +22,7 @@ its probabilities from the package's one spanning-probability oracle in
 ``spanned_weight``, because its base differs per element.  The freeness of
 an element at its level is read from the same oracle by ``verify``.
 
-Eight shortcuts save time without changing any output or the generator
+Nine shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
@@ -71,6 +71,9 @@ classification.
   ``chain_plan``, and ``ChainPlan.sample`` builds each chain from it; every
   trace it returns holds the plan's ``LinkParams``.  ``ocrs_chain`` is a
   plan used once.
+* Plan-held first link (``ChainPlan.first``): every chain's first link
+  runs on M|N, so the plan holds that minor and, off the ``rows`` path,
+  its estimator; a chain builds no minor and makes no memo lookup for it.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
   too large for a batch is cut into row blocks, claimed in increasing
   order by the calling thread, which draws from the caller's generator,
@@ -254,7 +257,8 @@ class LinkParams:
     def sample_h_bars(self, rng: np.random.Generator, k: int) -> list[int]:
         """k cutoffs; the same values and generator state as k ``sample_h_bar`` calls."""
         idx = self.cdf.searchsorted(rng.random(k), side="right")
-        return np.minimum(idx + 1, self.eta).tolist()
+        idx += 1
+        return np.minimum(idx, self.eta, out=idx).tolist()
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ class BuildTrace:
 
     @property
     def draw_count(self) -> int:
-        return self.params.q * sum(self.h_bars)
+        return self.params.q * (sum(lt.h_bar for lt in self.sampled) + sum(self.tail_h_bars))
 
     @property
     def draw_bound(self) -> int:
@@ -349,14 +353,23 @@ class SpanningChain:
         return self.links[0]
 
     def level_of(self, e: int) -> int:
-        """The unique i with e ∈ C_i \\ C_{i+1} (the highest index holding e)."""
-        bit = 1 << e
-        if not self.links[0] & bit:
+        """The unique i with e ∈ C_i \\ C_{i+1} (the highest index holding e).
+
+        The links are nested, so the indices holding e are 0, ..., i, and
+        a bisection finds i.
+        """
+        bit, links = 1 << e, self.links
+        if not links[0] & bit:
             raise ValueError(f"element {e} is not in the chain's ground set")
-        for i in range(len(self.links) - 2, -1, -1):
-            if self.links[i] & bit:
-                return i
-        raise AssertionError("unreachable: element in C_0 has a level")
+        # links[lo] holds e and links[hi] does not; the last link is empty.
+        lo, hi = 0, len(links) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if links[mid] & bit:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def to_jsonable(self) -> list[list[int]]:
         # An absorbing tail repeats one set, so ids_of runs once per distinct link.
@@ -442,7 +455,9 @@ class _SpanCountEstimator:
             return [0 if threshold >= 1.0 else self.m.span(0)] * h_bar
         if self.path == "rows":
             return self._row_link_sets(h_bar, threshold, rng)
-        cnt = rng.multinomial(self.q, self.pvals, size=h_bar)
+        # Counts and sums stay below q, exact in float64, whose matmul runs
+        # on BLAS where an integer one does not.
+        cnt = rng.multinomial(self.q, self.pvals, size=h_bar).astype(np.float64)
         bar = threshold * self.q
         a, sets = 0, []
         while len(sets) < h_bar:
@@ -456,11 +471,12 @@ class _SpanCountEstimator:
         new A.  Row i of ``above`` flags the ground elements iteration i
         puts in its set, and ``in_a`` flags A's."""
         # The first row that differs from A holds the first differing flag.
-        changed = np.flatnonzero(above != in_a)
-        if not len(changed):
+        differs = (above != in_a).ravel()
+        first = int(differs.argmax())
+        if not differs[first]:
             sets += [a] * len(above)
             return a
-        j = int(changed[0]) // len(in_a)
+        j = first // len(in_a)
         sets += [a] * j
         a = self._set_of(above[j])
         sets.append(a)
@@ -512,7 +528,7 @@ class _SpanCountEstimator:
         cached = self._member_cache.get(a_mask)
         if cached is None:
             spans = self.lookup(self.outcome_masks | np.int64(a_mask))
-            member = (spans[:, None] >> self.ground_ids[None, :]) & 1
+            member = ((spans[:, None] >> self.ground_ids[None, :]) & 1).astype(np.float64)
             cached = member, self._of_a(a_mask)[1]
             self._member_cache[a_mask] = cached
         return cached
@@ -651,10 +667,13 @@ def _sample_link(
     x: np.ndarray,
     params: LinkParams,
     rng: np.random.Generator,
+    est: _SpanCountEstimator | None = None,
 ) -> tuple[int, LinkTrace]:
-    """One link from validated marginals and ``params``."""
+    """One link from validated marginals and ``params``, with ``est`` or
+    else the estimator ``_link_estimator`` gives for (m, x, q)."""
     h_bar = params.sample_h_bar(rng)
-    est = _link_estimator(m, x, params.q)
+    if est is None:
+        est = _link_estimator(m, x, params.q)
     a_sets = est.link_sets(h_bar, params.threshold, rng)
     return a_sets[-1], LinkTrace(
         h_bar=h_bar, a_sets=tuple(a_sets), draws=h_bar * params.q, ground_mask=m.ground_mask
@@ -689,6 +708,9 @@ class ChainPlan:
     ``params``.  ``x`` is a read-only copy, so a caller that later edits
     its own array cannot change the plan's chains.  ``loops`` is span(∅) of
     M: the absorbing tail on a ground set C is ``loops & C``, span(∅) of M|C.
+    Every chain's first link runs on ``first``, M|N, with
+    ``first_estimator``, its estimator, when that is not on the ``rows``
+    path, whose estimators are built per link.
     """
 
     m: Matroid
@@ -698,6 +720,8 @@ class ChainPlan:
     params: LinkParams
     positive: int
     loops: int
+    first: Matroid
+    first_estimator: _SpanCountEstimator | None
 
     def sample(self, rng: np.random.Generator) -> tuple[SpanningChain, BuildTrace]:
         """One spanning chain; the links C_1, ..., C_zeta are drawn from ``rng``."""
@@ -706,7 +730,10 @@ class ChainPlan:
         sampled: list[LinkTrace] = []
         cur = m.ground_mask
         while len(sampled) < zeta and cur & self.positive:
-            cur, lt = _sample_link(m.restrict(cur), self.x, params, rng)
+            if sampled:
+                cur, lt = _sample_link(m.restrict(cur), self.x, params, rng)
+            else:
+                cur, lt = _sample_link(self.first, self.x, params, rng, self.first_estimator)
             links.append(cur)
             sampled.append(lt)
         tail_h_bars: tuple[int, ...] = ()
@@ -735,7 +762,7 @@ class ChainPlan:
     ) -> list[tuple[SpanningChain, BuildTrace]]:
         """``sample`` on substream t of ``stream``, for t < trials, in trial
         order; the trials run on every CPU (``workers.map_trials``)."""
-        return workers.map_trials(trials, lambda t: self.sample(stream.substream(t).generator()))
+        return workers.map_trials(trials, stream, lambda t, rng: self.sample(rng))
 
 
 def chain_plan(
@@ -764,14 +791,25 @@ def chain_plan(
 
     x = universe_marginals(m, x).copy()
     x.flags.writeable = False
+    positive = mask_of(np.flatnonzero(x > 0.0).tolist())
+    first = m.restrict(m.ground_mask)
+    first_estimator = None
+    # A support above MULTINOMIAL_MAX_SUPPORT puts the first link on the
+    # rows path, and no support means no link is sampled.
+    if 0 < (positive & m.ground_mask).bit_count() <= MULTINOMIAL_MAX_SUPPORT:
+        first_estimator = _link_estimator(first, x, params.q)
+        if first_estimator.path == "rows":
+            first_estimator = None
     return ChainPlan(
         m=m,
         x=x,
         zeta=zeta,
         conforming=conforming and params.conforming,
         params=params,
-        positive=mask_of(np.flatnonzero(x > 0.0).tolist()),
+        positive=positive,
         loops=m.span(0),
+        first=first,
+        first_estimator=first_estimator,
     )
 
 

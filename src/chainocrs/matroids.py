@@ -63,8 +63,12 @@ class Matroid:
         raise NotImplementedError
 
     def rank(self, mask: int) -> int:
-        """Largest cardinality of an independent subset of ``mask``."""
+        """Largest cardinality of an independent subset of ``mask``; read
+        from the dense rank table once it is built, never building it."""
         self._check_ground(mask)
+        tables = self._tables
+        if tables is not None:
+            return int(tables[0][mask])
         return self._rank_masked(mask)
 
     def _check_ground(self, mask: int) -> None:
@@ -78,8 +82,12 @@ class Matroid:
         return self.rank(mask) == mask.bit_count()
 
     def span(self, mask: int) -> int:
-        """All elements whose addition to ``mask`` does not raise its rank."""
+        """All elements whose addition to ``mask`` does not raise its rank;
+        read from the dense span table once it is built, never building it."""
         self._check_ground(mask)
+        tables = self._tables
+        if tables is not None:
+            return int(tables[1][mask])
         return self._span_masked(mask)
 
     def _span_masked(self, mask: int) -> int:

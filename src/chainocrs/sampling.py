@@ -10,7 +10,9 @@ frequency over sample rows, counted by the matroid's span kernel, beyond.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream)``: trial i uses stream id i, so its draws do not depend
-on any other trial.  Every block of sample rows is drawn by ``draw_rows``,
+on any other trial.  ``RngStream.rekey`` moves an existing generator to the
+start of a stream, so a loop over trials builds one generator, not one per
+trial.  Every block of sample rows is drawn by ``draw_rows``,
 which compares 53-bit integers where the bit generator allows it.
 """
 
@@ -25,6 +27,11 @@ from .bitset import bits_of, iter_ids
 from .matroids import ROW_BLOCK_VALUES, Matroid
 
 _MASK64 = (1 << 64) - 1
+
+#: The counter and buffer of a Philox at the start of a stream; the state
+#: setter copies them, so one read-only array serves every call.
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZEROS.flags.writeable = False
 
 #: Largest ground set for exact 2^n enumeration.
 EXACT_ENUM_MAX = 20
@@ -43,10 +50,30 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        # A uint64 array: a Python list would pass values >= 2^63 through
-        # float64, so distinct keys could collide.
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return self.rekey(np.random.Generator(np.random.Philox()))
+
+    def rekey(self, gen: np.random.Generator) -> np.random.Generator:
+        """Move the Philox generator ``gen``, wherever it stands, to the start
+        of this stream, and return it.
+
+        Setting the state costs a few microseconds; building a Philox costs
+        several times that, because it draws OS entropy for a seed sequence
+        that the key then replaces.
+        """
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            # A uint64 array: a Python list would pass values >= 2^63 through
+            # float64, so distinct keys could collide.
+            "state": {
+                "counter": _PHILOX_ZEROS,
+                "key": np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64),
+            },
+            "buffer": _PHILOX_ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
     def substream(self, i: int) -> "RngStream":
         """Derived stream; used to give trial i its own independent stream."""
@@ -97,10 +124,7 @@ def draw_rows(
 
 
 def _pack_bits(bits: np.ndarray) -> int:
-    mask = 0
-    for e in np.flatnonzero(bits):
-        mask |= 1 << int(e)
-    return mask
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def realization_weights(x: np.ndarray) -> np.ndarray:

@@ -61,13 +61,17 @@ class OcrsState:
 
 def greedy_step(state: OcrsState, e: int) -> tuple[bool, OcrsState]:
     """Decide one arriving active element; accepts iff it stays independent
-    in the level minor (M | C_i) / C_{i+1} with the level's prior accepts."""
+    in the level minor (M | C_i) / C_{i+1} with the level's prior accepts.
+
+    The candidate lies in C_i \\ C_{i+1}, where it is independent in that
+    minor iff r(candidate ∪ C_{i+1}) - r(C_{i+1}) = |candidate| in M, so no
+    minor is built.
+    """
     m, chain = state.matroid, state.chain
     i = chain.level_of(e)
-    ci, ci1 = chain.links[i], chain.links[i + 1]
+    ci1 = chain.links[i + 1]
     candidate = state.accepted[i] | (1 << e)
-    minor = m.restrict(ci).contract(ci1)
-    if minor.is_independent(candidate):
+    if m.rank(candidate | ci1) - m.rank(ci1) == candidate.bit_count():
         state.accepted[i] = candidate
         return True, state
     return False, state
@@ -290,9 +294,7 @@ def selectability_experiment(
     plan = scheme_plan(m, scale(x, lam), lam, eps, overrides)
     draw_counts = [0] * trials
 
-    def one_trial(t: int) -> TrialOutcome:
-        rng = seed_stream.substream(t).generator()
-
+    def one_trial(t: int, rng: np.random.Generator) -> TrialOutcome:
         def sampler(r: np.random.Generator) -> SpanningChain:
             chain, trace = plan.sample(r)
             draw_counts[t] = trace.draw_count
@@ -300,7 +302,7 @@ def selectability_experiment(
 
         return chain_ocrs_trial(m, x, lam, sampler, adversary, rng)
 
-    outcomes = workers.map_trials(trials, one_trial)
+    outcomes = workers.map_trials(trials, seed_stream, one_trial)
 
     ids = ids_of(m.ground_mask)
     act = {e: 0 for e in ids}

@@ -120,7 +120,7 @@ def verify_in_link_loss(
     bad = np.zeros((trials, len(ids)), dtype=bool)
     good = np.zeros((trials, len(ids)), dtype=bool)
     a_masks = workers.map_trials(
-        trials, lambda t: builder(m, x, params, seed_stream.substream(t).generator())[0]
+        trials, seed_stream, lambda t, rng: builder(m, x, params, rng)[0]
     )
     for t, a_mask in enumerate(a_masks):
         if a_mask not in probs_cache:
@@ -183,7 +183,7 @@ def verify_progress(
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
     a_masks = workers.map_trials(
-        trials, lambda t: single_ocrs_link(m, x, params, seed_stream.substream(t).generator())[0]
+        trials, seed_stream, lambda t, rng: single_ocrs_link(m, x, params, rng)[0]
     )
     ranks = np.array([m.rank(a) for a in a_masks], dtype=np.float64)
     bound = (1.0 + lam - (1.0 - 3.0 * eps) * tau) * m.full_rank()

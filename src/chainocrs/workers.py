@@ -14,6 +14,8 @@ draws, so that each worker can draw from its own offset of one stream.
 ``map_trials`` runs the independent trials of an experiment on the same
 helpers: trial t draws only from its own substream, so the trials can run
 in any order and on any thread, and the results come back in trial order.
+Each worker builds one generator per call and re-keys it to the start of
+each trial's substream.
 The caller fills its caches and totals from them in one loop over that
 list, so a report does not depend on the number of CPUs.
 Work inside a trial that calls ``run_workers`` while the trials hold the
@@ -27,6 +29,8 @@ import threading
 from collections.abc import Callable
 
 import numpy as np
+
+from .sampling import RngStream
 
 
 def cpus() -> int:
@@ -147,21 +151,28 @@ def run_workers(k: int, work: Callable[[int], object]) -> list:
     return [result for result, _ in outcomes]
 
 
-def map_trials(trials: int, fn: Callable[[int], object]) -> list:
-    """``[fn(0), ..., fn(trials - 1)]``, on up to ``cpus()`` workers.
+def map_trials(
+    trials: int, stream: RngStream, fn: Callable[[int, np.random.Generator], object]
+) -> list:
+    """``[fn(0, rng_0), ..., fn(trials - 1, rng_{trials-1})]``, on up to
+    ``cpus()`` workers, where rng_t stands at the start of
+    ``stream.substream(t)``.
 
-    Workers claim trial indices one at a time, in increasing order, under
-    a lock, and each result lands at its trial's index.  ``fn(t)`` may run
-    on any thread, so it must draw only from its own generator and write
-    nothing that another trial reads.  Once a trial raises, no further
-    trial is claimed; every claimed trial below it finishes, and the error
-    of the lowest failing trial is raised, the one a loop over the trials
-    in order would raise.  With fewer than two trials or one CPU the loop
-    runs on the calling thread and starts no helper.
+    Each worker builds one generator and re-keys it for every trial it
+    runs (``RngStream.rekey``), so ``fn`` must not keep ``rng`` after it
+    returns.  Workers claim trial indices one at a time, in increasing
+    order, under a lock, and each result lands at its trial's index.
+    ``fn`` may run on any thread, so it must draw only from ``rng`` and
+    write nothing that another trial reads.  Once a trial raises, no
+    further trial is claimed; every claimed trial below it finishes, and
+    the error of the lowest failing trial is raised, the one a loop over
+    the trials in order would raise.  With fewer than two trials or one
+    CPU the loop runs on the calling thread and starts no helper.
     """
     k = min(cpus(), trials)
     if k < 2:
-        return [fn(t) for t in range(trials)]
+        rng = stream.generator()
+        return [fn(t, stream.substream(t).rekey(rng)) for t in range(trials)]
     results: list = [None] * trials
     errors: dict[int, BaseException] = {}
     claim = threading.Lock()
@@ -169,6 +180,7 @@ def map_trials(trials: int, fn: Callable[[int], object]) -> list:
 
     def work(_: int) -> None:
         nonlocal claimed
+        rng = stream.generator()
         while True:
             with claim:
                 t = claimed
@@ -176,7 +188,7 @@ def map_trials(trials: int, fn: Callable[[int], object]) -> list:
                     return
                 claimed += 1
             try:
-                results[t] = fn(t)
+                results[t] = fn(t, stream.substream(t).rekey(rng))
             except BaseException as exc:
                 with claim:
                     errors[t] = exc

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainocrs import (
     GraphicMatroid,
@@ -1092,19 +1094,23 @@ def test_map_trials_returns_results_in_trial_order(monkeypatch):
     monkeypatch.setattr(workers, "cpus", lambda: 6)
     ran = []
 
-    def trial(t):
+    def trial(t, rng):
         ran.append(t)
         time.sleep(0.001 * (t % 3))
-        return t, threading.current_thread().name
+        return t, threading.current_thread().name, rng.random(3).tolist()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = workers.map_trials(60, trial)
+        got = workers.map_trials(60, RngStream(8, 2), trial)
     finally:
         sys.setswitchinterval(interval)
-    assert [t for t, _ in got] == list(range(60)) and sorted(ran) == list(range(60))
-    assert len({name for _, name in got}) > 1
+    assert [t for t, _, _ in got] == list(range(60)) and sorted(ran) == list(range(60))
+    assert len({name for _, name, _ in got}) > 1
+    # Each trial's generator starts at its own substream, whichever worker
+    # re-keyed it and whatever that worker drew before.
+    for t, _, draws in got:
+        assert draws == RngStream(8, 2).substream(t).generator().random(3).tolist()
 
 
 def test_map_trials_runs_inline_for_one_trial_or_one_cpu(monkeypatch):
@@ -1119,11 +1125,13 @@ def test_map_trials_runs_inline_for_one_trial_or_one_cpu(monkeypatch):
     caller = threading.current_thread()
     for cpus, trials in ((3, 1), (3, 0), (1, 5)):
         monkeypatch.setattr(workers, "cpus", lambda: cpus)
-        got = workers.map_trials(trials, lambda t: (t, threading.current_thread() is caller))
+        got = workers.map_trials(
+            trials, RngStream(0), lambda t, rng: (t, threading.current_thread() is caller)
+        )
         assert got == [(t, True) for t in range(trials)]
     monkeypatch.setattr(workers, "cpus", lambda: 2)
     with pytest.raises(AssertionError, match="a helper was started"):
-        workers.map_trials(2, lambda t: t)
+        workers.map_trials(2, RngStream(0), lambda t, rng: t)
 
 
 # -- estimator reuse ----------------------------------------------------------
@@ -1569,3 +1577,29 @@ def test_balancedness_distribution_floor(u12):
         assert mean >= floor - 3 * se
     # dominant chain shape is (N, ∅, ..., ∅): freeness 0.75 per element
     assert means.min() >= 0.7 - 3 * stderrs.max()
+
+
+# -- chain levels ---------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_level_of_bisection_matches_the_linear_scan(data):
+    # Element e has level levels[e] (-1: off the ground set), so link i
+    # holds the elements of level >= i; each link repeats 1-4 times, which
+    # gives repeated absorbing tails and repeated empty links.
+    n = data.draw(st.integers(1, 10))
+    depth = data.draw(st.integers(1, 8))
+    levels = data.draw(st.lists(st.integers(-1, depth - 1), min_size=n, max_size=n))
+    repeats = data.draw(st.lists(st.integers(1, 4), min_size=depth, max_size=depth))
+    links = []
+    for i, r in enumerate(repeats):
+        links += [mask_of(e for e in range(n) if levels[e] >= i)] * r
+    chain = SpanningChain(tuple(links) + (0,))
+    for e in range(n + 1):
+        if e < n and levels[e] >= 0:
+            scan = max(i for i, c in enumerate(chain.links) if (c >> e) & 1)
+            assert chain.level_of(e) == scan
+        else:
+            with pytest.raises(ValueError):
+                chain.level_of(e)

@@ -20,6 +20,7 @@ from chainocrs import (
     validate_axioms,
 )
 from chainocrs.bitset import full_mask, ids_of, submasks
+from chainocrs.matroids import MinorMatroid
 
 from conftest import explicit_corpus, random_explicit_matroid, small_corpus
 
@@ -230,6 +231,40 @@ def test_dense_tables_are_built_once_across_threads():
     assert not any(th.is_alive() for th in threads)
     assert len(calls) == 1 << 12
     assert tables[0] is tables[1]
+
+
+def test_span_and_rank_read_built_tables_as_the_oracle_gives(monkeypatch):
+    # Once the tables exist, span and rank read them: with the oracle
+    # methods made to raise they still give the oracle's values for every
+    # subset of the ground set, on the n <= 8 corpus and on one minor,
+    # whose span reads its base's table and whose rank reads its own.
+    def boom(*args):
+        raise AssertionError("oracle called although the tables exist")
+
+    k4 = small_corpus()[5]
+    matroids = small_corpus() + explicit_corpus() + [k4.restrict(0b111011).contract(0b000001)]
+    for m in matroids:
+        masks = list(submasks(m.ground_mask))
+        ranks = [m._rank_masked(s) for s in masks]
+        spans = [m._span_masked(s) for s in masks]
+        owners = [m] + ([m.base] if isinstance(m, MinorMatroid) else [])
+        for owner in owners:
+            owner.rank_table()
+            monkeypatch.setattr(owner, "_rank_masked", boom)
+            monkeypatch.setattr(owner, "_span_masked", boom)
+        assert [m.rank(s) for s in masks] == ranks
+        assert [m.span(s) for s in masks] == spans
+
+
+def test_span_and_rank_never_build_the_tables(monkeypatch, k4):
+    def boom(self):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(Matroid, "_dense_tables", boom)
+    minor = k4.restrict(0b111011).contract(0b000001)
+    assert k4.span(0b000011) == 0b001011 and k4.rank(0b001011) == 2
+    assert minor.span(0b000010) == 0b001010 and minor.rank(0b001010) == 1
+    assert k4._tables is None and minor._tables is None
 
 
 # -- axioms ---------------------------------------------------------------

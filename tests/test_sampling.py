@@ -57,6 +57,45 @@ def test_stream_keys_do_not_alias():
             assert first(RngStream(seed, stream)) == plain.random(4).tolist()
 
 
+def _state(gen):
+    """A bit generator's full state, arrays as lists, for comparison."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(w) for k, w in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(gen.bit_generator.state)
+
+
+@pytest.mark.parametrize(
+    "seed, stream", [(2**63, 2**63 + 5), (2**64 - 1, 2**63), (7, 2**64 - 2)]
+)
+def test_rekey_matches_a_fresh_generator(seed, stream):
+    # A used generator, left mid-buffer with a saved 32-bit half-word, is
+    # re-keyed before each kind of draw; it then draws what a fresh
+    # generator of the stream draws, and ends in the same full state.
+    target = RngStream(seed, stream)
+    used = RngStream(1, 2).generator()
+    used.integers(0, 2**32, dtype=np.uint32)
+    used.random(2)
+    before = used.bit_generator.state
+    assert before["has_uint32"] == 1 and before["buffer_pos"] < 4
+    draws = (
+        lambda g: g.random(1000),
+        lambda g: g.integers(0, 2**64, size=1000, dtype=np.uint64),
+        lambda g: g.multinomial(1000, [0.2, 0.3, 0.5], size=1000),
+    )
+    for draw in draws:
+        assert target.rekey(used) is used
+        fresh = target.generator()
+        plain = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        )
+        got = draw(used)
+        assert np.array_equal(got, draw(fresh)) and np.array_equal(got, draw(plain))
+        assert _state(used) == _state(fresh) == _state(plain)
+
+
 def test_sample_active_set_degenerate():
     rng = RngStream(1).generator()
     assert sample_active_set(as_marginals([0.0, 0.0]), rng) == 0

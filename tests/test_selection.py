@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainocrs import workers
 from chainocrs import (
     OcrsState,
     PartitionMatroid,
@@ -265,6 +266,30 @@ def test_selectability_repeat_run_is_identical(u12):
     a = selectability_experiment(u12, x, 0.5, 0.05, 40, "element-last", RngStream(8), FAST)
     b = selectability_experiment(u12, x, 0.5, 0.05, 40, "element-last", RngStream(8), FAST)
     assert a.to_jsonable() == b.to_jsonable()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_selectability_builds_one_philox_per_worker(k3, monkeypatch, cpus):
+    # Each worker builds one generator and re-keys it per trial; the
+    # report is the one-CPU report.
+    def run():
+        return selectability_experiment(
+            k3, [1 / 3] * 3, 0.5, 0.05, 50, "element-last", RngStream(12)
+        ).to_jsonable()
+
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
+    expected = run()
+    built = []
+
+    class Philox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    monkeypatch.setattr(workers, "cpus", lambda: cpus)
+    assert run() == expected
+    assert 1 <= len(built) <= cpus
 
 
 def test_selectability_domain_errors(u12):
