@@ -22,7 +22,7 @@ its probabilities from the package's one spanning-probability oracle in
 ``spanned_weight``, because its base differs per element.  The freeness of
 an element at its level is read from the same oracle by ``verify``.
 
-Nine shortcuts save time without changing any output or the generator
+Eight shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
 same stream whether values come one call at a time or in one batched call:
 ``rng.random(k)`` equals k calls of ``rng.random()``,
@@ -35,7 +35,7 @@ ceil(x * 2^53).  And an iteration whose set equals A_{h-1} leaves the next
 iteration where it was, so only the iterations that change A need a new
 classification.
 
-* Absorbing tail (``ocrs_chain``): once a link's ground set C holds no
+* Absorbing tail (``ChainPlan.sample``): once a link's ground set C holds no
   element with a positive marginal, the link's estimates are
   deterministic; the link is span(∅) of M|C, and every later link, built on
   that set, repeats it.  Only the cutoffs h̄ consume the generator, so they
@@ -55,25 +55,22 @@ classification.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
   ``BuildTrace.link_traces`` expands it only when read.
-* Estimator reuse (``_link_estimator``): an estimator holds no generator
-  state, only tables fixed by (minor, x, q), so ``single_ocrs_link`` takes
-  it from a memo on the base matroid, and every trial of an experiment
-  shares its first link's estimator.  ``rows`` estimators are rebuilt per
-  link, because their row blocks would otherwise outlive the link.  The
-  trials of an experiment run on several threads (``workers.map_trials``)
-  and share the memo: one lock guards its lookup, build, insert and
-  eviction, and a shared estimator holds only caches that every thread
-  fills alike.
 * Chain plan (``ChainPlan``): everything that depends only on
   (M, x, tau, eps, overrides) -- the checks, zeta, the ``LinkParams``
   (rho, q, eta, the threshold and eps, which also fix the cutoff law),
   the positive mask and the loops span(∅) -- is fixed once by
-  ``chain_plan``, and ``ChainPlan.sample`` builds each chain from it; every
-  trace it returns holds the plan's ``LinkParams``.  ``ocrs_chain`` is a
-  plan used once.
+  ``chain_plan``; ``ChainPlan.sample`` builds each chain from it, and
+  ``ChainPlan.link`` each first link alone; every trace they return holds
+  the plan's ``LinkParams``.
 * Plan-held first link (``ChainPlan.first``): every chain's first link
   runs on M|N, so the plan holds that minor and, off the ``rows`` path,
-  its estimator; a chain builds no minor and makes no memo lookup for it.
+  its estimator, which every trial of an experiment shares; a chain builds
+  neither for it.  An estimator holds no generator state, only tables
+  fixed by (minor, x, q), and the trials run on several threads
+  (``workers.map_trials``): a shared estimator holds only caches that
+  every thread fills alike.  A later link, or a first link on the
+  ``rows`` path, builds its estimator per link, so no row block outlives
+  its link.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
   too large for a batch is cut into row blocks, claimed in increasing
   order by the calling thread, which draws from the caller's generator,
@@ -112,7 +109,7 @@ import numpy as np
 
 from . import workers
 from .bitset import bits_of, ids_of, iter_ids, mask_of
-from .matroids import ROW_BLOCK_VALUES, Matroid, MinorMatroid
+from .matroids import ROW_BLOCK_VALUES, Matroid
 from .sampling import (
     EXACT_ENUM_MAX,
     RngStream,
@@ -125,13 +122,6 @@ from .sampling import (
 
 #: Support size up to which link counts are drawn from the exact multinomial.
 MULTINOMIAL_MAX_SUPPORT = 12
-
-#: Link estimators kept per base matroid; the oldest is dropped beyond this.
-ESTIMATOR_MEMO_MAX = 16
-
-# Guards the lookup, build, insert and eviction of every estimator memo, which
-# the trial threads of one experiment share, so each entry is built once.
-_estimator_memo_lock = threading.Lock()
 
 #: Row blocks claimed past the first row that may decide an iteration hold
 #: a DECIDE_SPLIT-th of a worker's share of ROW_BLOCK_VALUES.
@@ -641,27 +631,6 @@ class _SpanCountEstimator:
 # ---------------------------------------------------------------------------
 
 
-def _link_estimator(m: Matroid, x: np.ndarray, q: int) -> _SpanCountEstimator:
-    """The estimator for (m, x, q), from the memo on m's base matroid.
-
-    Equal minors of one base share an entry, so the links of every trial
-    of an experiment reuse one estimator.  ``rows`` estimators are not
-    kept: their row blocks would stay alive with the base matroid.
-    """
-    base, contracted = (m.base, m.contracted) if isinstance(m, MinorMatroid) else (m, 0)
-    memo = base._link_estimators
-    key = (m.ground_mask, contracted, x.tobytes(), q)
-    with _estimator_memo_lock:
-        est = memo.get(key)
-        if est is None:
-            est = _SpanCountEstimator(m, x, q)
-            if est.path != "rows":
-                if len(memo) >= ESTIMATOR_MEMO_MAX:
-                    del memo[next(iter(memo))]
-                memo[key] = est
-    return est
-
-
 def _sample_link(
     m: Matroid,
     x: np.ndarray,
@@ -670,10 +639,10 @@ def _sample_link(
     est: _SpanCountEstimator | None = None,
 ) -> tuple[int, LinkTrace]:
     """One link from validated marginals and ``params``, with ``est`` or
-    else the estimator ``_link_estimator`` gives for (m, x, q)."""
+    else a new estimator for (m, x, q)."""
     h_bar = params.sample_h_bar(rng)
     if est is None:
-        est = _link_estimator(m, x, params.q)
+        est = _SpanCountEstimator(m, x, params.q)
     a_sets = est.link_sets(h_bar, params.threshold, rng)
     return a_sets[-1], LinkTrace(
         h_bar=h_bar, a_sets=tuple(a_sets), draws=h_bar * params.q, ground_mask=m.ground_mask
@@ -695,6 +664,9 @@ def single_ocrs_link(
     stopping after h̄ iterations, drawn from the cutoff law of ``params``,
     and returning A_h̄.  The threshold is applied verbatim; the (1-eps)
     safety factor is the caller's responsibility.
+
+    The package builds its links with ``ChainPlan.link``; this entry stays
+    only because the benchmark's tracer looks it up by name.
     """
     return _sample_link(m, as_marginals(x), params, rng)
 
@@ -703,7 +675,8 @@ def single_ocrs_link(
 class ChainPlan:
     """What is fixed for every chain of one (M, x, tau, eps, overrides).
 
-    Built once by ``chain_plan``; ``sample`` builds one chain per call.
+    Built once by ``chain_plan``; ``sample`` builds one chain per call and
+    ``link`` one first link.
     rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
     ``params``.  ``x`` is a read-only copy, so a caller that later edits
     its own array cannot change the plan's chains.  ``loops`` is span(∅) of
@@ -733,7 +706,7 @@ class ChainPlan:
             if sampled:
                 cur, lt = _sample_link(m.restrict(cur), self.x, params, rng)
             else:
-                cur, lt = _sample_link(self.first, self.x, params, rng, self.first_estimator)
+                cur, lt = self.link(rng)
             links.append(cur)
             sampled.append(lt)
         tail_h_bars: tuple[int, ...] = ()
@@ -756,6 +729,11 @@ class ChainPlan:
             tail=tail,
         )
         return SpanningChain(tuple(links)), trace
+
+    def link(self, rng: np.random.Generator) -> tuple[int, LinkTrace]:
+        """The first link C_1, on ``first`` with ``first_estimator``, drawn
+        from ``rng``."""
+        return _sample_link(self.first, self.x, self.params, rng, self.first_estimator)
 
     def sample_trials(
         self, trials: int, stream: RngStream
@@ -788,6 +766,8 @@ def chain_plan(
     conforming = True
     if overrides is not None and overrides.zeta is not None:
         zeta, conforming = overrides.zeta, False
+        if zeta < 1:
+            raise ValueError(f"zeta must be positive, got {zeta}")
 
     x = universe_marginals(m, x).copy()
     x.flags.writeable = False
@@ -797,7 +777,7 @@ def chain_plan(
     # A support above MULTINOMIAL_MAX_SUPPORT puts the first link on the
     # rows path, and no support means no link is sampled.
     if 0 < (positive & m.ground_mask).bit_count() <= MULTINOMIAL_MAX_SUPPORT:
-        first_estimator = _link_estimator(first, x, params.q)
+        first_estimator = _SpanCountEstimator(first, x, params.q)
         if first_estimator.path == "rows":
             first_estimator = None
     return ChainPlan(
@@ -838,7 +818,8 @@ def ocrs_chain(
 ) -> tuple[SpanningChain, BuildTrace]:
     """Sample one spanning chain: ``chain_plan(m, x, tau, eps, overrides).sample(rng)``.
 
-    Callers that build many chains of one experiment build the plan once.
+    The package builds its chains from a plan; this entry stays only
+    because the benchmark's tracer looks it up by name.
     """
     return chain_plan(m, x, tau, eps, overrides).sample(rng)
 

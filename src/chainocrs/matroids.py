@@ -52,9 +52,6 @@ class Matroid:
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         # Trial threads may reach the tables at once: one of them builds.
         self._tables_lock = threading.Lock()
-        # Link estimators of this matroid and its minors, keyed and filled
-        # by chains._link_estimator.
-        self._link_estimators: dict = {}
 
     # -- oracle interface ------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,23 +156,21 @@ class TrialOutcome:
     active_mask: int
     kept_mask: int
     selected_mask: int
-    chain: SpanningChain
 
 
 def chain_ocrs_trial(
     m: Matroid,
     x: np.ndarray,
     lam: float,
-    chain_sampler: Callable[[np.random.Generator], SpanningChain],
+    chain: SpanningChain,
     adversary: str,
     rng: np.random.Generator,
 ) -> TrialOutcome:
-    """One filtered-greedy trial against the chosen adversary.
+    """One filtered-greedy trial against the chosen adversary on ``chain``.
 
-    A chain is sampled, the active set R(x) is drawn, each active element
-    survives thinning with probability λ, and the surviving elements are
-    played against the adversary.  Outcomes are recorded for every
-    pre-thinning active element.
+    The active set R(x) is drawn, each active element survives thinning
+    with probability λ, and the surviving elements are played against the
+    adversary.  Outcomes are recorded for every pre-thinning active element.
 
     For the almighty ``element-last`` adversary the order is chosen per
     target (worst case for each element separately): the target is selected
@@ -183,7 +181,6 @@ def chain_ocrs_trial(
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if adversary not in ADVERSARIES:
         raise ValueError(f"unknown adversary {adversary!r}")
-    chain = chain_sampler(rng)
     active = sample_active_set(x, rng)
     kept = filter_actives(active, lam, rng)
     selected = 0
@@ -199,7 +196,7 @@ def chain_ocrs_trial(
     else:  # random-order
         order = [int(e) for e in rng.permutation(ids_of(kept))]
         selected = run_selection(m, chain, kept, order)
-    return TrialOutcome(active_mask=active, kept_mask=kept, selected_mask=selected, chain=chain)
+    return TrialOutcome(active_mask=active, kept_mask=kept, selected_mask=selected)
 
 
 @dataclass(frozen=True)
@@ -292,22 +289,17 @@ def selectability_experiment(
         raise ValueError("at least one trial is required")
     x = as_marginals(x)
     plan = scheme_plan(m, scale(x, lam), lam, eps, overrides)
-    draw_counts = [0] * trials
 
-    def one_trial(t: int, rng: np.random.Generator) -> TrialOutcome:
-        def sampler(r: np.random.Generator) -> SpanningChain:
-            chain, trace = plan.sample(r)
-            draw_counts[t] = trace.draw_count
-            return chain
+    def one_trial(t: int, rng: np.random.Generator) -> tuple[TrialOutcome, int]:
+        chain, trace = plan.sample(rng)
+        return chain_ocrs_trial(m, x, lam, chain, adversary, rng), trace.draw_count
 
-        return chain_ocrs_trial(m, x, lam, sampler, adversary, rng)
-
-    outcomes = workers.map_trials(trials, seed_stream, one_trial)
+    results = workers.map_trials(trials, seed_stream, one_trial)
 
     ids = ids_of(m.ground_mask)
     act = {e: 0 for e in ids}
     sel = {e: 0 for e in ids}
-    for out in outcomes:
+    for out, _ in results:
         for e in iter_ids(out.active_mask):
             act[e] += 1
         for e in iter_ids(out.selected_mask):
@@ -319,6 +311,6 @@ def selectability_experiment(
         eps=eps,
         adversary=adversary,
         per_element=stats,
-        draw_count=sum(draw_counts),
+        draw_count=sum(draws for _, draws in results),
         theoretical_floor=lam * (1.0 - lam - 8.0 * eps),
     )

@@ -13,6 +13,7 @@ are treated as exact rationals, expectations are integer sums over all
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import workers
 from .bitset import bits_of, ids_of, submasks
-from .chains import BuildTrace, ParamOverrides, chain_plan, scheme_plan, single_ocrs_link
+from .chains import BuildTrace, ParamOverrides, chain_plan, scheme_plan
 from .matroids import Matroid
 from .sampling import (
     EXACT_ENUM_MAX,
@@ -98,16 +99,17 @@ def verify_in_link_loss(
     eps: float,
     trials: int,
     seed_stream: RngStream,
-    builder: Callable[..., tuple[int, object]] = single_ocrs_link,
+    builder: Callable[..., tuple[int, object]] | None = None,
     overrides: ParamOverrides | None = None,
 ) -> VerifyReport:
     """Check: Pr[e bad] <= eps * Pr[e good] + 2 eps^3 / ln(rho), per element.
 
     Builds the link of ``chain_plan(m, x, tau, eps, overrides)``, with
     threshold (1-eps)*tau, over `trials` runs and classifies every element
-    exactly against the unscaled tau.  The ``builder`` hook lets tests
-    inject a deliberately broken link builder, which must drive this check
-    to a fail verdict.
+    exactly against the unscaled tau.  The ``builder`` hook, called as
+    ``builder(m, x, params, rng)`` in place of ``ChainPlan.link``, lets
+    tests inject a deliberately broken link builder, which must drive this
+    check to a fail verdict.
     """
     if not 0.0 < eps <= tau:
         raise ValueError("need 0 < eps <= tau")
@@ -119,9 +121,8 @@ def verify_in_link_loss(
     probs_cache: dict[int, np.ndarray] = {}
     bad = np.zeros((trials, len(ids)), dtype=bool)
     good = np.zeros((trials, len(ids)), dtype=bool)
-    a_masks = workers.map_trials(
-        trials, seed_stream, lambda t, rng: builder(m, x, params, rng)[0]
-    )
+    build = plan.link if builder is None else functools.partial(builder, m, x, params)
+    a_masks = workers.map_trials(trials, seed_stream, lambda t, rng: build(rng)[0])
     for t, a_mask in enumerate(a_masks):
         if a_mask not in probs_cache:
             probs_cache[a_mask] = span_probabilities(m, x, a_mask)
@@ -182,9 +183,7 @@ def verify_progress(
     x, params = plan.x, plan.params
     if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
-    a_masks = workers.map_trials(
-        trials, seed_stream, lambda t, rng: single_ocrs_link(m, x, params, rng)[0]
-    )
+    a_masks = workers.map_trials(trials, seed_stream, lambda t, rng: plan.link(rng)[0])
     ranks = np.array([m.rank(a) for a in a_masks], dtype=np.float64)
     bound = (1.0 + lam - (1.0 - 3.0 * eps) * tau) * m.full_rank()
     sigma = float(ranks.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

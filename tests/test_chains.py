@@ -1151,80 +1151,29 @@ def _count_estimators(monkeypatch):
 
 def test_selectability_builds_one_link_estimator(monkeypatch):
     # Criterion 8's instance: every trial's first link is built on K3 with
-    # the same marginals, so 100 trials share one multinomial estimator,
-    # and the reused estimator leaves every report unchanged.
+    # the same marginals, so the 100 trials of an experiment share its
+    # plan's multinomial estimator, and a second experiment builds its own
+    # with the same report.
     k3 = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
     x = as_marginals([1 / 3] * 3)
     built = _count_estimators(monkeypatch)
     first = selectability_experiment(k3, x, 0.5, 0.05, 100, "element-last", RngStream(3))
     assert built == ["multinomial"]
     again = selectability_experiment(k3, x, 0.5, 0.05, 100, "element-last", RngStream(3))
-    assert built == ["multinomial"]
+    assert built == ["multinomial"] * 2
     assert again.to_jsonable() == first.to_jsonable()
 
 
 def test_rows_estimators_are_not_kept(monkeypatch):
     # U_{70,140} has 140 elements in the support: its first link runs the
-    # rows path, whose estimator must not stay in the memo.
+    # rows path, whose estimator the plan must not hold.
     m = UniformMatroid(70, 140)
     x = as_marginals([0.25] * 140)
     built = _count_estimators(monkeypatch)
-    ocrs_chain(m, x, 0.7, 0.05, RngStream(0).generator(), ParamOverrides(q=50, eta=4, zeta=3))
+    plan = chain_plan(m, x, 0.7, 0.05, ParamOverrides(q=50, eta=4, zeta=3))
+    assert plan.first_estimator is None
+    plan.sample(RngStream(0).generator())
     assert "rows" in built
-    assert all(est.path != "rows" for est in m._link_estimators.values())
-
-
-def test_estimator_memo_is_bounded(u24):
-    params = LinkParams.from_formula(3, 0.5, 0.05, FAST)
-    for i in range(chains.ESTIMATOR_MEMO_MAX + 5):
-        single_ocrs_link(u24, as_marginals([0.01 * (i + 1)] * 4), params, RngStream(i).generator())
-    assert len(u24._link_estimators) == chains.ESTIMATOR_MEMO_MAX
-
-
-class _SlowMemo(dict):
-    """An estimator memo that pauses between choosing its oldest entry and
-    handing it out, so another thread can evict in between."""
-
-    def __iter__(self):
-        it = super().__iter__()
-        time.sleep(0.001)
-        return it
-
-
-def test_estimator_memo_is_safe_across_threads():
-    # Three threads build links on 30 distinct minors of one base under a
-    # short switch interval, so they evict from its memo at once: no lookup,
-    # insert or eviction fails, and the memo stays bounded.
-    m = UniformMatroid(3, 10)
-    x = as_marginals([0.2] * 10)
-    minors = [m.restrict(m.ground_mask & ~(1 << i) & ~(1 << j)) for i, j in
-              itertools.combinations(range(10), 2)][:30]
-    params = LinkParams.from_formula(3, 0.5, 0.05, FAST)
-    m.span_lookup()
-    m._link_estimators = _SlowMemo()
-    errors = []
-
-    def work(i):
-        try:
-            for r in range(4):
-                for minor in minors[i:] + minors[:i]:
-                    single_ocrs_link(minor, x, params, RngStream(i, r).generator())
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(10 * i,)) for i in range(3)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-    assert len(m._link_estimators) == chains.ESTIMATOR_MEMO_MAX
 
 
 # -- chain plan ---------------------------------------------------------------
@@ -1259,6 +1208,7 @@ def test_chain_plan_samples_match_ocrs_chain(k3, u24, k4):
             chain, trace = plan.sample(rngs[0])
             assert trace.params is plan.params
             assert (chain, trace) == ocrs_chain(m, x, tau, 0.05, rngs[1], overrides)
+            assert plan.link(RngStream(seed).generator()) == (chain.links[1], trace.sampled[0])
             if reference:
                 links, traces = _reference_chain(m, x, tau, 0.05, rngs[2], overrides)
                 assert chain.links == links and trace.link_traces == traces
@@ -1283,6 +1233,8 @@ def test_chain_plan_runs_the_chain_checks(k4):
         ((np.zeros(5), 0.7, 0.05), "marginal vector length must match the universe size"),
         (([1.5] * 6, 0.7, 0.05), "marginal probabilities must lie in [0, 1]"),
         ((np.zeros(6), 0.7, 0.05, ParamOverrides(q=0)), "q and eta must be positive"),
+        ((np.zeros(6), 0.7, 0.05, ParamOverrides(zeta=-1)), "zeta must be positive, got -1"),
+        ((np.zeros(6), 0.7, 0.05, ParamOverrides(zeta=0)), "zeta must be positive, got 0"),
     ):
         with pytest.raises(ValueError) as exc:
             chain_plan(k4, *args)

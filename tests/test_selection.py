@@ -168,7 +168,7 @@ def test_trial_lambda_one_singleton():
     m = UniformMatroid(1, 1)
     chain = SpanningChain((0b1, 0))
     out = chain_ocrs_trial(
-        m, as_marginals([1.0]), 1.0, lambda rng: chain, "element-last",
+        m, as_marginals([1.0]), 1.0, chain, "element-last",
         RngStream(1).generator(),
     )
     assert out.active_mask == 0b1 and out.selected_mask == 0b1
@@ -178,7 +178,7 @@ def test_trial_lambda_zero(u12):
     chain = SpanningChain((0b11, 0))
     for t in range(20):
         out = chain_ocrs_trial(
-            u12, as_marginals([0.9, 0.9]), 0.0, lambda rng: chain, "element-last",
+            u12, as_marginals([0.9, 0.9]), 0.0, chain, "element-last",
             RngStream(2, t).generator(),
         )
         assert out.kept_mask == 0 and out.selected_mask == 0
@@ -192,7 +192,7 @@ def test_trial_conditional_frequency_u12(u12):
     act = sel = 0
     for t in range(trials):
         out = chain_ocrs_trial(
-            u12, x, 1.0, lambda rng: chain, "element-last", RngStream(3, t).generator()
+            u12, x, 1.0, chain, "element-last", RngStream(3, t).generator()
         )
         if out.active_mask & 1:
             act += 1
@@ -213,7 +213,7 @@ def test_trial_filtered_frequency_matches_exact(u12):
     act = sel = 0
     for t in range(trials):
         out = chain_ocrs_trial(
-            u12, x, 0.5, lambda rng: chain, "element-last", RngStream(14, t).generator()
+            u12, x, 0.5, chain, "element-last", RngStream(14, t).generator()
         )
         if out.active_mask & 1:
             act += 1
@@ -228,7 +228,7 @@ def test_trial_adversaries_consistency(u24):
     for t in range(10):
         for adversary in ("element-last", "exhaustive-worst", "random-order"):
             out = chain_ocrs_trial(
-                u24, x, 0.8, lambda rng: chain, adversary, RngStream(4, t).generator()
+                u24, x, 0.8, chain, adversary, RngStream(4, t).generator()
             )
             assert out.selected_mask & ~out.kept_mask == 0
             assert out.kept_mask & ~out.active_mask == 0

@@ -16,6 +16,7 @@ from chainocrs import (
     UniformMatroid,
     brute_force_T_alpha,
     sample_complexity_audit,
+    single_ocrs_link,
     span_probabilities,
     t_alpha_bullets_hold,
     verify_freeness_likely,
@@ -161,6 +162,28 @@ def test_in_link_loss_broken_builder_fails(u12):
     )
     assert not rep.passed
     assert all(rate == 1.0 for rate in rep.meta["bad_rate"].values())
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_in_link_loss_plan_link_matches_single_ocrs_link(u24, k4, monkeypatch, cpus):
+    # The default builder, ChainPlan.link, and single_ocrs_link, which the
+    # benchmark's tracer injects, give the same report on any number of
+    # workers: on U_{2,4}, where links grow, and on K4, where elements are
+    # bad in 15-19% of the trials.
+    monkeypatch.setattr(workers, "cpus", lambda: cpus)
+    overrides = ParamOverrides(q=60, eta=20)
+    for m, x, tau, trials, seed in ((u24, 0.25, 0.39, 200, 39), (k4, 0.2, 0.3, 300, 601)):
+        x = [x] * m.n_universe
+        default, injected = (
+            verify_in_link_loss(
+                m, x, tau, 0.05, trials, RngStream(seed), builder=builder, overrides=overrides
+            ).to_jsonable()
+            for builder in (None, single_ocrs_link)
+        )
+        assert default == injected
+        bad, good = default["meta"]["bad_rate"], default["meta"]["good_rate"]
+        assert min(bad.values()) > 0.0
+        assert any(bad[e] + good[e] < 1.0 for e in bad)  # some link holds e
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
