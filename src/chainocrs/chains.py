@@ -46,11 +46,12 @@ classification.
 * Sample rows (``_SpanCountEstimator.link_sets``): when whole iterations
   fit in a batch of a ``BATCH_SPLIT``-th of ``ROW_BLOCK_VALUES`` random
   values, the q x s row flags of several iterations are drawn by one call
-  against the support's marginals and counted by one call of the matroid's
-  span counter (``Matroid.span_counter``), which sums each iteration's rows
-  on its own; the builder jumps to the first iteration whose set differs
-  from A and counts the rest of the batch again under the new A, from the
-  same draws with A's columns cleared.  A larger iteration is drawn in
+  against the support's marginals and decided by one call of the
+  matroid's span counter (``Matroid.span_counter``), which sets each
+  iteration's rows against the bar on their own; the builder jumps to the
+  first iteration whose set differs from A and decides the rest of the
+  batch again under the new A, from the same draws with A's columns
+  cleared.  A larger iteration is drawn in
   reused row blocks and counted block by block.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
@@ -58,10 +59,11 @@ classification.
 * Chain plan (``ChainPlan``): everything that depends only on
   (M, x, tau, eps, overrides) -- the checks, zeta, the ``LinkParams``
   (rho, q, eta, the threshold and eps, which also fix the cutoff law),
-  the positive mask and the loops span(∅) -- is fixed once by
-  ``chain_plan``; ``ChainPlan.sample`` builds each chain from it, and
-  ``ChainPlan.link`` each first link alone; every trace they return holds
-  the plan's ``LinkParams``.
+  the positive mask -- is fixed once by ``chain_plan``, and the loops
+  span(∅), which only an absorbing tail reads, on first use;
+  ``ChainPlan.sample`` builds each chain from it, and ``ChainPlan.link``
+  each first link alone; every trace they return holds the plan's
+  ``LinkParams``.
 * Plan-held first link (``ChainPlan.first``): every chain's first link
   runs on M|N, so the plan holds that minor and, off the ``rows`` path,
   its estimator, which every trial of an experiment shares; a chain builds
@@ -94,7 +96,12 @@ classification.
   and one call of the family's kernel.  Basis-indicator marginals, the
   only kind the CLI takes past n = 20, keep them independent in every
   iteration: an element enters A only with its circuit, whose elements
-  every row that spans it holds.
+  every row that spans it holds.  A batch asks the counter for the side
+  of the bar only, not the counts: an element with a circuit C_e of two
+  or more is spanned by at most the smallest column sum over C_e, so the
+  matmul runs only for the iterations in which every column of some such
+  circuit sums above the bar.  The decided row blocks and the sampled
+  oracle keep exact counts.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -477,9 +484,10 @@ class _SpanCountEstimator:
 
         Whole iterations go in batches of at most a ``BATCH_SPLIT``-th of
         ``ROW_BLOCK_VALUES`` random values, drawn by one ``draw_rows`` call
-        against the support's marginals and counted by one kernel call per
-        A that the batch meets, with A's columns cleared: after an
-        iteration that changes A, the rest of the batch is counted again
+        against the support's marginals and decided by one counter call per
+        A that the batch meets, with A's columns cleared and the bar
+        threshold * q, so the counter computes no count it need not: after
+        an iteration that changes A, the rest of the batch is decided again
         under the new A from the same draws.  An iteration too large for a
         batch is drawn and decided on its own by ``_row_flags``.
         """
@@ -504,7 +512,7 @@ class _SpanCountEstimator:
                 rows = drawn[i:g]
                 if outside_a is not None:
                     rows = np.logical_and(rows, outside_a, out=active[i:g])
-                above = self.count(rows, a)[:, self.ground_ids] > bar
+                above = self.count(rows, a, bar)[:, self.ground_ids]
                 a = self._extend(sets, a, above, in_a)
         return sets
 
@@ -679,11 +687,10 @@ class ChainPlan:
     ``link`` one first link.
     rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
     ``params``.  ``x`` is a read-only copy, so a caller that later edits
-    its own array cannot change the plan's chains.  ``loops`` is span(∅) of
-    M: the absorbing tail on a ground set C is ``loops & C``, span(∅) of M|C.
-    Every chain's first link runs on ``first``, M|N, with
-    ``first_estimator``, its estimator, when that is not on the ``rows``
-    path, whose estimators are built per link.
+    its own array cannot change the plan's chains.  Every chain's first
+    link runs on ``first``, M|N, with ``first_estimator``, its estimator,
+    when that is not on the ``rows`` path, whose estimators are built per
+    link.
     """
 
     m: Matroid
@@ -692,9 +699,21 @@ class ChainPlan:
     conforming: bool
     params: LinkParams
     positive: int
-    loops: int
     first: Matroid
     first_estimator: _SpanCountEstimator | None
+    _loops: list[int] = field(default_factory=list, init=False, repr=False)
+    _loops_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    @property
+    def loops(self) -> int:
+        """span(∅) of M: the absorbing tail on a ground set C is ``loops & C``,
+        span(∅) of M|C.  Only an absorbing tail reads it, so it is computed
+        on first use, once for all threads."""
+        if not self._loops:
+            with self._loops_lock:
+                if not self._loops:
+                    self._loops.append(self.m.span(0))
+        return self._loops[0]
 
     def sample(self, rng: np.random.Generator) -> tuple[SpanningChain, BuildTrace]:
         """One spanning chain; the links C_1, ..., C_zeta are drawn from ``rng``."""
@@ -787,7 +806,6 @@ def chain_plan(
         conforming=conforming and params.conforming,
         params=params,
         positive=positive,
-        loops=m.span(0),
         first=first,
         first_estimator=first_estimator,
     )

@@ -42,6 +42,10 @@ AUDIT_RHO_MAX = 4096
 #: descriptor: the ground set of the largest audit chain.
 MATROID_SIZE_MAX = 2 * AUDIT_RHO_MAX
 
+#: What an audit config without ``rhos`` or ``runs`` audits: these ranks,
+#: and this many chains per rank.  The config echo keeps only given keys.
+AUDIT_DEFAULTS = {"rhos": [8, 64, 512], "runs": 3}
+
 #: Audit run t of rank rho draws from stream (rho << AUDIT_RUN_BITS) + t,
 #: so runs must stay below 2^AUDIT_RUN_BITS to keep the streams distinct.
 AUDIT_RUN_BITS = 20
@@ -201,7 +205,7 @@ def _positive_int(value) -> bool:
 def _check_audit(audit) -> None:
     if not isinstance(audit, dict):
         raise ConfigError("audit must be an object")
-    rhos = audit.get("rhos", [1])
+    rhos = audit.get("rhos", AUDIT_DEFAULTS["rhos"])
     if not (
         isinstance(rhos, list) and rhos
         and all(_positive_int(r) and r <= AUDIT_RHO_MAX for r in rhos)
@@ -209,7 +213,7 @@ def _check_audit(audit) -> None:
         raise ConfigError(
             f"audit.rhos must be a nonempty list of integers in [1, {AUDIT_RHO_MAX}], got {rhos!r}"
         )
-    runs = audit.get("runs", 1)
+    runs = audit.get("runs", AUDIT_DEFAULTS["runs"])
     if not (_positive_int(runs) and runs < 1 << AUDIT_RUN_BITS):
         raise ConfigError(
             f"audit.runs must be an integer in [1, 2^{AUDIT_RUN_BITS}), got {runs!r}"
@@ -490,9 +494,8 @@ def _verify_talpha(config, m, x, tau, stream):
 
 
 def _run_audit(config) -> tuple[ExperimentReport, int]:
-    opts = config.audit
-    rhos = opts.get("rhos", [8, 64, 512])
-    runs = opts.get("runs", 3)
+    opts = {**AUDIT_DEFAULTS, **config.audit}
+    rhos, runs = opts["rhos"], opts["runs"]
     tau = _chain_tau(config)
     traces = []
     for rho in rhos:

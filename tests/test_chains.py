@@ -33,6 +33,7 @@ from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
 from chainocrs.sampling import draw_rows, realization_weights
 from chainocrs.stats import bonferroni_z
+from chainocrs.verify import verify_in_link_loss, verify_progress
 from conftest import chain_freeness, random_explicit_matroid, small_corpus
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
@@ -418,6 +419,91 @@ def test_circuit_plans_are_built_once_per_a_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+class _MatmulLog(np.ndarray):
+    """Sample rows that log the operand shapes of every matmul they, or
+    arrays cast or cut from them, take part in; results are plain arrays."""
+
+    log: list[tuple[tuple[int, ...], ...]] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(v) if isinstance(v, _MatmulLog) else v for v in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(v) for v in kwargs["out"])
+        if ufunc is np.matmul:
+            _MatmulLog.log.append(tuple(np.shape(v) for v in plain))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _circuit_counted_groups():
+    """Groups of rows, per logged call, multiplied against the circuits:
+    the leading size of each 3-axis first operand."""
+    return [shapes[0][0] for shapes in _MatmulLog.log if len(shapes[0]) == 3]
+
+
+def _wheel(k):
+    """Hub 0 and rim 1..k: spokes (0, i) first, then rim edges, n = 2k."""
+    rim = [(i, i % k + 1) for i in range(1, k + 1)]
+    return GraphicMatroid(k + 1, [(0, i) for i in range(1, k + 1)] + rim)
+
+
+def test_bar_counter_flags_equal_counts_above_the_bar():
+    # count(rows, a, bar) is exactly count(rows, a) > bar, at bars on both
+    # sides of every count, on every family, on minors, with A = ∅ and
+    # A ≠ ∅.  With independent columns the circuit matmul runs on exactly
+    # the groups where every column of some circuit of two or more elements
+    # sums above the bar, and both the skipped and the counted branch run.
+    # Dependent columns fall back to the family kernel, whose counts are
+    # compared.
+    u = UniformMatroid(6, 30)
+    part = PartitionMatroid([range(0, 5), range(5, 14), range(14, 24)], [2, 4, 1])
+    wheel, theta = _wheel(8), _theta(19)
+    cases = [
+        u, u.contract(0b1011), part, part.contract(mask_of([0, 5, 6, 14])), _laminar(),
+        theta, theta.contract(0b110), wheel, wheel.contract(mask_of([0, 9])),
+    ]
+    rng = np.random.default_rng(21)
+    seen = {"A empty": 0, "A nonempty": 0, "skipped": 0, "counted": 0, "fallback": 0}
+    for m in cases:
+        ground = ids_of(m.ground_mask)
+        for t in range(4):
+            a_mask = 0 if t % 2 == 0 else mask_of(e for e in ground if rng.random() < 0.15)
+            if t == 3:
+                d_mask = m.ground_mask & ~a_mask
+            else:
+                d_mask = _independent_after(m, a_mask, rng)
+            dependent = m.rank(a_mask | d_mask) - m.rank(a_mask) != d_mask.bit_count()
+            cols = np.array(ids_of(d_mask), dtype=np.int64)
+            rows = rng.random((5, 12, len(cols))) < rng.uniform(0.2, 0.8)
+            count = m.span_counter(cols)
+            counts = count(rows, a_mask)
+            assert counts.tolist() == [_span_reference(m, cols, g, a_mask).tolist() for g in rows]
+            # The column positions of each circuit of two or more, as in
+            # test_circuit_counter_matches_span_reference.
+            closures = {d: m.span(a_mask | d_mask & ~(1 << d)) for d in iter_ids(d_mask)}
+            circuits = []
+            for e in iter_ids(m.span(a_mask | d_mask) & ~d_mask):
+                c_e = [j for j, d in enumerate(cols.tolist()) if not closures[d] >> e & 1]
+                if len(c_e) > 1:
+                    circuits.append(c_e)
+            # In each group, a circuit's count is at most its smallest
+            # column sum there.
+            lows = np.array([rows[:, :, c].sum(axis=1).min(axis=1) for c in circuits])
+            bars = sorted({-1.0} | {c + d for c in np.unique(counts).tolist() for d in (-0.5, 0, 0.5)})
+            for bar in bars:
+                _MatmulLog.log.clear()
+                flags = count(rows.view(_MatmulLog), a_mask, bar)
+                assert flags.dtype == bool and flags.tolist() == (counts > bar).tolist()
+                assert count(rows[2], a_mask, bar).tolist() == (counts[2] > bar).tolist()
+                if not dependent:
+                    crossing = int((lows > bar).any(axis=0).sum()) if circuits else 0
+                    assert _circuit_counted_groups() == ([crossing] if crossing else [])
+                    seen["skipped"] += bool(circuits) and crossing < len(rows)
+                    seen["counted"] += crossing > 0
+            seen["fallback"] += dependent
+            seen["A empty" if not a_mask else "A nonempty"] += 1
+    assert all(seen.values()), seen
+
+
 def test_graphic_labels_keep_the_components_of_a():
     # A = {(6, 2), (3, 4), (5, 6)} and the row S = {(3, 6), (1, 5), (7, 4),
     # (0, 7)} connect all eight vertices, so every edge is spanned, A's
@@ -613,7 +699,8 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
     # batch's iterations.  Every link matches the one-iteration-at-a-time
     # reference in its sets, its trace and the next draw, and every batch
     # takes one kernel call, plus one for the rest of the batch after each
-    # change of A.
+    # change of A.  On theta the circuit matmul is skipped for some groups
+    # of a batch and run for others.
     theta = _theta(19)
     x_theta = np.zeros(39)
     x_theta[[0] + list(range(1, 39, 2))] = 0.3  # on a spanning tree
@@ -627,7 +714,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
     ]
     per_batch = 3
-    batch_calls = []
+    batch_calls, counted_groups, batch_groups = [], [], []
     real_init = _SpanCountEstimator.__init__
 
     def init(self, *args):
@@ -635,10 +722,15 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         if self.path == "rows":
             count = self.count
 
-            def counted(rows, a_mask):
+            def counted(rows, a_mask, bar=None):
                 if rows.ndim == 3:
                     batch_calls.append(len(rows))
-                return count(rows, a_mask)
+                    _MatmulLog.log.clear()
+                    flags = count(rows.view(_MatmulLog), a_mask, bar)
+                    counted_groups.extend(_circuit_counted_groups() or [0])
+                    batch_groups.append(len(rows))
+                    return flags
+                return count(rows, a_mask, bar)
 
             self.count = counted
 
@@ -651,6 +743,8 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         assert _SpanCountEstimator(m, x, q).path == "rows"
         params = LinkParams(rho=3, threshold=threshold, eps=0.05, q=q, eta=10)
         seen = set()
+        counted_groups.clear()
+        batch_groups.clear()
         for seed in range(8):
             rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
             batch_calls.clear()
@@ -669,6 +763,9 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
             seen |= {"last" if i % per_batch == per_batch - 1 else "mid" for i in grows}
             seen |= {"partial"} if lt.h_bar % per_batch else set()
         assert seen == {"mid", "last", "partial"}
+        if m is theta:
+            # Groups skipped and groups counted, within one batch.
+            assert any(0 < k < g for k, g in zip(counted_groups, batch_groups))
 
 
 def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
@@ -1245,7 +1342,10 @@ def test_selectability_computes_the_loops_once(monkeypatch):
     # 100 K3 trials, each with an 81-link absorbing tail, read the loops of
     # K3 from one plan: the chain builder computes span(∅) once per
     # experiment.  (The greedy rule's own span calls are not counted.)
+    # Checks that build only first links, and so reach no absorbing tail,
+    # never compute it.
     k3 = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
+    u24 = UniformMatroid(2, 4)
     empty_spans = []
     real_span = Matroid.span
 
@@ -1255,11 +1355,53 @@ def test_selectability_computes_the_loops_once(monkeypatch):
         return real_span(self, mask)
 
     monkeypatch.setattr(Matroid, "span", span)
+    x = as_marginals([0.25] * 4)
+    verify_in_link_loss(u24, x, 0.54, 0.05, 20, RngStream(4), overrides=FAST)
+    verify_progress(u24, x, 0.5, 0.54, 0.05, 20, RngStream(5), overrides=FAST)
+    assert not empty_spans
     report = selectability_experiment(
         k3, as_marginals([1 / 3] * 3), 0.5, 0.05, 100, "element-last", RngStream(3)
     )
     assert report.trials == 100
     assert empty_spans == [k3]
+
+
+def test_plan_loops_are_computed_once_across_threads(monkeypatch):
+    # Four threads, more than the cores, read a new plan's loops at once;
+    # a span(∅) that sleeps lets them all arrive while it runs.
+    multi = _multigraph()
+    plan = chain_plan(multi, np.zeros(45), 0.5, 0.05)
+    loops = multi.span(0)
+    empty_spans = []
+    real_span = Matroid.span
+
+    def span(self, mask):
+        if mask == 0:
+            empty_spans.append(self)
+            time.sleep(0.005)
+        return real_span(self, mask)
+
+    monkeypatch.setattr(Matroid, "span", span)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(4)
+        got = []
+
+        def work():
+            start.wait(timeout=10)
+            got.append(plan.loops)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert empty_spans == [multi]
+    assert got == [loops] * 4
 
 
 def test_basis_indicator_chain_reads_the_rank_from_the_greedy_basis(monkeypatch):

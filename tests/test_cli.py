@@ -258,6 +258,24 @@ def test_parse_config_bounds_audit_runs():
     assert parse_config(base_config(mode="audit", audit={"runs": runs})).audit["runs"] == runs
 
 
+def test_parse_config_audit_without_rhos_and_runs(monkeypatch):
+    # Missing keys stay out of the echo; the parse check and the audit run
+    # read one set of defaults, so a bad default fails the parse and a good
+    # one is what the audit runs.
+    raw = base_config(mode="audit", matroid=None, audit={})
+    assert parse_config(raw).echo()["audit"] == {}
+    for key, bad in (("rhos", [0]), ("runs", 0)):
+        with monkeypatch.context() as patch:
+            patch.setitem(cli.AUDIT_DEFAULTS, key, bad)
+            with pytest.raises(ConfigError, match=f"audit.{key}"):
+                parse_config(raw)
+    monkeypatch.setitem(cli.AUDIT_DEFAULTS, "rhos", [4])
+    monkeypatch.setitem(cli.AUDIT_DEFAULTS, "runs", 2)
+    report, code = cli.run(parse_config({**raw, "overrides": {}}))
+    assert code == 0 and report.config["audit"] == {}
+    assert [(row["rho"], row["runs"]) for row in report.results["rows"]] == [(4, 2)]
+
+
 def test_parse_config_rejects_bad_talpha_alpha():
     for alpha in (0, 0.0, 1, 1.5, -0.2, "0.5", True, [1], [1, 0], [2, 2], [0, 5],
                   [-1, 5], [1.0, 2], [1, 2, 3]):
