@@ -46,12 +46,11 @@ classification.
 * Sample rows (``_SpanCountEstimator.link_sets``): when whole iterations
   fit in a batch of a ``BATCH_SPLIT``-th of ``ROW_BLOCK_VALUES`` random
   values, the q x s row flags of several iterations are drawn by one call
-  against the support's marginals and decided by one call of the
-  matroid's span counter (``Matroid.span_counter``), which sets each
-  iteration's rows against the bar on their own; the builder jumps to the
-  first iteration whose set differs from A and decides the rest of the
-  batch again under the new A, from the same draws with A's columns
-  cleared.  A larger iteration is drawn in
+  against the support's marginals and counted by one call of the matroid's
+  span counter (``Matroid.span_counter``), which sums each iteration's rows
+  on its own; the builder jumps to the first iteration whose set differs
+  from A and counts the rest of the batch again under the new A, from the
+  same draws with A's columns cleared.  A larger iteration is drawn in
   reused row blocks and counted block by block.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
@@ -96,12 +95,12 @@ classification.
   and one call of the family's kernel.  Basis-indicator marginals, the
   only kind the CLI takes past n = 20, keep them independent in every
   iteration: an element enters A only with its circuit, whose elements
-  every row that spans it holds.  A batch asks the counter for the side
-  of the bar only, not the counts: an element with a circuit C_e of two
-  or more is spanned by at most the smallest column sum over C_e, so the
-  matmul runs only for the iterations in which every column of some such
-  circuit sums above the bar.  The decided row blocks and the sampled
-  oracle keep exact counts.
+  every row that spans it holds.  A batch gives the counter its bar, and
+  only counts that can exceed it are exact: an element with a circuit C_e
+  of two or more is spanned by at most the smallest column sum over C_e,
+  so the matmul runs only for the iterations in which every column of
+  some such circuit sums above the bar.  The decided row blocks and the
+  sampled oracle take exact counts.
 """
 
 from __future__ import annotations
@@ -484,12 +483,13 @@ class _SpanCountEstimator:
 
         Whole iterations go in batches of at most a ``BATCH_SPLIT``-th of
         ``ROW_BLOCK_VALUES`` random values, drawn by one ``draw_rows`` call
-        against the support's marginals and decided by one counter call per
+        against the support's marginals and counted by one counter call per
         A that the batch meets, with A's columns cleared and the bar
-        threshold * q, so the counter computes no count it need not: after
-        an iteration that changes A, the rest of the batch is decided again
-        under the new A from the same draws.  An iteration too large for a
-        batch is drawn and decided on its own by ``_row_flags``.
+        threshold * q, so the counter computes no count that cannot exceed
+        it: after an iteration that changes A, the rest of the batch is
+        counted again under the new A from the same draws.  An iteration
+        too large for a batch is drawn and decided on its own by
+        ``_row_flags``.
         """
         q, s = self.q, len(self.sup_ids)
         per_batch = min(ROW_BLOCK_VALUES // BATCH_SPLIT // (q * s), h_bar)
@@ -512,7 +512,7 @@ class _SpanCountEstimator:
                 rows = drawn[i:g]
                 if outside_a is not None:
                     rows = np.logical_and(rows, outside_a, out=active[i:g])
-                above = self.count(rows, a, bar)[:, self.ground_ids]
+                above = self.count(rows, a, bar)[:, self.ground_ids] > bar
                 a = self._extend(sets, a, above, in_a)
         return sets
 

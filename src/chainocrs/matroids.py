@@ -142,9 +142,9 @@ class Matroid:
         number of rows r with e ∈ span(A ∪ S_r), S_r the set row r flags;
         ids off the ground set count 0.  A (q, s) matrix gives the (n,)
         counts of its rows, and (g, q, s) gives one count vector per group.
-        Rows flag no element of A.  ``count(rows, a_mask, bar)`` returns the
-        bool flags ``count(rows, a_mask) > bar`` instead, computing only what
-        decides them.
+        Rows flag no element of A.  ``count(rows, a_mask, bar)`` computes
+        only what decides ``count > bar``: its counts are exact wherever they
+        can exceed the bar, and elsewhere at most the bar.
 
         One counter serves every family.  Let D be ``cols`` minus A.  When D
         is independent in M/A, a row spans e iff it holds the fundamental
@@ -153,7 +153,7 @@ class Matroid:
         matmul of the rows against the distinct larger C_e, and q
         (``_circuit_plan``, built once per distinct A by one call of the
         family's kernel).  Otherwise the family's kernel (``_span_kernel``)
-        counts the rows, and a bar is compared with its counts.
+        counts the rows exactly, whatever the bar.
         """
         cols = np.asarray(cols, dtype=np.int64)
         kernel = self._span_kernel(cols)
@@ -168,28 +168,24 @@ class Matroid:
                     plan = plans.get(a_mask, building)
                     if plan is building:
                         plan = plans[a_mask] = self._circuit_plan(cols, a_mask, kernel)
-            if plan is not None:
-                return plan(rows, bar)
-            counts = kernel(rows, a_mask)
-            return counts if bar is None else counts > bar
+            return kernel(rows, a_mask) if plan is None else plan(rows, bar)
 
         return count
 
     def _circuit_plan(self, cols: np.ndarray, a_mask: int, kernel):
-        """``(rows, bar) -> counts or flags`` from the fundamental circuits
-        of the columns left after A, or None when they are dependent in M/A.
+        """``(rows, bar) -> counts`` from the fundamental circuits of the
+        columns left after A, or None when they are dependent in M/A.
 
         Two rank calls test D; then one call of the family's ``kernel`` on
         |D| + 1 one-row groups, the rows D - d for every d ∈ D and then D,
         gives span(A ∪ D - d) and span(A ∪ D).
 
-        With ``bar`` None the plan returns the counts.  With a bar it
-        returns the flags count > bar, and runs the circuit matmul only on
-        the groups where it can matter: a row that spans an e with
-        |C_e| ≥ 2 holds every column of C_e, so e's count is at most the
-        smallest column sum over C_e, and in a group where each larger
-        circuit has a column that sums to at most the bar no such e is
-        above it.  Elsewhere a flag is read from a column sum or q.
+        With a ``bar`` the plan runs the circuit matmul only on the groups
+        where it can matter: a row that spans an e with |C_e| ≥ 2 holds
+        every column of C_e, so e's count is at most the smallest column sum
+        over C_e, and in a group where each larger circuit has a column that
+        sums to at most the bar no such e is above it.  Such a group counts
+        0 for them; every other count is exact.
         """
         n, s = self.n_universe, len(cols)
         d_pos = np.flatnonzero(~bits_of(a_mask, n)[cols])
@@ -240,19 +236,18 @@ class Matroid:
             elif g:
                 # A circuit with a column summing to at most the bar counts
                 # at most the bar.  Where every circuit has one, the group
-                # keeps 0 for them, which is at most the bar.
+                # keeps 0 for them, which is at most the bar.  Sums are
+                # integers, so floor(bar) decides them and is exact here.
                 slot = slots.reshape(-1, s + g + 2)
                 slot[:, s:s + g] = 0
-                low = (slot[:, :s] <= bar).astype(flags.dtype) @ members
+                low = (slot[:, :s] <= math.floor(bar)).astype(flags.dtype) @ members
                 counted = np.flatnonzero((low == 0).any(axis=1))
                 if len(counted):
                     groups = flags.reshape(-1, q, s)[counted]
                     slot[counted, s:s + g] = circuit_counts(groups, ones)
             slots[..., s + g] = q
             slots[..., s + g + 1] = 0
-            if bar is None:
-                return slots.take(src, axis=-1).astype(np.int64)
-            return (slots > bar).take(src, axis=-1)
+            return slots.take(src, axis=-1).astype(np.int64)
 
         return count
 

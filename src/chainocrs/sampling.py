@@ -110,17 +110,26 @@ def draw_rows(
 
     ``random()`` returns k * 2^-53 for an integer k < 2^53, and
     k * 2^-53 < x iff k < ceil(x * 2^53).  Philox, PCG64, PCG64DXSM and
-    SFC64 make k as ``next_uint64 >> 11``, so for them the words are drawn
-    as integers and compared without a float block; MT19937, which builds
-    its doubles from two 32-bit words, and any other bit generator draw
-    the doubles.  ``out`` takes the flags.
+    SFC64 make k as ``next_uint64 >> 11``, so for them the raw words w are
+    drawn and compared without a float block: for x < 1, w >> 11 < t iff
+    w < t * 2^11, which fits in 64 bits; x = 1 flags every row.  MT19937,
+    which builds its doubles from two 32-bit words, and any other bit
+    generator draw the doubles.  ``out`` takes the flags.
     """
     one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
     if not isinstance(rng.bit_generator, one_word):
         return np.less(rng.random(shape), x, out=out)
-    k = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-    np.right_shift(k, 11, out=k)
-    return np.less(k, np.ceil(np.multiply(x, 2.0**53)).astype(np.uint64), out=out)
+    words = rng.bit_generator.random_raw(shape)
+    # ceil(x * 2^53) * 2^11 wraps to 0 at x = 1 only; those columns are set after.
+    below = np.ceil(np.multiply(x, 2.0**53)).astype(np.uint64) << np.uint64(11)
+    if len(shape) > 2:
+        # Whole (q, s) blocks of thresholds give the compare a long inner loop.
+        below = np.broadcast_to(below, shape[-2:]).copy()
+    flags = np.less(words, below, out=out)
+    ones = np.equal(x, 1.0)
+    if ones.any():
+        np.logical_or(flags, ones, out=flags)
+    return flags
 
 
 def _pack_bits(bits: np.ndarray) -> int:

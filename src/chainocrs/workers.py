@@ -1,8 +1,8 @@
 """Helper threads that run numpy work beside the calling thread.
 
 numpy releases the interpreter lock while a generator fills an array,
-whether with doubles (``Generator.random``) or with 64-bit integers
-(``Generator.integers``, as ``sampling.draw_rows`` draws rows), and inside
+whether with doubles (``Generator.random``) or with raw 64-bit words
+(``BitGenerator.random_raw``, as ``sampling.draw_rows`` draws rows), and inside
 most ufuncs and reductions, so blocks of such work can run on every CPU at
 once.  ``run_workers`` runs ``work(0)`` on the calling thread
 and ``work(1)``, ..., ``work(k-1)`` on daemon helper threads.  Helpers are

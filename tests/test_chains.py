@@ -446,14 +446,17 @@ def _wheel(k):
     return GraphicMatroid(k + 1, [(0, i) for i in range(1, k + 1)] + rim)
 
 
-def test_bar_counter_flags_equal_counts_above_the_bar():
-    # count(rows, a, bar) is exactly count(rows, a) > bar, at bars on both
-    # sides of every count, on every family, on minors, with A = ∅ and
-    # A ≠ ∅.  With independent columns the circuit matmul runs on exactly
-    # the groups where every column of some circuit of two or more elements
+def test_bar_counter_is_exact_above_the_bar():
+    # count(rows, a, bar) > bar is exactly count(rows, a) > bar, at bars on
+    # both sides of every count and one ulp below it (a Python float that
+    # float32 would round up to the count), on every family, on minors,
+    # with A = ∅ and A ≠ ∅, and with rows whose columns are all equal: a
+    # count differs only where it is 0 and the exact count at most the bar.
+    # With independent columns the circuit matmul runs on exactly the
+    # groups where every column of some circuit of two or more elements
     # sums above the bar, and both the skipped and the counted branch run.
     # Dependent columns fall back to the family kernel, whose counts are
-    # compared.
+    # exact.
     u = UniformMatroid(6, 30)
     part = PartitionMatroid([range(0, 5), range(5, 14), range(14, 24)], [2, 4, 1])
     wheel, theta = _wheel(8), _theta(19)
@@ -474,6 +477,9 @@ def test_bar_counter_flags_equal_counts_above_the_bar():
             dependent = m.rank(a_mask | d_mask) - m.rank(a_mask) != d_mask.bit_count()
             cols = np.array(ids_of(d_mask), dtype=np.int64)
             rows = rng.random((5, 12, len(cols))) < rng.uniform(0.2, 0.8)
+            if t == 2:
+                # Equal columns: a circuit's count is each of its column sums.
+                rows[:] = rows[:, :, :1]
             count = m.span_counter(cols)
             counts = count(rows, a_mask)
             assert counts.tolist() == [_span_reference(m, cols, g, a_mask).tolist() for g in rows]
@@ -488,13 +494,17 @@ def test_bar_counter_flags_equal_counts_above_the_bar():
             # In each group, a circuit's count is at most its smallest
             # column sum there.
             lows = np.array([rows[:, :, c].sum(axis=1).min(axis=1) for c in circuits])
-            bars = sorted({-1.0} | {c + d for c in np.unique(counts).tolist() for d in (-0.5, 0, 0.5)})
-            for bar in bars:
+            bars = {-1.0} | {c + d for c in np.unique(counts).tolist() for d in (-0.5, 0, 0.5)}
+            bars |= {float(np.nextafter(c, -np.inf)) for c in np.unique(counts).tolist()}
+            for bar in sorted(bars):
                 _MatmulLog.log.clear()
-                flags = count(rows.view(_MatmulLog), a_mask, bar)
-                assert flags.dtype == bool and flags.tolist() == (counts > bar).tolist()
-                assert count(rows[2], a_mask, bar).tolist() == (counts[2] > bar).tolist()
-                if not dependent:
+                got = count(rows.view(_MatmulLog), a_mask, bar)
+                assert got.dtype == np.int64 and (got > bar).tolist() == (counts > bar).tolist()
+                assert ((got == counts) | (got == 0) & (counts <= bar)).all()
+                assert (count(rows[2], a_mask, bar) > bar).tolist() == (counts[2] > bar).tolist()
+                if dependent:
+                    assert got.tolist() == counts.tolist()
+                else:
                     crossing = int((lows > bar).any(axis=0).sum()) if circuits else 0
                     assert _circuit_counted_groups() == ([crossing] if crossing else [])
                     seen["skipped"] += bool(circuits) and crossing < len(rows)
@@ -711,6 +721,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         (theta, x_theta, 0.28, 40),  # circuits
         (_multigraph(), [0.2] * 45, 0.3, 40),  # labels: dependent columns
         (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # circuits, minor
+        (theta, x_theta, 0.29, 100),  # circuits, bar 28.999999999999996
         (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
     ]
     per_batch = 3
@@ -726,10 +737,10 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
                 if rows.ndim == 3:
                     batch_calls.append(len(rows))
                     _MatmulLog.log.clear()
-                    flags = count(rows.view(_MatmulLog), a_mask, bar)
+                    counts = count(rows.view(_MatmulLog), a_mask, bar)
                     counted_groups.extend(_circuit_counted_groups() or [0])
                     batch_groups.append(len(rows))
-                    return flags
+                    return counts
                 return count(rows, a_mask, bar)
 
             self.count = counted
