@@ -50,8 +50,9 @@ classification.
   span counter (``Matroid.span_counter``), which sums each iteration's rows
   on its own; the builder jumps to the first iteration whose set differs
   from A and counts the rest of the batch again under the new A, from the
-  same draws with A's columns cleared.  A larger iteration is drawn in
-  reused row blocks and counted block by block.
+  same draws: the counter ignores the columns of A's elements, so rows are
+  drawn against the same marginals under every A.  A larger iteration is
+  drawn in reused row blocks and counted block by block.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
   ``BuildTrace.link_traces`` expands it only when read.
@@ -63,11 +64,11 @@ classification.
   ``ChainPlan.sample`` builds each chain from it, and ``ChainPlan.link``
   each first link alone; every trace they return holds the plan's
   ``LinkParams``.
-* Plan-held first link (``ChainPlan.first``): every chain's first link
-  runs on M|N, so the plan holds that minor and, off the ``rows`` path,
+* Plan-held first link (``ChainPlan.first_estimator``): every chain's
+  first link runs on M itself, so, off the ``rows`` path, the plan holds
   its estimator, which every trial of an experiment shares; a chain builds
-  neither for it.  An estimator holds no generator state, only tables
-  fixed by (minor, x, q), and the trials run on several threads
+  none for it.  An estimator holds no generator state, only tables
+  fixed by (matroid, x, q), and the trials run on several threads
   (``workers.map_trials``): a shared estimator holds only caches that
   every thread fills alike.  A later link, or a first link on the
   ``rows`` path, builds its estimator per link, so no row block outlives
@@ -92,8 +93,9 @@ classification.
   after A are independent in M/A, every count, in a batch, a row block or
   the sampled oracle, is column sums and one matmul against the
   fundamental circuits, planned once per distinct A from two rank calls
-  and one call of the family's kernel.  Basis-indicator marginals, the
-  only kind the CLI takes past n = 20, keep them independent in every
+  and one call of the family's kernel bound to A; otherwise that kernel,
+  built once per distinct A, counts the rows.  Basis-indicator marginals,
+  the only kind the CLI takes past n = 20, keep them independent in every
   iteration: an element enters A only with its circuit, whose elements
   every row that spans it holds.  A batch gives the counter its bar, and
   only counts that can exceed it are exact: an element with a circuit C_e
@@ -115,9 +117,8 @@ import numpy as np
 
 from . import workers
 from .bitset import bits_of, ids_of, iter_ids, mask_of
-from .matroids import ROW_BLOCK_VALUES, Matroid
+from .matroids import ROW_BLOCK_VALUES, SPAN_TABLE_MAX, Matroid
 from .sampling import (
-    EXACT_ENUM_MAX,
     RngStream,
     as_marginals,
     draw_rows,
@@ -424,7 +425,7 @@ class _SpanCountEstimator:
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
         self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._a_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+        self._a_cache: dict[int, np.ndarray] = {}
         # Reused row blocks and generators, one per worker.
         self._blocks: list[np.ndarray | None] = [None]
         self._gens: list[np.random.Generator] = []
@@ -484,12 +485,12 @@ class _SpanCountEstimator:
         Whole iterations go in batches of at most a ``BATCH_SPLIT``-th of
         ``ROW_BLOCK_VALUES`` random values, drawn by one ``draw_rows`` call
         against the support's marginals and counted by one counter call per
-        A that the batch meets, with A's columns cleared and the bar
-        threshold * q, so the counter computes no count that cannot exceed
-        it: after an iteration that changes A, the rest of the batch is
-        counted again under the new A from the same draws.  An iteration
-        too large for a batch is drawn and decided on its own by
-        ``_row_flags``.
+        A that the batch meets, with the bar threshold * q, so the counter
+        computes no count that cannot exceed it: after an iteration that
+        changes A, the rest of the batch is counted again under the new A
+        from the same draws, whose flags in A's columns the counter
+        ignores.  An iteration too large for a batch is drawn and decided on
+        its own by ``_row_flags``.
         """
         q, s = self.q, len(self.sup_ids)
         per_batch = min(ROW_BLOCK_VALUES // BATCH_SPLIT // (q * s), h_bar)
@@ -501,19 +502,14 @@ class _SpanCountEstimator:
                 sets.append(a)
             return sets
         drawn = np.empty((per_batch, q, s), dtype=bool)
-        active = np.empty(drawn.shape, dtype=bool)
         while len(sets) < h_bar:
             g = min(per_batch, h_bar - len(sets))
             draw_rows(rng, self.sup_x, (g, q, s), out=drawn[:g])
             first = len(sets)
             while len(sets) < first + g:
-                i = len(sets) - first
-                _, in_a, outside_a = self._of_a(a)
-                rows = drawn[i:g]
-                if outside_a is not None:
-                    rows = np.logical_and(rows, outside_a, out=active[i:g])
+                rows = drawn[len(sets) - first:g]
                 above = self.count(rows, a, bar)[:, self.ground_ids] > bar
-                a = self._extend(sets, a, above, in_a)
+                a = self._extend(sets, a, above, self._in_a(a))
         return sets
 
     def _set_of(self, in_set: np.ndarray) -> int:
@@ -527,29 +523,17 @@ class _SpanCountEstimator:
         if cached is None:
             spans = self.lookup(self.outcome_masks | np.int64(a_mask))
             member = ((spans[:, None] >> self.ground_ids[None, :]) & 1).astype(np.float64)
-            cached = member, self._of_a(a_mask)[1]
+            cached = member, self._in_a(a_mask)
             self._member_cache[a_mask] = cached
         return cached
 
-    def _of_a(self, a_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The support's marginals with A's columns at 0, A's membership
-        flags in ground order, and the support columns outside A (None when
-        A holds none), memoized: A changes only when a link grows.
-
-        Elements of A are spanned by every row whatever it holds, so their
-        columns are drawn with probability 0 and never flagged.
-        """
-        cached = self._a_cache.get(a_mask)
-        if cached is None:
-            in_a = bits_of(a_mask, self.m.n_universe)
-            outside_a = ~in_a[self.sup_ids]
-            cached = (
-                np.where(outside_a, self.sup_x, 0.0),
-                in_a[self.ground_ids],
-                None if outside_a.all() else outside_a,
-            )
-            self._a_cache[a_mask] = cached
-        return cached
+    def _in_a(self, a_mask: int) -> np.ndarray:
+        """A's membership flags in ground order, memoized: A changes only
+        when a link grows."""
+        in_a = self._a_cache.get(a_mask)
+        if in_a is None:
+            in_a = self._a_cache[a_mask] = bits_of(a_mask, self.m.n_universe)[self.ground_ids]
+        return in_a
 
     def _block(self, i: int, rows: int) -> np.ndarray:
         """Worker i's reused block of ``rows`` x s row flags."""
@@ -578,7 +562,7 @@ class _SpanCountEstimator:
         error it is left where worker 0 stopped.
         """
         q, s = self.q, len(self.sup_ids)
-        x_out, in_a, _ = self._of_a(a_mask)
+        in_a = self._in_a(a_mask)
         if q <= bar:
             # No count can exceed the bar.
             workers.skip_doubles(rng, q * s)
@@ -624,7 +608,7 @@ class _SpanCountEstimator:
                 try:
                     workers.skip_doubles(gen, (start - at) * s)
                     at = start + b
-                    counts = self.count(draw_rows(gen, x_out, (b, s), out=active[:b]), a_mask)
+                    counts = self.count(draw_rows(gen, self.sup_x, (b, s), out=active[:b]), a_mask)
                 except BaseException:
                     failed = True
                     raise
@@ -688,9 +672,8 @@ class ChainPlan:
     rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
     ``params``.  ``x`` is a read-only copy, so a caller that later edits
     its own array cannot change the plan's chains.  Every chain's first
-    link runs on ``first``, M|N, with ``first_estimator``, its estimator,
-    when that is not on the ``rows`` path, whose estimators are built per
-    link.
+    link runs on ``m`` with ``first_estimator``, its estimator, when that is
+    not on the ``rows`` path, whose estimators are built per link.
     """
 
     m: Matroid
@@ -699,7 +682,6 @@ class ChainPlan:
     conforming: bool
     params: LinkParams
     positive: int
-    first: Matroid
     first_estimator: _SpanCountEstimator | None
     _loops: list[int] = field(default_factory=list, init=False, repr=False)
     _loops_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
@@ -750,9 +732,9 @@ class ChainPlan:
         return SpanningChain(tuple(links)), trace
 
     def link(self, rng: np.random.Generator) -> tuple[int, LinkTrace]:
-        """The first link C_1, on ``first`` with ``first_estimator``, drawn
-        from ``rng``."""
-        return _sample_link(self.first, self.x, self.params, rng, self.first_estimator)
+        """The first link C_1, on ``m`` with ``first_estimator``, drawn from
+        ``rng``."""
+        return _sample_link(self.m, self.x, self.params, rng, self.first_estimator)
 
     def sample_trials(
         self, trials: int, stream: RngStream
@@ -791,12 +773,11 @@ def chain_plan(
     x = universe_marginals(m, x).copy()
     x.flags.writeable = False
     positive = mask_of(np.flatnonzero(x > 0.0).tolist())
-    first = m.restrict(m.ground_mask)
     first_estimator = None
     # A support above MULTINOMIAL_MAX_SUPPORT puts the first link on the
     # rows path, and no support means no link is sampled.
     if 0 < (positive & m.ground_mask).bit_count() <= MULTINOMIAL_MAX_SUPPORT:
-        first_estimator = _SpanCountEstimator(first, x, params.q)
+        first_estimator = _SpanCountEstimator(m, x, params.q)
         if first_estimator.path == "rows":
             first_estimator = None
     return ChainPlan(
@@ -806,7 +787,6 @@ def chain_plan(
         conforming=conforming and params.conforming,
         params=params,
         positive=positive,
-        first=first,
         first_estimator=first_estimator,
     )
 
@@ -852,8 +832,8 @@ def minimal_link_construction(m: Matroid, x: np.ndarray, tau: float) -> int:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     x = universe_marginals(m, x)
-    if m.n_universe > EXACT_ENUM_MAX:
-        raise ValueError(f"the minimal link is exact and limited to n <= {EXACT_ENUM_MAX}")
+    if m.n_universe > SPAN_TABLE_MAX:
+        raise ValueError(f"the minimal link is exact and limited to n <= {SPAN_TABLE_MAX}")
     w = realization_weights(x)
     lookup = m.span_lookup()
     idx = np.arange(len(w), dtype=np.int64)

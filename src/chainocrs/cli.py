@@ -21,8 +21,8 @@ import numpy as np
 
 from .bitset import iter_ids, mask_of
 from .chains import ParamOverrides, chain_plan
-from .matroids import Matroid, UniformMatroid, matroid_from_descriptor
-from .sampling import EXACT_ENUM_MAX, RngStream, as_marginals, in_scaled_polytope
+from .matroids import SPAN_TABLE_MAX, Matroid, UniformMatroid, matroid_from_descriptor
+from .sampling import RngStream, as_marginals, in_scaled_polytope
 from .selection import ADVERSARIES, selectability_experiment
 from .verify import (
     sample_complexity_audit,
@@ -143,6 +143,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode in ("ocrs", "chain", "verify-spanning", "verify-freeness", "audit"):
         if not 0.0 < lam <= 1.0 - 4.0 * eps:
             raise ConfigError(f"lambda must lie in (0, 1-4*eps], got {lam}")
+    elif not 0.0 < lam <= 1.0:
+        # The other modes build their marginals with lambda too.
+        raise ConfigError(f"lambda must lie in (0, 1], got {lam}")
     trials = raw.get("trials", 1)
     if not _positive_int(trials):
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
@@ -350,7 +353,7 @@ def generate_marginal(spec: dict, m: Matroid, lam: float) -> np.ndarray:
         x = as_marginals(values)
     else:
         raise ConfigError(f"unknown marginal kind {kind!r}")
-    if n > EXACT_ENUM_MAX:
+    if n > SPAN_TABLE_MAX:
         raise ConfigError(
             "cannot verify the polytope precondition beyond n=20; "
             "use basis-indicator-scaled"

@@ -22,7 +22,8 @@ import numpy as np
 
 from .bitset import bits_of, full_mask, ids_of, iter_ids, mask_of, submasks
 
-#: Largest universe for which dense rank/span tables are built.
+#: Largest universe for which dense rank/span tables are built, and so the
+#: limit of every exact 2^n enumeration, which reads them.
 SPAN_TABLE_MAX = 20
 
 #: Largest universe on which exhaustive axiom validation is allowed.
@@ -142,43 +143,44 @@ class Matroid:
         number of rows r with e ∈ span(A ∪ S_r), S_r the set row r flags;
         ids off the ground set count 0.  A (q, s) matrix gives the (n,)
         counts of its rows, and (g, q, s) gives one count vector per group.
-        Rows flag no element of A.  ``count(rows, a_mask, bar)`` computes
-        only what decides ``count > bar``: its counts are exact wherever they
-        can exceed the bar, and elsewhere at most the bar.
+        Columns of A's elements are ignored.  ``count(rows, a_mask, bar)``
+        computes only what decides ``count > bar``: its counts are exact
+        wherever they can exceed the bar, and elsewhere at most the bar.
 
         One counter serves every family.  Let D be ``cols`` minus A.  When D
         is independent in M/A, a row spans e iff it holds the fundamental
         circuit C_e = {d ∈ D : e ∉ span(A ∪ D - d)} of every e ∈ span(A ∪ D)
         (C_e = ∅ on span(A), {e} on D), so a count is column sums, one
         matmul of the rows against the distinct larger C_e, and q
-        (``_circuit_plan``, built once per distinct A by one call of the
-        family's kernel).  Otherwise the family's kernel (``_span_kernel``)
-        counts the rows exactly, whatever the bar.
+        (``_circuit_plan``).  Otherwise the family's kernel bound to A
+        (``_span_kernel``) counts the rows exactly, whatever the bar.  The
+        counter builds one of the two per distinct A and keeps it.
         """
         cols = np.asarray(cols, dtype=np.int64)
-        kernel = self._span_kernel(cols)
         plans: dict = {}
         building = threading.Lock()
 
         def count(rows: np.ndarray, a_mask: int, bar: float | None = None) -> np.ndarray:
-            plan = plans.get(a_mask, building)
-            if plan is building:
+            plan = plans.get(a_mask)
+            if plan is None:
                 # Workers may count under a new A at once: one builds its plan.
                 with building:
-                    plan = plans.get(a_mask, building)
-                    if plan is building:
-                        plan = plans[a_mask] = self._circuit_plan(cols, a_mask, kernel)
-            return kernel(rows, a_mask) if plan is None else plan(rows, bar)
+                    plan = plans.get(a_mask)
+                    if plan is None:
+                        plan = self._circuit_plan(cols, a_mask) or self._span_kernel(cols, a_mask)
+                        plans[a_mask] = plan
+            return plan(rows, bar)
 
         return count
 
-    def _circuit_plan(self, cols: np.ndarray, a_mask: int, kernel):
-        """``(rows, bar) -> counts`` from the fundamental circuits of the
-        columns left after A, or None when they are dependent in M/A.
+    def _circuit_plan(self, cols: np.ndarray, a_mask: int):
+        """``(rows, bar) -> counts`` under A from the fundamental circuits of
+        the columns left after A, or None when they are dependent in M/A.
 
-        Two rank calls test D; then one call of the family's ``kernel`` on
-        |D| + 1 one-row groups, the rows D - d for every d ∈ D and then D,
-        gives span(A ∪ D - d) and span(A ∪ D).
+        Two rank calls test D; then one call of the family's kernel bound to
+        A on |D| + 1 one-row groups, the rows D - d for every d ∈ D and then
+        D, gives span(A ∪ D - d) and span(A ∪ D).  Counts read only D's
+        columns, so A's are ignored.
 
         With a ``bar`` the plan runs the circuit matmul only on the groups
         where it can matter: a row that spans an e with |C_e| ≥ 2 holds
@@ -193,7 +195,7 @@ class Matroid:
             return None
         rows = np.zeros((len(d_pos) + 1, 1, s), dtype=bool)
         rows[:, 0, d_pos] = ~np.eye(len(d_pos) + 1, len(d_pos), dtype=bool)
-        spans = kernel(rows, a_mask) > 0
+        spans = self._span_kernel(cols, a_mask)(rows) > 0
         # in_circuit[i, e]: d_i ∈ C_e, that is e ∉ span(A ∪ D - d_i).
         in_circuit, spanned = ~spans[:-1], spans[-1]
         sizes = in_circuit.sum(axis=0)
@@ -251,27 +253,28 @@ class Matroid:
 
         return count
 
-    def _span_kernel(self, cols: np.ndarray):
-        """The family's ``count(rows, a_mask)`` for any A (see
-        ``span_counter``).  The dense span table does the lookup when
-        ``span_lookup`` exists, else each row costs one ``span`` call.
-        Families override this with a kernel for all rows at once: the
-        cardinality rule (uniform) and component labels (graphic, n > 20).
+    def _span_kernel(self, cols: np.ndarray, a_mask: int):
+        """The family's ``count(rows, bar=None)`` bound to A = ``a_mask`` (see
+        ``span_counter``), exact at any bar.  The dense span table does the
+        lookup when ``span_lookup`` exists, else each row costs one ``span``
+        call.  Families override this with a kernel for all rows at once:
+        the cardinality rule (uniform) and component labels (graphic, n > 20).
         """
         n = self.n_universe
         lookup = self.span_lookup()
         if lookup is not None:
             weights = np.int64(1) << cols
             ids = np.arange(n, dtype=np.int64)
+            a = np.int64(a_mask)
 
-            def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-                spans = lookup(rows @ weights | np.int64(a_mask))
+            def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
+                spans = lookup(rows @ weights | a)
                 return ((spans[..., None] >> ids) & 1).sum(axis=-2)
 
             return count
         pow2 = [1 << int(e) for e in cols]
 
-        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
+        def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
             groups = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
             out = np.zeros((len(groups), n), dtype=np.int64)
             for group, group_rows in zip(out, groups):
@@ -345,17 +348,17 @@ class UniformMatroid(Matroid):
     def _span_masked(self, mask: int) -> int:
         return self.ground_mask if mask.bit_count() >= self.k else mask
 
-    def _span_kernel(self, cols: np.ndarray):
-        a_memo: dict[int, np.ndarray] = {}
+    def _span_kernel(self, cols: np.ndarray, a_mask: int):
+        # A row whose elements outside A bring |A ∪ S_r| to k spans
+        # everything; any other row spans exactly A ∪ S_r.
+        in_a = bits_of(a_mask, self.n_universe)
+        # Row sums over the columns outside A, exact in float32.
+        outside = (~in_a[cols]).astype(np.float32)
+        need = self.k - a_mask.bit_count()
 
-        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            # A row whose active elements bring |A ∪ S_r| to k spans
-            # everything; any other row spans exactly A ∪ S_r.
-            in_a = a_memo.get(a_mask)
-            if in_a is None:
-                in_a = a_memo[a_mask] = bits_of(a_mask, self.n_universe)
+        def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
             flags = rows.view(np.uint8)
-            full = np.add.reduce(flags, axis=-1, dtype=np.int32) >= self.k - a_mask.bit_count()
+            full = rows @ outside >= need
             n_full = np.count_nonzero(full, axis=-1)
             counts = np.empty(rows.shape[:-2] + (self.n_universe,), dtype=np.int64)
             counts[...] = n_full[..., None]
@@ -462,29 +465,22 @@ class GraphicMatroid(Matroid):
                 out |= 1 << e
         return out
 
-    def _span_kernel(self, cols: np.ndarray):
+    def _span_kernel(self, cols: np.ndarray, a_mask: int):
         if self.n_universe <= SPAN_TABLE_MAX:
-            return super()._span_kernel(cols)
+            return super()._span_kernel(cols, a_mask)
         nv, n = self.n_vertices, self.n_universe
         tail, head = self._ends
-        col_tail, col_head = tail[cols], head[cols]
         max_chunk = max(1, ROW_BLOCK_VALUES // max(nv, n))
+        # Every row's graph is contracted by A: each vertex stands for the
+        # least vertex of its component in A, so the rows' labels start
+        # apart and the only links are edges, which every round of the
+        # labelling sees again.  An edge of A joins one component to itself.
+        a_ids = bits_of(a_mask, n)
+        root = _component_labels(nv, tail[a_ids], head[a_ids])
+        row_tail, row_head = root[tail[cols]], root[head[cols]]
+        edge_tail, edge_head = root[tail], root[head]
 
-        a_memo: dict[int, tuple[np.ndarray, ...]] = {}
-
-        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            # Every row's graph is contracted by A: each vertex stands for
-            # the least vertex of its component in A, so the rows' labels
-            # start apart and the only links are edges, which every round
-            # of the labelling sees again.  A changes only when a link
-            # grows, so the edge ends on A's roots are memoized.
-            ends = a_memo.get(a_mask)
-            if ends is None:
-                a_ids = bits_of(a_mask, n)
-                root = _component_labels(nv, tail[a_ids], head[a_ids])
-                ends = root[col_tail], root[col_head], root[tail], root[head]
-                a_memo[a_mask] = ends
-            row_tail, row_head, edge_tail, edge_head = ends
+        def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
             q = rows.shape[-2]
             flat = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
             counts = np.zeros((math.prod(rows.shape[:-2]), n), dtype=np.int64)
@@ -669,14 +665,14 @@ class MinorMatroid(Matroid):
             raise ValueError("set outside the ground set")
         return self.base.span(mask | self.contracted) & self.ground_mask
 
-    def _span_kernel(self, cols: np.ndarray):
+    def _span_kernel(self, cols: np.ndarray, a_mask: int):
         # Same identity as span: count in the base with A ∪ contracted, then
         # zero the columns off this minor's ground set.
-        base_count = self.base._span_kernel(cols)
+        base_count = self.base._span_kernel(cols, a_mask | self.contracted)
         off = np.flatnonzero(~bits_of(self.ground_mask, self.n_universe))
 
-        def count(rows: np.ndarray, a_mask: int) -> np.ndarray:
-            counts = base_count(rows, a_mask | self.contracted)
+        def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
+            counts = base_count(rows)
             counts[..., off] = 0
             return counts
 

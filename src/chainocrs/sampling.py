@@ -5,7 +5,7 @@ probability x_e.  Marginal vectors are float64 numpy arrays indexed by
 element id; realizations are bitmasks.
 
 ``span_probabilities`` is the one oracle for Pr[e ∈ span(B ∪ R(x))]:
-exact over all 2^n realizations up to ``EXACT_ENUM_MAX`` elements, and a
+exact over all 2^n realizations up to ``SPAN_TABLE_MAX`` elements, and a
 frequency over sample rows, counted by the matroid's span kernel, beyond.
 
 Randomness comes from counter-based Philox streams keyed by
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitset import bits_of, iter_ids
-from .matroids import ROW_BLOCK_VALUES, Matroid
+from .matroids import ROW_BLOCK_VALUES, SPAN_TABLE_MAX, Matroid
 
 _MASK64 = (1 << 64) - 1
 
@@ -32,10 +32,6 @@ _MASK64 = (1 << 64) - 1
 #: setter copies them, so one read-only array serves every call.
 _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 _PHILOX_ZEROS.flags.writeable = False
-
-#: Largest ground set for exact 2^n enumeration.
-EXACT_ENUM_MAX = 20
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -139,8 +135,8 @@ def _pack_bits(bits: np.ndarray) -> int:
 def realization_weights(x: np.ndarray) -> np.ndarray:
     """Pr[R(x) = m] for every mask m in [0, 2^n); index bit e <-> element e."""
     n = len(x)
-    if n > EXACT_ENUM_MAX:
-        raise ValueError(f"exact enumeration is limited to n <= {EXACT_ENUM_MAX}, got {n}")
+    if n > SPAN_TABLE_MAX:
+        raise ValueError(f"exact enumeration is limited to n <= {SPAN_TABLE_MAX}, got {n}")
     return realization_products(1.0 - x, x)
 
 
@@ -175,7 +171,7 @@ def span_probabilities(
 ) -> np.ndarray:
     """Pr[e ∈ span(base ∪ R(x))] for every universe id e; 0 off the ground set.
 
-    Up to ``EXACT_ENUM_MAX`` elements the probabilities are exact, summed
+    Up to ``SPAN_TABLE_MAX`` elements the probabilities are exact, summed
     over all 2^n realizations.  Beyond, they are frequencies over
     ``samples`` rows of D(x) drawn from ``rng``, which must then be given.
     Only the ground set of ``m`` counts: R(x) is read as R(x) ∩ ground.
@@ -183,10 +179,10 @@ def span_probabilities(
     x = universe_marginals(m, x)
     if base & ~m.ground_mask:
         raise ValueError("base set outside the ground set")
-    if m.n_universe > EXACT_ENUM_MAX:
+    if m.n_universe > SPAN_TABLE_MAX:
         if rng is None or samples is None or samples < 1:
             raise ValueError(
-                f"beyond n = {EXACT_ENUM_MAX} the oracle samples: pass rng and samples"
+                f"beyond n = {SPAN_TABLE_MAX} the oracle samples: pass rng and samples"
             )
         return _sampled_span_probabilities(m, x, base, rng, samples)
     w = realization_weights(x)
@@ -237,8 +233,8 @@ def in_scaled_polytope(m: Matroid, x: np.ndarray, lam: float) -> bool:
     be zero.
     """
     n = m.n_universe
-    if n > EXACT_ENUM_MAX:
-        raise ValueError(f"polytope check is limited to n <= {EXACT_ENUM_MAX}, got {n}")
+    if n > SPAN_TABLE_MAX:
+        raise ValueError(f"polytope check is limited to n <= {SPAN_TABLE_MAX}, got {n}")
     x = universe_marginals(m, x)
     outside = [e for e in range(n) if x[e] > 0.0 and not (m.ground_mask >> e) & 1]
     if outside:

@@ -24,9 +24,8 @@ import numpy as np
 from . import workers
 from .bitset import bits_of, ids_of, submasks
 from .chains import BuildTrace, ParamOverrides, chain_plan, scheme_plan
-from .matroids import Matroid
+from .matroids import SPAN_TABLE_MAX, Matroid
 from .sampling import (
-    EXACT_ENUM_MAX,
     RngStream,
     in_scaled_polytope,
     realization_products,
@@ -113,8 +112,8 @@ def verify_in_link_loss(
     """
     if not 0.0 < eps <= tau:
         raise ValueError("need 0 < eps <= tau")
-    if m.n_universe > EXACT_ENUM_MAX:
-        raise ValueError(f"exact classification is limited to n <= {EXACT_ENUM_MAX}")
+    if m.n_universe > SPAN_TABLE_MAX:
+        raise ValueError(f"exact classification is limited to n <= {SPAN_TABLE_MAX}")
     plan = chain_plan(m, x, tau, eps, overrides)
     x, params = plan.x, plan.params
     ids = ids_of(m.ground_mask)
@@ -181,7 +180,7 @@ def verify_progress(
         raise ValueError("need lambda < tau <= 1")
     plan = chain_plan(m, x, tau, eps, overrides)
     x, params = plan.x, plan.params
-    if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, x, lam):
+    if m.n_universe <= SPAN_TABLE_MAX and not in_scaled_polytope(m, x, lam):
         raise ValueError("marginals are not in lambda * P_M")
     a_masks = workers.map_trials(trials, seed_stream, lambda t, rng: plan.link(rng)[0])
     ranks = np.array([m.rank(a) for a in a_masks], dtype=np.float64)
@@ -209,7 +208,7 @@ def verify_spanning(
 ) -> VerifyReport:
     """Check: the second-to-last chain link C_zeta is empty w.p. >= 1 - eps."""
     plan = scheme_plan(m, x, lam, eps, overrides)
-    if m.n_universe <= EXACT_ENUM_MAX and not in_scaled_polytope(m, plan.x, lam):
+    if m.n_universe <= SPAN_TABLE_MAX and not in_scaled_polytope(m, plan.x, lam):
         raise ValueError("marginals are not in lambda * P_M")
     empty = sum(
         chain.links[trace.zeta] == 0 for chain, trace in plan.sample_trials(trials, seed_stream)
@@ -235,7 +234,7 @@ def verify_freeness_likely(
 ) -> VerifyReport:
     """Check: Pr[freeness >= 1-lambda-4 eps | e not in C_zeta]
     >= 1 - eps - 2 eps / Pr[e not in C_zeta], per element."""
-    if m.n_universe > EXACT_ENUM_MAX:
+    if m.n_universe > SPAN_TABLE_MAX:
         raise ValueError("exact freeness needs n <= 20")
     plan = scheme_plan(m, x, lam, eps, overrides)
     x = plan.x

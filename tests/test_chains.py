@@ -250,17 +250,18 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)
     rng = np.random.default_rng(5)
     group_rng = np.random.default_rng(6)
+    a_flagged = 0
     for m, kernel in cases:
         assert (m.span_lookup() is not None) == (kernel == "table")
         ground = ids_of(m.ground_mask)
         for t in range(6):
             a_mask = mask_of(e for e in ground if rng.random() < 0.1 * t)
-            cols = np.array(
-                [e for e in ground if not (a_mask >> e) & 1 and rng.random() < 0.8],
-                dtype=np.int64,
-            )
+            # The columns hold elements of A too, which rows flag at random
+            # and every kernel ignores.
+            cols = np.array([e for e in ground if rng.random() < 0.8], dtype=np.int64)
             rows = rng.random((41, len(cols))) < 0.3
             rows[0], rows[1] = False, True
+            a_flagged += bool(rows[:, (a_mask >> cols) & 1 == 1].any())
             expected = _span_reference(m, cols, rows, a_mask)
             # Only the fallback makes span() calls, one per row, and only
             # the label kernel labels components.
@@ -270,6 +271,7 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             assert got.tolist() == expected.tolist()
             assert len(calls) == (len(rows) if kernel == "span" else 0)
             assert bool(labellings) == (kernel == "labels")
+            _check_bar_counts(m.span_counter(cols)(rows, a_mask, 12.5), expected, 12.5)
             # A (g, q, s) input gives one count vector per group of q rows.
             groups = group_rng.random((3, 13, len(cols))) < 0.3
             groups[0, 0], groups[2, 12] = False, True
@@ -280,6 +282,15 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             assert got.tolist() == expected
             assert len(calls) == (3 * 13 if kernel == "span" else 0)
             assert bool(labellings) == (kernel == "labels")
+            _check_bar_counts(m.span_counter(cols)(groups, a_mask, 4.0), expected, 4.0)
+    assert a_flagged > len(cases)
+
+
+def _check_bar_counts(got, counts, bar):
+    """``got``, counted with ``bar``, equals the exact ``counts`` wherever
+    they exceed it, and elsewhere is them or 0."""
+    got, counts = np.asarray(got), np.asarray(counts)
+    assert ((got == counts) | (got == 0) & (counts <= bar)).all()
 
 
 def _independent_after(m, a_mask, rng):
@@ -294,9 +305,11 @@ def _independent_after(m, a_mask, rng):
 def test_circuit_counter_matches_span_reference(monkeypatch):
     # Columns D independent in M/A are counted from fundamental circuits, in
     # every family and minor; columns dependent in M/A fall back to the
-    # family kernel.  The columns also hold elements of A (never flagged),
-    # one column is flagged in every row (x_e = 1), and one case per matroid
-    # has D = ∅.  Loops, parallel edges and A's spans put elements in
+    # family kernel.  The columns also hold elements of A, which rows flag
+    # at random and the counter ignores, with or without a bar; on U_{20,30}
+    # a flagged column of A would make a row full that is not.  One column
+    # is flagged in every row (x_e = 1), and one case per matroid has
+    # D = ∅.  Loops, parallel edges and A's spans put elements in
     # span(A) \ A.  A plan is built by one call of the family's kernel, so
     # past n = 20 a graphic plan makes no span() call.
     multi, lam = _multigraph(), _laminar()
@@ -305,7 +318,7 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
     k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     explicit = random_explicit_matroid(np.random.default_rng(3), 8)
     cases = [
-        u, u.restrict(full_mask(30) & ~0b111), u.contract(0b1011),
+        u, u.restrict(full_mask(30) & ~0b111), u.contract(0b1011), UniformMatroid(20, 30),
         part, part.contract(mask_of([0, 5, 6, 14])),
         lam, lam.restrict(full_mask(24) & ~mask_of([5, 17])).contract(mask_of([0, 12])),
         multi, multi.restrict(mask_of(range(0, 45, 3)) | 0b11110),
@@ -331,7 +344,9 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
     monkeypatch.setattr(Matroid, "_circuit_plan", plan)
     monkeypatch.setattr(Matroid, "span", span)
     rng = np.random.default_rng(8)
-    seen = {"span(A) beyond A": 0, "D empty": 0, "circuits of 2+": 0, "fallback": 0}
+    seen = {
+        "span(A) beyond A": 0, "D empty": 0, "circuits of 2+": 0, "fallback": 0, "A flagged": 0
+    }
     for m in cases:
         ground = ids_of(m.ground_mask)
         for t in range(7):
@@ -345,7 +360,6 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
             dependent = m.rank(a_mask | d_mask) - m.rank(a_mask) != d_mask.bit_count()
             cols = rng.permutation(np.array(ids_of(d_mask) + ids_of(a_mask)[:3], dtype=np.int64))
             rows = rng.random((3, 13, len(cols))) < rng.uniform(0.2, 0.8)
-            rows[..., (a_mask >> cols) & 1 == 1] = False
             d_cols = np.flatnonzero((d_mask >> cols) & 1)
             if len(d_cols):
                 rows[..., d_cols[0]] = True
@@ -355,6 +369,7 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
             count = m.span_counter(cols)
             assert count(rows, a_mask).tolist() == expected
             assert count(rows[1], a_mask).tolist() == expected[1]
+            _check_bar_counts(count(rows, a_mask, 6.5), expected, 6.5)
             assert len(built) == 1 and (built[0] is None) == dependent
             graphic = isinstance(getattr(m, "base", m), GraphicMatroid)
             assert not (graphic and m.n_universe > 20 and plan_spans)
@@ -362,6 +377,7 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
             seen["span(A) beyond A"] += not dependent and bool(spanned_by_a)
             seen["D empty"] += not d_mask
             seen["fallback"] += dependent
+            seen["A flagged"] += bool(rows[..., (a_mask >> cols) & 1 == 1].any())
             if not dependent:
                 closures = [m.span(a_mask | d_mask & ~(1 << d)) for d in iter_ids(d_mask)]
                 seen["circuits of 2+"] += any(
@@ -379,10 +395,10 @@ def test_circuit_plans_are_built_once_per_a_across_threads(monkeypatch):
     real_plan = Matroid._circuit_plan
     built = []
 
-    def plan(self, cols, a_mask, kernel):
+    def plan(self, cols, a_mask):
         built.append(a_mask)
         time.sleep(0.005)
-        return real_plan(self, cols, a_mask, kernel)
+        return real_plan(self, cols, a_mask)
 
     monkeypatch.setattr(Matroid, "_circuit_plan", plan)
     rng = np.random.default_rng(4)
@@ -882,7 +898,7 @@ def _record_runs(monkeypatch):
 
 def _full_count_flags(est, a_mask, bar, rng):
     """The set of one iteration from all q rows of ``rng``, counted at once."""
-    rows = rng.random((est.q, len(est.sup_ids))) < est._of_a(a_mask)[0]
+    rows = rng.random((est.q, len(est.sup_ids))) < est.sup_x
     return est.count(rows, a_mask)[est.ground_ids] > bar
 
 
@@ -975,10 +991,10 @@ def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):
     cases = [(0, 0, 200.0), (1, 0b1, 150.0), (2, 0b101, 250.0), (4, 0, 320.0), (5, 0, None)]
     for seed, a_mask, bar in cases:
         ref_rng = RngStream(seed).generator()
-        rows = ref_rng.random((q, 30)) < est._of_a(a_mask)[0]
+        rows = ref_rng.random((q, 30)) < est.sup_x
         spanned = np.array([real_count(rows[r : r + 1], a_mask)[est.ground_ids] for r in range(q)])
         totals = np.cumsum(spanned, axis=0)
-        in_a = est._of_a(a_mask)[1]
+        in_a = est._in_a(a_mask)
         if bar is None:
             e = int(np.flatnonzero(~in_a & (spanned[-1] == 0))[0])
             bar = float(totals[-1, e])
@@ -1137,7 +1153,7 @@ def test_parallel_row_blocks_under_thread_switching(monkeypatch):
             est.count = recording
             flags = est._row_flags(0b1, 300.0, rng)
             est.count = real_count
-            ref_rows = ref_rng.random((600, 30)) < est._of_a(0b1)[0]
+            ref_rows = ref_rng.random((600, 30)) < est.sup_x
             assert flags.tolist() == (real_count(ref_rows, 0b1)[est.ground_ids] > 300).tolist()
             assert _state_of(rng) == _state_of(ref_rng)
             n = len(counted)

@@ -194,6 +194,34 @@ def test_parse_config_rejects_bad_tau(overrides, tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mode": "verify-inlink", "lambda": 3, "tau": 0.5,
+         "marginal": {"kind": "custom", "values": [0.1] * 6}},
+        {"mode": "verify-inlink", "lambda": 0, "tau": 0.5},
+        {"mode": "verify-progress", "lambda": -0.5, "tau": 0.5},
+        {"mode": "verify-talpha", "lambda": 1.5, "talpha": {"alpha": 0.4}},
+        {"mode": "verify-talpha", "lambda": 0.0, "tau": 0.5},
+    ],
+    ids=["inlink-custom-above-one", "inlink-zero", "progress-negative", "talpha-above-one",
+         "talpha-zero"],
+)
+def test_parse_config_rejects_lambda_outside_unit_interval(
+    overrides, tmp_path, capsys, monkeypatch
+):
+    # Every mode builds its marginals with lambda.  These three were not
+    # range-checked: a custom x passed as in 3 * P_M, and lambda <= 0 was
+    # found only after the matroid was built.
+    monkeypatch.setattr(cli, "matroid_from_descriptor", lambda d: pytest.fail("built"))
+    with pytest.raises(ConfigError, match=r"lambda must lie in \(0, 1\]"):
+        parse_config(base_config(**overrides))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_parse_config_checks_tau_only_where_it_is_read():
     # ocrs and verify-spanning take tau from lambda; verify-talpha with an
     # explicit alpha does not read it.
@@ -631,11 +659,14 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
     # one family-kernel call on its |D| + 1 one-row groups, with no span()
     # call on the graphic matroid; the family kernel counts no sample row
     # (no per-row span(), no component labels outside a plan), and the
-    # report equals the family kernels' one.
+    # report equals the family kernels' one.  The first link counts on the
+    # family itself and later links on minors, whose kernels call the
+    # family's.
     from chainocrs import matroids
-    from chainocrs.matroids import Matroid, MinorMatroid
+    from chainocrs.matroids import Matroid
 
     config = parse_config(base_config(**overrides))
+    family = type(matroid_from_descriptor(config.matroid))
     plans, local = [], threading.local()
 
     def inside():
@@ -643,7 +674,7 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         return local.__dict__.setdefault("builds", [])
 
     real_span, real_rank, real_plan = Matroid.span, Matroid.rank, Matroid._circuit_plan
-    real_kernel, real_labels = MinorMatroid._span_kernel, matroids._component_labels
+    real_kernel, real_labels = family._span_kernel, matroids._component_labels
 
     def oracle(real, name):
         def call(self, mask):
@@ -653,10 +684,10 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
 
         return call
 
-    def plan(self, cols, a_mask, kernel):
+    def plan(self, cols, a_mask):
         inside().append({"span": 0, "rank": 0, "kernel": []})
         try:
-            built = real_plan(self, cols, a_mask, kernel)
+            built = real_plan(self, cols, a_mask)
         finally:
             calls = inside().pop()
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
@@ -665,14 +696,14 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         plans.append((a_mask, built is not None, cheap))
         return built
 
-    def kernel(self, cols):
-        count = real_kernel(self, cols)
+    def kernel(self, cols, a_mask):
+        count = real_kernel(self, cols, a_mask)
 
-        def counted(rows, a_mask):
+        def counted(rows, bar=None):
             if not inside():
                 pytest.fail("family kernel ran")
             inside()[-1]["kernel"].append(len(rows))
-            return count(rows, a_mask)
+            return count(rows, bar)
 
         return counted
 
@@ -683,7 +714,7 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         patch.setattr(Matroid, "span", oracle(real_span, "span"))
         patch.setattr(Matroid, "rank", oracle(real_rank, "rank"))
         patch.setattr(Matroid, "_circuit_plan", plan)
-        patch.setattr(MinorMatroid, "_span_kernel", kernel)
+        patch.setattr(family, "_span_kernel", kernel)
         patch.setattr(matroids, "_component_labels", labels)
         report, code = run(config)
     assert code == 0
