@@ -52,7 +52,10 @@ classification.
   from A and counts the rest of the batch again under the new A, from the
   same draws: the counter ignores the columns of A's elements, so rows are
   drawn against the same marginals under every A.  A larger iteration is
-  drawn in reused row blocks and counted block by block.
+  drawn in reused row blocks and counted block by block.  The estimator
+  builds the marginals' ``sampling.RowLaw`` once, the threshold words of a
+  full batch and the flags of the columns with x = 1, and every batch and
+  block is drawn against it.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
   ``BuildTrace.link_traces`` expands it only when read.
@@ -92,12 +95,12 @@ classification.
 * Independent rows (``Matroid.span_counter``): when the drawn columns left
   after A are independent in M/A, every count, in a batch, a row block or
   the sampled oracle, is column sums and one matmul against the
-  fundamental circuits, planned once per distinct A from two rank calls
-  and one call of the family's kernel bound to A; otherwise that kernel,
-  built once per distinct A, counts the rows.  Basis-indicator marginals,
-  the only kind the CLI takes past n = 20, keep them independent in every
-  iteration: an element enters A only with its circuit, whose elements
-  every row that spans it holds.  A batch gives the counter its bar, and
+  fundamental circuits, planned once per distinct A from one call of the
+  family's kernel bound to A, which also finds dependent columns;
+  otherwise that kernel, built once per distinct A, counts the rows.
+  Basis-indicator marginals, the only kind the CLI takes past n = 20, keep
+  them independent in every iteration: an element enters A only with its
+  circuit, whose elements every row that spans it holds.  A batch gives the counter its bar, and
   only counts that can exceed it are exact: an element with a circuit C_e
   of two or more is spanned by at most the smallest column sum over C_e,
   so the matmul runs only for the iterations in which every column of
@@ -111,7 +114,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,6 +123,7 @@ from .bitset import bits_of, ids_of, iter_ids, mask_of
 from .matroids import ROW_BLOCK_VALUES, SPAN_TABLE_MAX, Matroid
 from .sampling import (
     RngStream,
+    RowLaw,
     as_marginals,
     draw_rows,
     realization_weights,
@@ -424,6 +428,8 @@ class _SpanCountEstimator:
         self.sup_ids = np.array(sup_ids, dtype=np.int64)
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
         self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
+        # Ground-order columns of a count row; all of them on M itself.
+        self._of_ground = self.ground_ids if len(self.ground_ids) < m.n_universe else slice(None)
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._a_cache: dict[int, np.ndarray] = {}
         # Reused row blocks and generators, one per worker.
@@ -443,6 +449,14 @@ class _SpanCountEstimator:
         else:
             self.path = "rows"
             self.count = m.span_counter(self.sup_ids)
+
+    @cached_property
+    def law(self) -> RowLaw:
+        """The support's marginals for ``draw_rows``, with thresholds for a
+        full batch of whole iterations, which also serve every row block of
+        at most q rows; one row when iterations are too large to batch."""
+        q, s = self.q, len(self.sup_ids)
+        return RowLaw(self.sup_x, ROW_BLOCK_VALUES // BATCH_SPLIT // max(1, q * s) * q or 1)
 
     def link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
         """A_1, ..., A_h̄ from A_0 = ∅."""
@@ -466,16 +480,16 @@ class _SpanCountEstimator:
         """Append the sets of the iterations ``above`` classifies from A = a,
         up to and including the first whose set differs from A; return the
         new A.  Row i of ``above`` flags the ground elements iteration i
-        puts in its set, and ``in_a`` flags A's."""
+        puts in its set, and ``in_a`` flags A's; ``above`` is overwritten."""
         # The first row that differs from A holds the first differing flag.
-        differs = (above != in_a).ravel()
+        differs = np.not_equal(above, in_a, out=above)
         first = int(differs.argmax())
-        if not differs[first]:
+        if not differs.flat[first]:
             sets += [a] * len(above)
             return a
         j = first // len(in_a)
         sets += [a] * j
-        a = self._set_of(above[j])
+        a = self._set_of(differs[j] != in_a)
         sets.append(a)
         return a
 
@@ -484,7 +498,7 @@ class _SpanCountEstimator:
 
         Whole iterations go in batches of at most a ``BATCH_SPLIT``-th of
         ``ROW_BLOCK_VALUES`` random values, drawn by one ``draw_rows`` call
-        against the support's marginals and counted by one counter call per
+        against the support's ``RowLaw`` and counted by one counter call per
         A that the batch meets, with the bar threshold * q, so the counter
         computes no count that cannot exceed it: after an iteration that
         changes A, the rest of the batch is counted again under the new A
@@ -504,12 +518,11 @@ class _SpanCountEstimator:
         drawn = np.empty((per_batch, q, s), dtype=bool)
         while len(sets) < h_bar:
             g = min(per_batch, h_bar - len(sets))
-            draw_rows(rng, self.sup_x, (g, q, s), out=drawn[:g])
+            draw_rows(rng, self.law, (g, q, s), out=drawn[:g])
             first = len(sets)
             while len(sets) < first + g:
-                rows = drawn[len(sets) - first:g]
-                above = self.count(rows, a, bar)[:, self.ground_ids] > bar
-                a = self._extend(sets, a, above, self._in_a(a))
+                counts = self.count(drawn[len(sets) - first:g], a, bar)
+                a = self._extend(sets, a, counts[:, self._of_ground] > bar, self._in_a(a))
         return sets
 
     def _set_of(self, in_set: np.ndarray) -> int:
@@ -608,7 +621,7 @@ class _SpanCountEstimator:
                 try:
                     workers.skip_doubles(gen, (start - at) * s)
                     at = start + b
-                    counts = self.count(draw_rows(gen, self.sup_x, (b, s), out=active[:b]), a_mask)
+                    counts = self.count(draw_rows(gen, self.law, (b, s), out=active[:b]), a_mask)
                 except BaseException:
                     failed = True
                     raise

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -372,31 +373,103 @@ class ExperimentReport:
     verdicts: list
     wall_clock_seconds: float | None = None
 
-    def to_jsonable(self) -> dict:
-        return _plain({
+    def to_json(self) -> str:
+        """The canonical report: indented JSON with sorted keys."""
+        return _json_text({
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
             "results": self.results,
             "verdicts": self.verdicts,
         })
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
+
+def _json_text(obj) -> str:
+    """``json.dumps(plain, indent=2, sort_keys=True) + "\\n"``, where ``plain``
+    is ``obj`` with every dict key ``str(key)``, numpy integers and floats
+    Python ones and numpy arrays lists.
+
+    One pass writes the text, dispatching on the exact type and joining a
+    list of one scalar type in one step: with an indent, Python 3.11's
+    ``json`` runs its pure-Python encoder.  Other types take the
+    conversions above, or raise ``TypeError`` as ``json`` does.
+    """
+    parts: list[str] = []
+    _write(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
+def _write(obj, parts: list[str], nl: str) -> None:
+    """Append the JSON text of ``obj``, whose line breaks are ``nl``, to ``parts``."""
+    kind = type(obj)
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        parts.append(text(obj))
+    elif kind is list or kind is tuple:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            parts.append("[" + inner + ("," + inner).join(map(text, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _write(value, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif kind is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        plain = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(plain):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(plain[key], parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    else:
+        _write(_plain_value(obj), parts, nl)
+
+
+def _plain_value(obj):
+    """``obj``, not of a type ``_write`` dispatches on, as one it does."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return dict(obj.items())
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+        return list(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+        return list(obj.tolist())
+    # Subclasses of str, int and float: json writes their base value.
+    for base, value in ((str, str.__str__), (int, int.__int__), (float, float.__float__)):
+        if isinstance(obj, base):
+            return value(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 
 def run(config: ExperimentConfig) -> tuple[ExperimentReport, int]:

@@ -46,6 +46,10 @@ class Matroid:
     concurrent workers; every operation is read-only.
     """
 
+    #: Whether ``_span_kernel`` counts all rows at once without the dense
+    #: tables; the generic kernel makes one ``span`` call per row.
+    _rows_at_once = False
+
     def __init__(self, n_universe: int, ground_mask: int):
         self.n_universe = n_universe
         self.ground_mask = ground_mask
@@ -177,29 +181,42 @@ class Matroid:
         """``(rows, bar) -> counts`` under A from the fundamental circuits of
         the columns left after A, or None when they are dependent in M/A.
 
-        Two rank calls test D; then one call of the family's kernel bound to
-        A on |D| + 1 one-row groups, the rows D - d for every d ∈ D and then
-        D, gives span(A ∪ D - d) and span(A ∪ D).  Counts read only D's
-        columns, so A's are ignored.
+        One call of the family's kernel bound to A on |D| + 1 one-row
+        groups, the rows D - d for every d ∈ D and then D, gives
+        span(A ∪ D - d) and span(A ∪ D).  It also decides D: D is
+        independent in M/A iff no d ∈ D is in span(A ∪ D - d).  More
+        columns than the rank are dependent without it, and a kernel that
+        makes one ``span`` call per row would spend |D| + 1 of them on
+        dependent columns, so with it two rank calls test D first.  Counts
+        read only D's columns, so A's are ignored.
 
-        With a ``bar`` the plan runs the circuit matmul only on the groups
-        where it can matter: a row that spans an e with |C_e| ≥ 2 holds
-        every column of C_e, so e's count is at most the smallest column sum
-        over C_e, and in a group where each larger circuit has a column that
-        sums to at most the bar no such e is above it.  Such a group counts
-        0 for them; every other count is exact.
+        A count is then one product of the column sums with a 0/1 matrix
+        that gives each element with |C_e| = 1 its column's sum, plus, for
+        the elements with |C_e| ≥ 2, the rows that hold C_e, and q on
+        span(A).  With a ``bar`` the plan counts the rows that hold a
+        larger circuit only in the groups where it can matter: such an e is
+        spanned by at most the smallest column sum over C_e, so in a group
+        where each larger circuit has a column that sums to at most the bar
+        no such e is above it.  Such a group counts 0 for them; every other
+        count is exact.
         """
         n, s = self.n_universe, len(cols)
         d_pos = np.flatnonzero(~bits_of(a_mask, n)[cols])
-        if self.rank(a_mask | mask_of(cols[d_pos].tolist())) - self.rank(a_mask) != len(d_pos):
+        if len(d_pos) > self.full_rank():
+            return None
+        if not self._rows_at_once and self.span_lookup() is None and (
+            self.rank(a_mask | mask_of(cols[d_pos].tolist())) - self.rank(a_mask) != len(d_pos)
+        ):
             return None
         rows = np.zeros((len(d_pos) + 1, 1, s), dtype=bool)
         rows[:, 0, d_pos] = ~np.eye(len(d_pos) + 1, len(d_pos), dtype=bool)
         spans = self._span_kernel(cols, a_mask)(rows) > 0
         # in_circuit[i, e]: d_i ∈ C_e, that is e ∉ span(A ∪ D - d_i).
         in_circuit, spanned = ~spans[:-1], spans[-1]
+        if not in_circuit[np.arange(len(d_pos)), cols[d_pos]].all():
+            return None
         sizes = in_circuit.sum(axis=0)
-        # Elements with the same C_e of two or more share one matmul column.
+        # Elements with the same C_e of two or more share one circuit column.
         multi = np.flatnonzero(spanned & (sizes > 1))
         group = first = multi
         if len(multi):
@@ -213,43 +230,49 @@ class Matroid:
         members[d_pos] = circuits
         # A row holds C_e iff its matmul entry reaches |C_e|, never above.
         misses = 1 - circuits.sum(axis=0, dtype=np.float32)
-        # Slots of a count row: s column sums, g circuit counts, q, then 0.
-        src = np.full(n, s + g + 1)
-        src[spanned & (sizes == 0)] = s + g
-        single = spanned & (sizes == 1)
-        if single.any():
-            src[single] = d_pos[in_circuit[:, single].argmax(axis=0)]
-        src[multi] = s + group.reshape(-1)
+        # Each count is one term of these products, so exact in float32.
+        single = np.flatnonzero(spanned & (sizes == 1))
+        from_sums = np.zeros((s, n), dtype=np.float32)
+        if len(single):
+            from_sums[d_pos[in_circuit[:, single].argmax(axis=0)], single] = 1
+        from_circuits = np.zeros((g, n), dtype=np.float32)
+        from_circuits[group.reshape(-1), multi] = 1
+        in_span_a = np.flatnonzero(spanned & (sizes == 0))
 
         def circuit_counts(flags: np.ndarray, ones: np.ndarray) -> np.ndarray:
             held = flags @ members
             held += misses
-            return ones @ np.maximum(held, 0, out=held)
+            return ones @ np.maximum(held, 0, out=held) @ from_circuits
+
+        # Column sums are one matmul with a ones vector, kept at the longest
+        # needed; sums of 0/1 values in float32 are exact below 2^24 rows.
+        kept = np.ones(0, dtype=np.float32)
 
         def count(rows: np.ndarray, bar: float | None) -> np.ndarray:
-            # Sums of 0/1 values in float32 are exact below 2^24 rows.
+            nonlocal kept
             q = rows.shape[-2]
-            flags = rows.astype(np.float32 if q < 1 << 24 else np.float64)
-            ones = np.ones(q, dtype=flags.dtype)
-            slots = np.empty(rows.shape[:-2] + (s + g + 2,), dtype=flags.dtype)
-            slots[..., :s] = ones @ flags
+            ones = kept[:q]
+            if len(ones) < q:
+                kept = ones = np.ones(q, dtype=np.float32 if q < 1 << 24 else np.float64)
+            flags = rows.astype(ones.dtype)
+            sums = ones @ flags
+            counts = sums @ from_sums
             if g and bar is None:
-                slots[..., s:s + g] = circuit_counts(flags, ones)
-            elif g:
+                counts += circuit_counts(flags, ones)
+            elif g and sums.max(initial=0) > math.floor(bar):
                 # A circuit with a column summing to at most the bar counts
                 # at most the bar.  Where every circuit has one, the group
                 # keeps 0 for them, which is at most the bar.  Sums are
                 # integers, so floor(bar) decides them and is exact here.
-                slot = slots.reshape(-1, s + g + 2)
-                slot[:, s:s + g] = 0
-                low = (slot[:, :s] <= math.floor(bar)).astype(flags.dtype) @ members
+                sums = sums.reshape(-1, s)
+                low = (sums <= math.floor(bar)).astype(flags.dtype) @ members
                 counted = np.flatnonzero((low == 0).any(axis=1))
                 if len(counted):
                     groups = flags.reshape(-1, q, s)[counted]
-                    slot[counted, s:s + g] = circuit_counts(groups, ones)
-            slots[..., s + g] = q
-            slots[..., s + g + 1] = 0
-            return slots.take(src, axis=-1).astype(np.int64)
+                    counts.reshape(-1, n)[counted] += circuit_counts(groups, ones)
+            if len(in_span_a):
+                counts[..., in_span_a] = q
+            return counts.astype(np.int64)
 
         return count
 
@@ -336,6 +359,8 @@ class Matroid:
 class UniformMatroid(Matroid):
     """U_{k,n}: every set of at most k elements is independent."""
 
+    _rows_at_once = True
+
     def __init__(self, k: int, n: int):
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -417,6 +442,8 @@ class GraphicMatroid(Matroid):
     (u, v) is spanned in a row iff the A-components of u and v share a
     label there.
     """
+
+    _rows_at_once = True
 
     def __init__(self, n_vertices: int, edges: list[tuple[int, int]]):
         if any(not (0 <= u < n_vertices and 0 <= v < n_vertices) for u, v in edges):
@@ -638,6 +665,7 @@ class MinorMatroid(Matroid):
         super().__init__(base.n_universe, restricted_to)
         self.base = base
         self.contracted = contracted
+        self._rows_at_once = base._rows_at_once
         self._r_contracted = base._rank_masked(contracted) if contracted else 0
 
     def _rank_masked(self, mask: int) -> int:

@@ -18,6 +18,7 @@ which compares 53-bit integers where the bit generator allows it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,14 +47,15 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        return self.rekey(np.random.Generator(np.random.Philox()))
+        # A fixed seed: an unseeded Philox draws OS entropy that rekey replaces.
+        return self.rekey(np.random.Generator(np.random.Philox(0)))
 
     def rekey(self, gen: np.random.Generator) -> np.random.Generator:
         """Move the Philox generator ``gen``, wherever it stands, to the start
         of this stream, and return it.
 
         Setting the state costs a few microseconds; building a Philox costs
-        several times that, because it draws OS entropy for a seed sequence
+        several times that, because it hashes a seed into a seed sequence
         that the key then replaces.
         """
         gen.bit_generator.state = {
@@ -99,32 +101,54 @@ def sample_active_set(x: np.ndarray, rng: np.random.Generator) -> int:
     return _pack_bits(bits)
 
 
+class RowLaw:
+    """Marginals ``x`` of s row columns, prepared once for ``draw_rows``.
+
+    ``below`` holds the 64-bit word thresholds ceil(x * 2^53) * 2^11 in
+    ``rows`` equal rows, and ``ones`` flags the columns with x = 1, or is
+    None when there are none.  A draw of at most ``rows`` rows compares its
+    words with as many rows of ``below``, element by element, which numpy
+    does faster than broadcasting one row; a larger draw broadcasts it.
+    """
+
+    __slots__ = ("x", "below", "ones")
+
+    def __init__(self, x: np.ndarray, rows: int = 1):
+        self.x = x
+        # ceil(x * 2^53) * 2^11 wraps to 0 at x = 1 only; draw_rows sets
+        # those columns after the compare.
+        below = np.ceil(np.multiply(x, 2.0**53)).astype(np.uint64) << np.uint64(11)
+        self.below = np.tile(below, (rows, 1))
+        ones = np.equal(x, 1.0)
+        self.ones = ones if ones.any() else None
+
+
 def draw_rows(
-    rng: np.random.Generator, x: np.ndarray, shape: tuple, out: np.ndarray | None = None
+    rng: np.random.Generator, x, shape: tuple, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Row flags ``rng.random(shape) < x``, with the same generator state after.
+
+    ``x`` is the marginals of the last axis, or their ``RowLaw``, which a
+    caller that draws repeatedly builds once.
 
     ``random()`` returns k * 2^-53 for an integer k < 2^53, and
     k * 2^-53 < x iff k < ceil(x * 2^53).  Philox, PCG64, PCG64DXSM and
     SFC64 make k as ``next_uint64 >> 11``, so for them the raw words w are
-    drawn and compared without a float block: for x < 1, w >> 11 < t iff
-    w < t * 2^11, which fits in 64 bits; x = 1 flags every row.  MT19937,
-    which builds its doubles from two 32-bit words, and any other bit
-    generator draw the doubles.  ``out`` takes the flags.
+    drawn and compared with the law's thresholds without a float block:
+    for x < 1, w >> 11 < t iff w < t * 2^11, which fits in 64 bits; x = 1
+    flags every row.  MT19937, which builds its doubles from two 32-bit
+    words, and any other bit generator draw the doubles.  ``out`` takes the
+    flags.
     """
     one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
     if not isinstance(rng.bit_generator, one_word):
-        return np.less(rng.random(shape), x, out=out)
-    words = rng.bit_generator.random_raw(shape)
-    # ceil(x * 2^53) * 2^11 wraps to 0 at x = 1 only; those columns are set after.
-    below = np.ceil(np.multiply(x, 2.0**53)).astype(np.uint64) << np.uint64(11)
-    if len(shape) > 2:
-        # Whole (q, s) blocks of thresholds give the compare a long inner loop.
-        below = np.broadcast_to(below, shape[-2:]).copy()
-    flags = np.less(words, below, out=out)
-    ones = np.equal(x, 1.0)
-    if ones.any():
-        np.logical_or(flags, ones, out=flags)
+        return np.less(rng.random(shape), x.x if isinstance(x, RowLaw) else x, out=out)
+    law = x if isinstance(x, RowLaw) else RowLaw(x)
+    rows = math.prod(shape[:-1])
+    below = law.below[:rows].reshape(shape) if rows <= len(law.below) else law.below[0]
+    flags = np.less(rng.bit_generator.random_raw(shape), below, out=out)
+    if law.ones is not None:
+        np.logical_or(flags, law.ones, out=flags)
     return flags
 
 
@@ -206,12 +230,12 @@ def _sampled_span_probabilities(
     sup = np.array([e for e in iter_ids(m.ground_mask & ~base) if x[e] > 0.0], dtype=np.int64)
     if not len(sup):
         return bits_of(m.span(base), m.n_universe).astype(np.float64)
-    count, x_sup = m.span_counter(sup), x[sup]
+    count, law = m.span_counter(sup), RowLaw(x[sup])
     active = np.empty((min(samples, max(1, ROW_BLOCK_VALUES // len(sup))), len(sup)), dtype=bool)
     counts = np.zeros(m.n_universe, dtype=np.int64)
     for start in range(0, samples, len(active)):
         b = min(len(active), samples - start)
-        counts += count(draw_rows(rng, x_sup, (b, len(sup)), out=active[:b]), base)
+        counts += count(draw_rows(rng, law, (b, len(sup)), out=active[:b]), base)
     return counts / samples
 
 

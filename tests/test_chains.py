@@ -726,7 +726,9 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
     # reference in its sets, its trace and the next draw, and every batch
     # takes one kernel call, plus one for the rest of the batch after each
     # change of A.  On theta the circuit matmul is skipped for some groups
-    # of a batch and run for others.
+    # of a batch and run for others.  One case has a support column at
+    # x = 1, whose threshold word wraps to 0 and is flagged after the
+    # compare, and one draws from MT19937, whose rows are drawn as doubles.
     theta = _theta(19)
     x_theta = np.zeros(39)
     x_theta[[0] + list(range(1, 39, 2))] = 0.3  # on a spanning tree
@@ -739,6 +741,8 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # circuits, minor
         (theta, x_theta, 0.29, 100),  # circuits, bar 28.999999999999996
         (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
+        (UniformMatroid(4, 30), [1.0] + [0.5] + [0.1] * 28, 0.7, 40),  # x = 1
+        (theta, x_theta, 0.28, 40, np.random.MT19937),  # double draws
     ]
     per_batch = 3
     batch_calls, counted_groups, batch_groups = [], [], []
@@ -763,7 +767,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
 
     monkeypatch.setattr(_SpanCountEstimator, "__init__", init)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
-    for m, x, threshold, q in cases:
+    for m, x, threshold, q, *bit_generator in cases:
         x = as_marginals(x)
         s = sum(x[e] > 0 for e in iter_ids(m.ground_mask))
         monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", chains.BATCH_SPLIT * per_batch * q * s)
@@ -773,7 +777,10 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         counted_groups.clear()
         batch_groups.clear()
         for seed in range(8):
-            rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+            if bit_generator:
+                rng, ref_rng = (np.random.Generator(bit_generator[0](seed)) for _ in range(2))
+            else:
+                rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
             batch_calls.clear()
             link = single_ocrs_link(m, x, params, rng)
             calls = list(batch_calls)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -481,6 +482,75 @@ def test_report_determinism_byte_identical():
     assert r1.to_json() == r2.to_json()
 
 
+def _plain_for_json(obj):
+    """The values json.dumps takes, as the report writer reads ``obj``: dict
+    keys as str(key), numpy scalars as Python ones, arrays as lists."""
+    if isinstance(obj, dict):
+        return {str(k): _plain_for_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_for_json(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain_for_json(v) for v in obj.tolist()]
+    return obj
+
+
+def test_report_writer_matches_json_dumps():
+    # The direct writer gives the bytes of json.dumps(indent=2,
+    # sort_keys=True) on the plain values, on edge values of every kind it
+    # dispatches on, alone, in one-type lists (joined in one step) and in
+    # mixed ones, and through ExperimentReport.to_json.
+    import enum
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3]
+    ints = [0, -1, -(2**70), 2**63, 2**64 + 1, Level.HIGH]
+    strings = ["", "é", "日本", "tab\tnew\nline\x00\x1f", '"quote" \\ /', Name("sub")]
+    numpy_values = [
+        np.int64(-7), np.int32(5), np.uint64(2**64 - 1), np.float64(0.1), np.float32(0.1),
+        np.float64(np.nan), np.arange(4), np.array([[1.5, -0.0], [np.inf, 2.0]]),
+        np.array([True, False]), np.zeros((0,)), np.zeros((2, 0)),
+    ]
+    values = floats + ints + strings + numpy_values + [True, False, None, [], {}, (), ((),)]
+    doc = {
+        "each": values,
+        "floats": floats,
+        "ints": [v for v in ints if type(v) is int],
+        "strings": [v for v in strings if type(v) is str],
+        "bools next to ints": [1, True, 0, False, None],
+        "bools": [True, False, True],
+        "nones": [None, None],
+        "tuple": (1, (2, 3), [4, {"x": (5,)}]),
+        "nested": {"a": {"b": {"c": [[], [[]], {}, [{}]]}}, "": {"": ""}},
+        "numpy": {"int64 list": [np.int64(1), np.int64(2)], "mixed": [np.float64(1.5), 2, 2.5]},
+        10: "ten", 9: "nine", 2: "two", -1: "minus one", 2.5: "two and a half",
+        None: "none", np.int64(100): "numpy key", "é key": [1, 2], "\x01": 0,
+    }
+    for key, value in list(doc.items()):
+        doc[f"dict {key}"] = {k: k for k in (30, 4, 200)} if key == 10 else {"k": value}
+    for obj in [doc, *values, {1: "int one", "1": "str one"}]:
+        expected = json.dumps(_plain_for_json(obj), indent=2, sort_keys=True) + "\n"
+        assert cli._json_text(obj) == expected
+    assert cli._json_text({"a": 1}) == '{\n  "a": 1\n}\n'
+    report = cli.ExperimentReport({"seed": np.int64(3)}, {"x": np.arange(3.0)}, [doc])
+    expected = {"schema_version": cli.SCHEMA_VERSION, "config": report.config,
+                "results": report.results, "verdicts": report.verdicts}
+    assert report.to_json() == json.dumps(
+        _plain_for_json(expected), indent=2, sort_keys=True
+    ) + "\n"
+    for bad in (object(), {1, 2}, np.bool_(True), [1, b"bytes"]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(bad)
+
+
 # -- CLI entry point --------------------------------------------------------------------
 
 
@@ -655,9 +725,11 @@ THETA39 = {
 def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
     # Past n = 20 the CLI takes only basis-indicator marginals, so the drawn
     # columns stay independent in M/A in every iteration and the circuit
-    # counter counts every row.  Each distinct A costs two rank calls and
-    # one family-kernel call on its |D| + 1 one-row groups, with no span()
-    # call on the graphic matroid; the family kernel counts no sample row
+    # counter counts every row.  Each distinct A costs one family-kernel
+    # call on its |D| + 1 one-row groups, which also decides independence,
+    # with no rank or span() call on the graphic matroid; the laminar
+    # kernel spans one row at a time, so two rank calls test D before it
+    # runs.  The family kernel counts no sample row
     # (no per-row span(), no component labels outside a plan), and the
     # report equals the family kernels' one.  The first link counts on the
     # family itself and later links on minors, whose kernels call the
@@ -691,8 +763,9 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         finally:
             calls = inside().pop()
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
-        spans_ok = calls["span"] == 0 or overrides["matroid"] is LAMINAR24
-        cheap = calls["rank"] == 2 and calls["kernel"] == [d_size + 1] and spans_ok
+        per_row = overrides["matroid"] is LAMINAR24
+        spans_ok = calls["span"] == 0 or per_row
+        cheap = calls["rank"] == 2 * per_row and calls["kernel"] == [d_size + 1] and spans_ok
         plans.append((a_mask, built is not None, cheap))
         return built
 

@@ -96,6 +96,20 @@ def test_rekey_matches_a_fresh_generator(seed, stream):
         assert _state(used) == _state(fresh) == _state(plain)
 
 
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 9), (2**64 - 1, 2**63)])
+def test_generator_is_the_rekey_of_any_philox(seed, stream):
+    # generator() builds its Philox from a fixed seed, not from OS entropy,
+    # and rekey replaces every part of the state that seed set: the fresh
+    # generator is in the state that rekey gives any Philox, unseeded,
+    # seeded or part way through a stream.
+    target = RngStream(seed, stream)
+    others = [np.random.Philox(), np.random.Philox(12345), np.random.Philox(key=7, counter=3)]
+    others[1].random_raw(5)
+    for bit_generator in others:
+        rekeyed = target.rekey(np.random.Generator(bit_generator))
+        assert _state(target.generator()) == _state(rekeyed)
+
+
 def test_sample_active_set_degenerate():
     rng = RngStream(1).generator()
     assert sample_active_set(as_marginals([0.0, 0.0]), rng) == 0
