@@ -456,7 +456,8 @@ class _SpanCountEstimator:
         full batch of whole iterations, which also serve every row block of
         at most q rows; one row when iterations are too large to batch."""
         q, s = self.q, len(self.sup_ids)
-        return RowLaw(self.sup_x, ROW_BLOCK_VALUES // BATCH_SPLIT // max(1, q * s) * q or 1)
+        per_batch = ROW_BLOCK_VALUES // BATCH_SPLIT // max(1, q * s)
+        return RowLaw(self.sup_x, per_batch * q or 1)
 
     def link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
         """A_1, ..., A_h̄ from A_0 = ∅."""
