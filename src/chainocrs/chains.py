@@ -451,13 +451,17 @@ class _SpanCountEstimator:
             self.count = m.span_counter(self.sup_ids)
 
     @cached_property
+    def per_batch(self) -> int:
+        """Whole iterations in a batch of at most a ``BATCH_SPLIT``-th of
+        ``ROW_BLOCK_VALUES`` random values; 0 when one is larger."""
+        return ROW_BLOCK_VALUES // BATCH_SPLIT // max(1, self.q * len(self.sup_ids))
+
+    @cached_property
     def law(self) -> RowLaw:
         """The support's marginals for ``draw_rows``, with thresholds for a
-        full batch of whole iterations, which also serve every row block of
-        at most q rows; one row when iterations are too large to batch."""
-        q, s = self.q, len(self.sup_ids)
-        per_batch = ROW_BLOCK_VALUES // BATCH_SPLIT // max(1, q * s)
-        return RowLaw(self.sup_x, per_batch * q or 1)
+        full batch, which also serve every row block of at most q rows; one
+        row when iterations are too large to batch."""
+        return RowLaw(self.sup_x, self.per_batch * self.q or 1)
 
     def link_sets(self, h_bar: int, threshold: float, rng: np.random.Generator) -> list[int]:
         """A_1, ..., A_h̄ from A_0 = ∅."""
@@ -508,7 +512,7 @@ class _SpanCountEstimator:
         its own by ``_row_flags``.
         """
         q, s = self.q, len(self.sup_ids)
-        per_batch = min(ROW_BLOCK_VALUES // BATCH_SPLIT // (q * s), h_bar)
+        per_batch = min(self.per_batch, h_bar)
         a, sets = 0, []
         bar = threshold * q
         if not per_batch:

@@ -46,10 +46,6 @@ class Matroid:
     concurrent workers; every operation is read-only.
     """
 
-    #: Whether ``_span_kernel`` counts all rows at once without the dense
-    #: tables; the generic kernel makes one ``span`` call per row.
-    _rows_at_once = False
-
     def __init__(self, n_universe: int, ground_mask: int):
         self.n_universe = n_universe
         self.ground_mask = ground_mask
@@ -184,16 +180,12 @@ class Matroid:
         One call of the family's kernel bound to A on |D| + 1 one-row
         groups, the rows D - d for every d ∈ D and then D, gives
         span(A ∪ D - d) and span(A ∪ D).  It also decides D: D is
-        independent in M/A iff no d ∈ D is in span(A ∪ D - d).  More
-        columns than the rank are dependent without it, and a kernel that
-        makes one ``span`` call per row would spend |D| + 1 of them on
-        dependent columns, so with it two rank calls test D first.  Counts
-        read only D's columns, so A's are ignored.
+        independent in M/A iff no d ∈ D is in span(A ∪ D - d).  Counts read
+        only D's columns, so A's are ignored.
 
-        A count is then one product of the column sums with a 0/1 matrix
-        that gives each element with |C_e| = 1 its column's sum, plus, for
-        the elements with |C_e| ≥ 2, the rows that hold C_e, and q on
-        span(A).  With a ``bar`` the plan counts the rows that hold a
+        A count then gathers into a row of int counts each element's column
+        sum where |C_e| = 1, the rows that hold C_e where |C_e| ≥ 2, and q
+        on span(A).  With a ``bar`` the plan counts the rows that hold a
         larger circuit only in the groups where it can matter: such an e is
         spanned by at most the smallest column sum over C_e, so in a group
         where each larger circuit has a column that sums to at most the bar
@@ -202,12 +194,6 @@ class Matroid:
         """
         n, s = self.n_universe, len(cols)
         d_pos = np.flatnonzero(~bits_of(a_mask, n)[cols])
-        if len(d_pos) > self.full_rank():
-            return None
-        if not self._rows_at_once and self.span_lookup() is None and (
-            self.rank(a_mask | mask_of(cols[d_pos].tolist())) - self.rank(a_mask) != len(d_pos)
-        ):
-            return None
         rows = np.zeros((len(d_pos) + 1, 1, s), dtype=bool)
         rows[:, 0, d_pos] = ~np.eye(len(d_pos) + 1, len(d_pos), dtype=bool)
         spans = self._span_kernel(cols, a_mask)(rows) > 0
@@ -230,19 +216,15 @@ class Matroid:
         members[d_pos] = circuits
         # A row holds C_e iff its matmul entry reaches |C_e|, never above.
         misses = 1 - circuits.sum(axis=0, dtype=np.float32)
-        # Each count is one term of these products, so exact in float32.
         single = np.flatnonzero(spanned & (sizes == 1))
-        from_sums = np.zeros((s, n), dtype=np.float32)
-        if len(single):
-            from_sums[d_pos[in_circuit[:, single].argmax(axis=0)], single] = 1
-        from_circuits = np.zeros((g, n), dtype=np.float32)
-        from_circuits[group.reshape(-1), multi] = 1
+        single_src = d_pos[in_circuit[:, single].argmax(axis=0)] if len(single) else single
         in_span_a = np.flatnonzero(spanned & (sizes == 0))
+        group = group.reshape(-1)
 
         def circuit_counts(flags: np.ndarray, ones: np.ndarray) -> np.ndarray:
             held = flags @ members
             held += misses
-            return ones @ np.maximum(held, 0, out=held) @ from_circuits
+            return (ones @ np.maximum(held, 0, out=held))[..., group]
 
         # Column sums are one matmul with a ones vector, kept at the longest
         # needed; sums of 0/1 values in float32 are exact below 2^24 rows.
@@ -256,9 +238,10 @@ class Matroid:
                 kept = ones = np.ones(q, dtype=np.float32 if q < 1 << 24 else np.float64)
             flags = rows.astype(ones.dtype)
             sums = ones @ flags
-            counts = sums @ from_sums
+            counts = np.zeros(sums.shape[:-1] + (n,), dtype=np.int64)
+            counts[..., single] = sums[..., single_src]
             if g and bar is None:
-                counts += circuit_counts(flags, ones)
+                counts[..., multi] = circuit_counts(flags, ones)
             elif g and sums.max(initial=0) > math.floor(bar):
                 # A circuit with a column summing to at most the bar counts
                 # at most the bar.  Where every circuit has one, the group
@@ -269,10 +252,9 @@ class Matroid:
                 counted = np.flatnonzero((low == 0).any(axis=1))
                 if len(counted):
                     groups = flags.reshape(-1, q, s)[counted]
-                    counts.reshape(-1, n)[counted] += circuit_counts(groups, ones)
-            if len(in_span_a):
-                counts[..., in_span_a] = q
-            return counts.astype(np.int64)
+                    counts.reshape(-1, n)[counted[:, None], multi] = circuit_counts(groups, ones)
+            counts[..., in_span_a] = q
+            return counts
 
         return count
 
@@ -359,8 +341,6 @@ class Matroid:
 class UniformMatroid(Matroid):
     """U_{k,n}: every set of at most k elements is independent."""
 
-    _rows_at_once = True
-
     def __init__(self, k: int, n: int):
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -442,8 +422,6 @@ class GraphicMatroid(Matroid):
     (u, v) is spanned in a row iff the A-components of u and v share a
     label there.
     """
-
-    _rows_at_once = True
 
     def __init__(self, n_vertices: int, edges: list[tuple[int, int]]):
         if any(not (0 <= u < n_vertices and 0 <= v < n_vertices) for u, v in edges):
@@ -665,7 +643,6 @@ class MinorMatroid(Matroid):
         super().__init__(base.n_universe, restricted_to)
         self.base = base
         self.contracted = contracted
-        self._rows_at_once = base._rows_at_once
         self._r_contracted = base._rank_masked(contracted) if contracted else 0
 
     def _rank_masked(self, mask: int) -> int:

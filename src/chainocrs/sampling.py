@@ -124,12 +124,11 @@ class RowLaw:
 
 
 def draw_rows(
-    rng: np.random.Generator, x, shape: tuple, out: np.ndarray | None = None
+    rng: np.random.Generator, law: RowLaw, shape: tuple, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row flags ``rng.random(shape) < x``, with the same generator state after.
-
-    ``x`` is the marginals of the last axis, or their ``RowLaw``, which a
-    caller that draws repeatedly builds once.
+    """Row flags ``rng.random(shape) < x`` for the marginals x of ``law``,
+    with the same generator state after.  A caller that draws repeatedly
+    builds the law once.
 
     ``random()`` returns k * 2^-53 for an integer k < 2^53, and
     k * 2^-53 < x iff k < ceil(x * 2^53).  Philox, PCG64, PCG64DXSM and
@@ -142,8 +141,7 @@ def draw_rows(
     """
     one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
     if not isinstance(rng.bit_generator, one_word):
-        return np.less(rng.random(shape), x.x if isinstance(x, RowLaw) else x, out=out)
-    law = x if isinstance(x, RowLaw) else RowLaw(x)
+        return np.less(rng.random(shape), law.x, out=out)
     rows = math.prod(shape[:-1])
     below = law.below[:rows].reshape(shape) if rows <= len(law.below) else law.below[0]
     flags = np.less(rng.bit_generator.random_raw(shape), below, out=out)

@@ -31,7 +31,7 @@ from chainocrs import chains, cli, matroids, workers
 from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
-from chainocrs.sampling import draw_rows, realization_weights
+from chainocrs.sampling import RowLaw, draw_rows, realization_weights
 from chainocrs.stats import bonferroni_z
 from chainocrs.verify import verify_in_link_loss, verify_progress
 from conftest import chain_freeness, random_explicit_matroid, small_corpus
@@ -250,7 +250,7 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)
     rng = np.random.default_rng(5)
     group_rng = np.random.default_rng(6)
-    a_flagged = 0
+    a_flagged = fallbacks = 0
     for m, kernel in cases:
         assert (m.span_lookup() is not None) == (kernel == "table")
         ground = ids_of(m.ground_mask)
@@ -263,13 +263,20 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             rows[0], rows[1] = False, True
             a_flagged += bool(rows[:, (a_mask >> cols) & 1 == 1].any())
             expected = _span_reference(m, cols, rows, a_mask)
-            # Only the fallback makes span() calls, one per row, and only
-            # the label kernel labels components.
+            # Only the per-row kernel makes span() calls, one per row: |D| + 1
+            # for the circuit plan's one-row groups, and, when D is dependent
+            # in M/A, one per counted row in the fallback.  Only the label
+            # kernel labels components.
+            d_mask = mask_of(cols.tolist()) & ~a_mask
+            plan_spans = d_mask.bit_count() + 1 if kernel == "span" else 0
+            dependent = m.rank(a_mask | d_mask) - m.rank(a_mask) < d_mask.bit_count()
+            per_row = kernel == "span" and dependent
+            fallbacks += per_row
             calls.clear()
             labellings.clear()
             got = m.span_counter(cols)(rows, a_mask)
             assert got.tolist() == expected.tolist()
-            assert len(calls) == (len(rows) if kernel == "span" else 0)
+            assert len(calls) == plan_spans + (len(rows) if per_row else 0)
             assert bool(labellings) == (kernel == "labels")
             _check_bar_counts(m.span_counter(cols)(rows, a_mask, 12.5), expected, 12.5)
             # A (g, q, s) input gives one count vector per group of q rows.
@@ -280,10 +287,11 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             labellings.clear()
             got = m.span_counter(cols)(groups, a_mask)
             assert got.tolist() == expected
-            assert len(calls) == (3 * 13 if kernel == "span" else 0)
+            assert len(calls) == plan_spans + (3 * 13 if per_row else 0)
             assert bool(labellings) == (kernel == "labels")
             _check_bar_counts(m.span_counter(cols)(groups, a_mask, 4.0), expected, 4.0)
     assert a_flagged > len(cases)
+    assert fallbacks > 0
 
 
 def _check_bar_counts(got, counts, bar):
@@ -828,13 +836,26 @@ def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
 
 def test_graphic_labels_of_a_once_per_a_mask(monkeypatch):
     # One counter (one link) labels A's components once per distinct A,
-    # and every block of rows once.
+    # and every block of rows once.  The columns are dependent, so each
+    # distinct A's circuit plan labels A and its 37 one-row groups in 6
+    # blocks once, finds them dependent, and leaves the rows to the kernel.
     theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
-    labellings = []
-    real_labels = matroids._component_labels
-    monkeypatch.setattr(
-        matroids, "_component_labels", lambda *a: labellings.append(1) or real_labels(*a)
-    )
+    labellings, planning = {False: 0, True: 0}, []
+    real_labels, real_plan = matroids._component_labels, Matroid._circuit_plan
+
+    def labels(*args):
+        labellings[bool(planning)] += 1
+        return real_labels(*args)
+
+    def plan(*args):
+        planning.append(1)
+        try:
+            return real_plan(*args)
+        finally:
+            planning.pop()
+
+    monkeypatch.setattr(matroids, "_component_labels", labels)
+    monkeypatch.setattr(Matroid, "_circuit_plan", plan)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)  # 7 rows per block
     cols = np.arange(3, 39, dtype=np.int64)
     rows = np.random.default_rng(2).random((20, len(cols))) < 0.3
@@ -843,7 +864,7 @@ def test_graphic_labels_of_a_once_per_a_mask(monkeypatch):
     for a_mask in a_masks:
         expected = _span_reference(theta, cols, rows, a_mask)
         assert count(rows, a_mask).tolist() == expected.tolist()
-    assert len(labellings) == 3 * len(a_masks) + 2
+    assert labellings == {False: 3 * len(a_masks) + 2, True: 2 * (1 + 6)}
 
 
 def test_graphic_label_chunks_are_equal(monkeypatch):
@@ -1110,7 +1131,9 @@ def test_draw_rows_matches_double_draws(bit_generator, pre):
     # and with a saved 32-bit half-word.  The thresholds include 0, 1 and
     # the steps next to them, and, for the last columns, a value drawn in
     # the column itself, its neighbours k * 2^-53 on either side, and the
-    # point halfway to the next one.
+    # point halfway to the next one.  Each is drawn against a RowLaw of one
+    # threshold row, which the compare broadcasts, and of as many rows as
+    # the draw or more, a prefix of which the compare reads.
     step = 2.0**-53
     fixed = [0.0, step, 0.25, 1 / 3, 1 - step, 1.0]
     shape = (2, 9, len(fixed) + 8)
@@ -1123,15 +1146,18 @@ def test_draw_rows_matches_double_draws(bit_generator, pre):
     low = [drawn[..., c][drawn[..., c] < 0.5][0] for c in range(len(fixed), shape[-1])]
     x = np.array(fixed + low)
     x[len(fixed):] += np.repeat([0.0, -step, step, step / 2], 2)
-    rng, ref = fresh(), fresh()
-    out = np.empty(shape, dtype=bool)
-    flags = draw_rows(rng, x, shape, out=out)
-    expected = ref.random(shape) < x
-    assert flags is out and flags.tolist() == expected.tolist()
-    assert _state_of(rng) == _state_of(ref)
-    assert expected[..., 6:].any() and not expected[..., 6:].all()
-    assert draw_rows(rng, x[:6], (5, 6)).tolist() == (ref.random((5, 6)) < x[:6]).tolist()
-    assert _state_of(rng) == _state_of(ref)
+    rows = math.prod(shape[:-1])
+    for law_rows in (1, rows, rows + 3):
+        rng, ref = fresh(), fresh()
+        out = np.empty(shape, dtype=bool)
+        flags = draw_rows(rng, RowLaw(x, law_rows), shape, out=out)
+        expected = ref.random(shape) < x
+        assert flags is out and flags.tolist() == expected.tolist()
+        assert _state_of(rng) == _state_of(ref)
+        assert expected[..., 6:].any() and not expected[..., 6:].all()
+        flags = draw_rows(rng, RowLaw(x[:6], law_rows), (5, 6))
+        assert flags.tolist() == (ref.random((5, 6)) < x[:6]).tolist()
+        assert _state_of(rng) == _state_of(ref)
 
 
 def test_parallel_row_blocks_under_thread_switching(monkeypatch):

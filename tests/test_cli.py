@@ -727,9 +727,9 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
     # columns stay independent in M/A in every iteration and the circuit
     # counter counts every row.  Each distinct A costs one family-kernel
     # call on its |D| + 1 one-row groups, which also decides independence,
-    # with no rank or span() call on the graphic matroid; the laminar
-    # kernel spans one row at a time, so two rank calls test D before it
-    # runs.  The family kernel counts no sample row
+    # with no rank call, and no span() call on the graphic matroid; the
+    # laminar kernel spans one row at a time.  The family kernel counts no
+    # sample row
     # (no per-row span(), no component labels outside a plan), and the
     # report equals the family kernels' one.  The first link counts on the
     # family itself and later links on minors, whose kernels call the
@@ -765,7 +765,7 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
         per_row = overrides["matroid"] is LAMINAR24
         spans_ok = calls["span"] == 0 or per_row
-        cheap = calls["rank"] == 2 * per_row and calls["kernel"] == [d_size + 1] and spans_ok
+        cheap = calls["rank"] == 0 and calls["kernel"] == [d_size + 1] and spans_ok
         plans.append((a_mask, built is not None, cheap))
         return built
 
