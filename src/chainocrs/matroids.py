@@ -239,7 +239,7 @@ class Matroid:
             flags = rows.astype(ones.dtype)
             sums = ones @ flags
             counts = np.zeros(sums.shape[:-1] + (n,), dtype=np.int64)
-            counts[..., single] = sums[..., single_src]
+            counts[..., single] = sums.take(single_src, axis=-1)
             if g and bar is None:
                 counts[..., multi] = circuit_counts(flags, ones)
             elif g and sums.max(initial=0) > math.floor(bar):
@@ -253,7 +253,8 @@ class Matroid:
                 if len(counted):
                     groups = flags.reshape(-1, q, s)[counted]
                     counts.reshape(-1, n)[counted[:, None], multi] = circuit_counts(groups, ones)
-            counts[..., in_span_a] = q
+            if len(in_span_a):
+                counts[..., in_span_a] = q
             return counts
 
         return count
