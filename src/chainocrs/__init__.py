@@ -35,12 +35,10 @@ from .sampling import (
     span_probabilities,
 )
 from .selection import (
-    OcrsState,
     SelectabilityReport,
     TrialOutcome,
     chain_ocrs_trial,
     element_last_accepts,
-    greedy_step,
     run_selection,
     selectability_experiment,
     worst_case_order,

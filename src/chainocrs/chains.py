@@ -68,14 +68,12 @@ classification.
   each first link alone; every trace they return holds the plan's
   ``LinkParams``.
 * Plan-held first link (``ChainPlan.first_estimator``): every chain's
-  first link runs on M itself, so, off the ``rows`` path, the plan holds
-  its estimator, which every trial of an experiment shares; a chain builds
-  none for it.  An estimator holds no generator state, only tables
-  fixed by (matroid, x, q), and the trials run on several threads
-  (``workers.map_trials``): a shared estimator holds only caches that
-  every thread fills alike.  A later link, or a first link on the
-  ``rows`` path, builds its estimator per link, so no row block outlives
-  its link.
+  first link runs on M itself, so the plan holds its estimator, on every
+  path, and every trial of an experiment shares it; a chain builds none
+  for it.  An estimator is a value fixed by (matroid, x, q): it holds no
+  generator state and no row block, only tables and caches that every
+  thread fills alike, so the trials can share it on several threads
+  (``workers.map_trials``).  A later link builds its estimator per link.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
   too large for a batch is cut into row blocks, claimed in increasing
   order by the calling thread, which draws from the caller's generator,
@@ -83,15 +81,17 @@ classification.
   CPU (``chainocrs.workers``); numpy fills and compares them without the
   interpreter lock.  Running totals decide an element once its count must
   end above the bar, or cannot, whatever the rows not yet counted hold, and
-  once every element is decided no further block is drawn.  A helper's
-  own Philox copy jumps to its block's offset in the iteration
-  (``advance`` by whole 4-value steps, the rest drawn), so each block
-  holds the values one full draw puts there, and the integer totals do
-  not depend on which worker summed a row.  The caller's generator then
-  skips to the end of the iteration, by offset or by drawing, so the sets,
-  the accounted draws and the generator state are those of counting all q
-  rows.  Another bit generator, one CPU, or an iteration of at most a k-th
-  of a row block runs the loop on the calling thread alone.
+  once every element is decided no further block is drawn.  Each call
+  gives every worker its own row block, and every helper its own Philox
+  copy of the caller's generator as it stood when the call began; the
+  copy jumps to its block's offset in the iteration (``advance`` by whole
+  4-value steps, the rest drawn), so each block holds the values one full
+  draw puts there, and the integer totals do not depend on which worker
+  summed a row.  The caller's generator then skips to the end of the
+  iteration, by offset or by drawing, so the sets, the accounted draws
+  and the generator state are those of counting all q rows.  Another bit
+  generator, one CPU, or an iteration of at most a k-th of a row block
+  runs the loop on the calling thread alone.
 * Independent rows (``Matroid.span_counter``): when the drawn columns left
   after A are independent in M/A, every count, in a batch, a row block or
   the sampled oracle, is column sums and one matmul against the
@@ -394,10 +394,14 @@ class _SpanCountEstimator:
                          table exists: draw outcome counts for the 2^s
                          realizations directly (counts are the sufficient
                          statistic of the q samples).
-    * ``rows``        -- draw the q sample rows in reused blocks and count
-                         each block with the matroid's ``span_counter``
+    * ``rows``        -- draw the q sample rows in blocks and count each
+                         block with the matroid's ``span_counter``
                          (fundamental circuits, or the kernel of its
                          family), until the counts decide every element.
+
+    An estimator is a value fixed by (matroid, x, q): it keeps no
+    generator and no row block between calls, only tables and caches
+    that any thread fills alike, so several threads may share one.
 
     ``link_sets`` runs a whole link and is exact against h̄ iterations that
     each draw one multinomial or one (q, s) block of rows and count it in
@@ -427,14 +431,11 @@ class _SpanCountEstimator:
         sup_ids = [e for e in iter_ids(self.ground) if x[e] > 0.0]
         self.sup_ids = np.array(sup_ids, dtype=np.int64)
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
-        self.lookup = m.span_lookup() if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
+        self.lookup = m.span_lookup() if 0 < len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         # Ground-order columns of a count row; all of them on M itself.
         self._of_ground = self.ground_ids if len(self.ground_ids) < m.n_universe else slice(None)
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._a_cache: dict[int, np.ndarray] = {}
-        # Reused row blocks and generators, one per worker.
-        self._blocks: list[np.ndarray | None] = [None]
-        self._gens: list[np.random.Generator] = []
         if not sup_ids:
             self.path = "empty"
         elif self.lookup is not None:
@@ -553,31 +554,25 @@ class _SpanCountEstimator:
             in_a = self._a_cache[a_mask] = bits_of(a_mask, self.m.n_universe)[self.ground_ids]
         return in_a
 
-    def _block(self, i: int, rows: int) -> np.ndarray:
-        """Worker i's reused block of ``rows`` x s row flags."""
-        block = self._blocks[i]
-        if block is None or len(block) != rows:
-            block = self._blocks[i] = np.empty((rows, len(self.sup_ids)), dtype=bool)
-        return block
-
     def _row_flags(self, a_mask: int, bar: float, rng: np.random.Generator) -> np.ndarray:
         """Flags, in ground order, of the elements spanned in more than
         ``bar`` of q fresh rows given A = a_mask, from as few rows as decide
         every element, on one worker per CPU for a Philox generator, else one.
 
-        Workers claim row blocks in increasing order.  Worker 0 draws from
-        ``rng``, and each helper moves its own Philox copy of ``rng`` to its
-        block's offset in the iteration, so every block flags the values one
-        ``rng.random((q, s))`` call puts there.  Under the claim lock a worker
-        adds its block's counts to the running totals and decides what they
-        settle: after ``done`` rows an element is in once its total exceeds
-        ``bar``, and out once its total plus the q - done rows not yet
-        counted does not.  A row moves either margin by at most one, so no
-        element is decided before ``needed`` rows: blocks up to that row hold
-        up to a k-th of ROW_BLOCK_VALUES values, and blocks past it a
-        DECIDE_SPLIT-th of that.  Once every element is decided no block is
-        claimed, and ``rng`` skips to the end of the iteration; after an
-        error it is left where worker 0 stopped.
+        Workers claim row blocks in increasing order, each into a block of its
+        own made for this call.  Worker 0 draws from ``rng``, and each helper
+        makes a Philox copy of ``rng`` as it stood before any block was drawn
+        and moves it to its block's offset in the iteration, so every block
+        flags the values one ``rng.random((q, s))`` call puts there.  Under
+        the claim lock a worker adds its block's counts to the running totals
+        and decides what they settle: after ``done`` rows an element is in
+        once its total exceeds ``bar``, and out once its total plus the
+        q - done rows not yet counted does not.  A row moves either margin
+        by at most one, so no element is decided before ``needed`` rows:
+        blocks up to that row hold up to a k-th of ROW_BLOCK_VALUES values,
+        and blocks past it a DECIDE_SPLIT-th of that.  Once every element is
+        decided no block is claimed, and ``rng`` skips to the end of the
+        iteration; after an error it is left where worker 0 stopped.
         """
         q, s = self.q, len(self.sup_ids)
         in_a = self._in_a(a_mask)
@@ -589,11 +584,8 @@ class _SpanCountEstimator:
         rows = max(1, ROW_BLOCK_VALUES // (k * s))
         k = min(k, -(-q // rows))
         small = max(1, rows // DECIDE_SPLIT)
-        self._blocks += [None] * (k - len(self._blocks))
-        while len(self._gens) < k - 1:
-            self._gens.append(np.random.Generator(np.random.Philox(key=0)))
-        for gen in self._gens[: k - 1]:
-            gen.bit_generator.state = rng.bit_generator.state
+        # Worker 0 moves rng while the helpers copy it, so they copy this.
+        start_state = rng.bit_generator.state
         claim = threading.Lock()
         total = np.zeros(self.m.n_universe, dtype=np.int64)
         # Elements of A are spanned by every row, so q > bar puts them in.
@@ -604,8 +596,11 @@ class _SpanCountEstimator:
 
         def work(i: int) -> int:
             nonlocal undecided, done, claimed, needed, failed
-            gen = self._gens[i - 1] if i else rng
-            active = self._block(i, rows)
+            gen = rng
+            if i:
+                gen = np.random.Generator(np.random.Philox(key=0))
+                gen.bit_generator.state = start_state
+            active = np.empty((rows, s), dtype=bool)
             counts = None
             at = 0
             while True:
@@ -690,8 +685,8 @@ class ChainPlan:
     rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
     ``params``.  ``x`` is a read-only copy, so a caller that later edits
     its own array cannot change the plan's chains.  Every chain's first
-    link runs on ``m`` with ``first_estimator``, its estimator, when that is
-    not on the ``rows`` path, whose estimators are built per link.
+    link runs on ``m`` with ``first_estimator``, its estimator, which every
+    chain of the plan shares.
     """
 
     m: Matroid
@@ -700,7 +695,7 @@ class ChainPlan:
     conforming: bool
     params: LinkParams
     positive: int
-    first_estimator: _SpanCountEstimator | None
+    first_estimator: _SpanCountEstimator
     _loops: list[int] = field(default_factory=list, init=False, repr=False)
     _loops_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
@@ -769,7 +764,8 @@ def chain_plan(
     eps: float,
     overrides: ParamOverrides | None = None,
 ) -> ChainPlan:
-    """Run every input check once and fix what all chains of an experiment share.
+    """Run every input check once and fix what all chains of an experiment
+    share, the first link's estimator among them.
 
     No other code derives rho or the link parameters: the CLI, the
     selection trials and the verify checks read them from a plan.
@@ -791,13 +787,6 @@ def chain_plan(
     x = universe_marginals(m, x).copy()
     x.flags.writeable = False
     positive = mask_of(np.flatnonzero(x > 0.0).tolist())
-    first_estimator = None
-    # A support above MULTINOMIAL_MAX_SUPPORT puts the first link on the
-    # rows path, and no support means no link is sampled.
-    if 0 < (positive & m.ground_mask).bit_count() <= MULTINOMIAL_MAX_SUPPORT:
-        first_estimator = _SpanCountEstimator(m, x, params.q)
-        if first_estimator.path == "rows":
-            first_estimator = None
     return ChainPlan(
         m=m,
         x=x,
@@ -805,7 +794,7 @@ def chain_plan(
         conforming=conforming and params.conforming,
         params=params,
         positive=positive,
-        first_estimator=first_estimator,
+        first_estimator=_SpanCountEstimator(m, x, params.q),
     )
 
 

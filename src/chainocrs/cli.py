@@ -283,6 +283,9 @@ def _check_matroid(desc) -> None:
         raise ConfigError(
             f"matroid.family must be one of {tuple(_DESCRIPTOR_FIELDS)}, got {family!r}"
         )
+    unknown = sorted(set(desc) - {"family"} - {key for key, _ in fields})
+    if unknown:
+        raise ConfigError(f"{family} matroid takes no keys {unknown}")
     for key, kind in fields:
         test, wanted = _DESCRIPTOR_KINDS[kind]
         if not test(desc.get(key)):
@@ -315,7 +318,8 @@ _DESCRIPTOR_KINDS = {
     ),
 }
 
-#: The fields of each matroid family and the kind of value each holds.
+#: The fields of each matroid family and the kind of value each holds;
+#: the descriptor schema allows no other key.
 _DESCRIPTOR_FIELDS = {
     "uniform": (("k", "size"), ("n", "size")),
     "partition": (("blocks", "id lists"), ("capacities", "counts")),

@@ -153,8 +153,9 @@ class Matroid:
         (C_e = ∅ on span(A), {e} on D), so a count is column sums, one
         matmul of the rows against the distinct larger C_e, and q
         (``_circuit_plan``).  Otherwise the family's kernel bound to A
-        (``_span_kernel``) counts the rows exactly, whatever the bar.  The
-        counter builds one of the two per distinct A and keeps it.
+        (``_span_kernel``) counts the rows exactly, whatever the bar.  Per
+        distinct A the counter builds that kernel once, hands it to the
+        circuit plan, and keeps the plan, or the kernel when D is dependent.
         """
         cols = np.asarray(cols, dtype=np.int64)
         plans: dict = {}
@@ -167,18 +168,19 @@ class Matroid:
                 with building:
                     plan = plans.get(a_mask)
                     if plan is None:
-                        plan = self._circuit_plan(cols, a_mask) or self._span_kernel(cols, a_mask)
+                        kernel = self._span_kernel(cols, a_mask)
+                        plan = self._circuit_plan(cols, a_mask, kernel) or kernel
                         plans[a_mask] = plan
             return plan(rows, bar)
 
         return count
 
-    def _circuit_plan(self, cols: np.ndarray, a_mask: int):
+    def _circuit_plan(self, cols: np.ndarray, a_mask: int, kernel):
         """``(rows, bar) -> counts`` under A from the fundamental circuits of
         the columns left after A, or None when they are dependent in M/A.
 
-        One call of the family's kernel bound to A on |D| + 1 one-row
-        groups, the rows D - d for every d ∈ D and then D, gives
+        One call of ``kernel``, the family's kernel bound to A, on |D| + 1
+        one-row groups, the rows D - d for every d ∈ D and then D, gives
         span(A ∪ D - d) and span(A ∪ D).  It also decides D: D is
         independent in M/A iff no d ∈ D is in span(A ∪ D - d).  Counts read
         only D's columns, so A's are ignored.
@@ -196,7 +198,7 @@ class Matroid:
         d_pos = np.flatnonzero(~bits_of(a_mask, n)[cols])
         rows = np.zeros((len(d_pos) + 1, 1, s), dtype=bool)
         rows[:, 0, d_pos] = ~np.eye(len(d_pos) + 1, len(d_pos), dtype=bool)
-        spans = self._span_kernel(cols, a_mask)(rows) > 0
+        spans = kernel(rows) > 0
         # in_circuit[i, e]: d_i ∈ C_e, that is e ∉ span(A ∪ D - d_i).
         in_circuit, spanned = ~spans[:-1], spans[-1]
         if not in_circuit[np.arange(len(d_pos)), cols[d_pos]].all():

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,60 +39,34 @@ ADVERSARIES = ("element-last", "exhaustive-worst", "random-order")
 EXHAUSTIVE_MAX_ACTIVES = 7
 
 
-@dataclass
-class OcrsState:
-    """Mutable greedy state: accepted elements per chain level."""
-
-    matroid: Matroid
-    chain: SpanningChain
-    accepted: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.accepted:
-            self.accepted = [0] * (len(self.chain) - 1)
-
-    @property
-    def accepted_mask(self) -> int:
-        out = 0
-        for a in self.accepted:
-            out |= a
-        return out
-
-
-def greedy_step(state: OcrsState, e: int) -> tuple[bool, OcrsState]:
-    """Decide one arriving active element; accepts iff it stays independent
-    in the level minor (M | C_i) / C_{i+1} with the level's prior accepts.
-
-    The candidate lies in C_i \\ C_{i+1}, where it is independent in that
-    minor iff r(candidate ∪ C_{i+1}) - r(C_{i+1}) = |candidate| in M, so no
-    minor is built.
-    """
-    m, chain = state.matroid, state.chain
-    i = chain.level_of(e)
-    ci1 = chain.links[i + 1]
-    candidate = state.accepted[i] | (1 << e)
-    if m.rank(candidate | ci1) - m.rank(ci1) == candidate.bit_count():
-        state.accepted[i] = candidate
-        return True, state
-    return False, state
-
-
 def run_selection(
     m: Matroid, chain: SpanningChain, actives: int, order: Sequence[int]
 ) -> int:
-    """Feed the actives to the greedy rule in the given order.
+    """Feed the actives to the greedy rule in the given order and return
+    the accepted set.
 
-    The order must be a permutation of the active set.  The accepted set is
-    checked to stay independent in M after every arrival.
+    An arriving element e of level i is accepted iff it stays independent
+    in the level minor (M | C_i) / C_{i+1} with the level's prior accepts.
+    The candidate lies in C_i \\ C_{i+1}, where it is independent in that
+    minor iff r(candidate ∪ C_{i+1}) - r(C_{i+1}) = |candidate| in M, so no
+    minor is built.  The order must be a permutation of the active set.
+    The accepted set is checked to stay independent in M after every
+    arrival.
     """
     if sorted(order) != ids_of(actives):
         raise ValueError("order must be a permutation of the active set")
-    state = OcrsState(matroid=m, chain=chain)
+    by_level: dict[int, int] = {}
+    accepted = 0
     for e in order:
-        greedy_step(state, e)
-        if not m.is_independent(state.accepted_mask):
+        i = chain.level_of(e)
+        ci1 = chain.links[i + 1]
+        candidate = by_level.get(i, 0) | (1 << e)
+        if m.rank(candidate | ci1) - m.rank(ci1) == candidate.bit_count():
+            by_level[i] = candidate
+            accepted |= 1 << e
+        if not m.is_independent(accepted):
             raise AssertionError("greedy rule produced a dependent set")
-    return state.accepted_mask
+    return accepted
 
 
 def element_last_accepts(m: Matroid, chain: SpanningChain, actives: int, target: int) -> bool:
@@ -211,8 +185,8 @@ class ElementStats:
             return None
         return self.selections / self.activations
 
-    def wilson(self, confidence: float = 0.99) -> tuple[float, float]:
-        return wilson_interval(self.selections, self.activations, confidence)
+    def wilson(self) -> tuple[float, float]:
+        return wilson_interval(self.selections, self.activations)
 
 
 @dataclass(frozen=True)
@@ -231,15 +205,15 @@ class SelectabilityReport:
         freqs = [s.frequency for s in self.per_element if s.frequency is not None]
         return min(freqs) if freqs else None
 
-    def floor_holds(self, z: float = 3.0) -> bool:
-        """min_e freq_e >= λ(1-λ-8ε) - z·SE_e, vacuous without activations."""
+    def floor_holds(self) -> bool:
+        """min_e freq_e >= λ(1-λ-8ε) - 3·SE_e, vacuous without activations."""
         ok = True
         for s in self.per_element:
             f = s.frequency
             if f is None:
                 continue
             se = math.sqrt(max(f * (1 - f), 0.0) / s.activations)
-            ok = ok and f >= self.theoretical_floor - z * se
+            ok = ok and f >= self.theoretical_floor - 3.0 * se
         return ok
 
     def to_jsonable(self) -> dict:

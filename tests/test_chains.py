@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -396,19 +397,25 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
 
 
 def test_circuit_plans_are_built_once_per_a_across_threads(monkeypatch):
-    # Workers that count under a new A at once build its plan once.  Short
-    # switch intervals make the threads interleave, and a build that sleeps
-    # lets every other thread reach the same A while it runs.
+    # Workers that count under a new A at once build its kernel and its
+    # plan once.  Short switch intervals make the threads interleave, and a
+    # build that sleeps lets every other thread reach the same A while it
+    # runs.
     lam = _laminar()
-    real_plan = Matroid._circuit_plan
-    built = []
+    real_plan, real_kernel = Matroid._circuit_plan, Matroid._span_kernel
+    built, kernels = [], []
 
-    def plan(self, cols, a_mask):
+    def plan(self, cols, a_mask, kernel):
         built.append(a_mask)
         time.sleep(0.005)
-        return real_plan(self, cols, a_mask)
+        return real_plan(self, cols, a_mask, kernel)
+
+    def span_kernel(self, cols, a_mask):
+        kernels.append(a_mask)
+        return real_kernel(self, cols, a_mask)
 
     monkeypatch.setattr(Matroid, "_circuit_plan", plan)
+    monkeypatch.setattr(Matroid, "_span_kernel", span_kernel)
     rng = np.random.default_rng(4)
     a_masks = [0, 0b1, 0b1000, 0b1, mask_of([12, 13]), 0]
     d_mask = _independent_after(lam, 0, rng)
@@ -429,12 +436,13 @@ def test_circuit_plans_are_built_once_per_a_across_threads(monkeypatch):
                     got[i].append((count(flagged, a_mask), flagged))
 
             built.clear()
+            kernels.clear()
             threads = [threading.Thread(target=work, args=(i,)) for i in range(k)]
             for th in threads:
                 th.start()
             for th in threads:
                 th.join()
-            assert sorted(built) == sorted(set(a_masks))
+            assert sorted(built) == sorted(kernels) == sorted(set(a_masks))
             for i in range(k):
                 for a_mask, (counts, flagged) in zip(a_masks, got[i]):
                     expected = _span_reference(lam, cols, flagged, a_mask)
@@ -834,28 +842,42 @@ def test_k6_link_counts_rows_through_the_span_table(monkeypatch):
     assert grown > 0
 
 
+def _spy_plan_builds(monkeypatch, planning):
+    """Keep ``planning`` non-empty while a counter builds a plan: while the
+    graphic kernel is bound to A, which labels A's components past n = 20,
+    and while the circuit plan runs."""
+    real_kernel, real_plan = GraphicMatroid._span_kernel, Matroid._circuit_plan
+
+    def building(real):
+        def build(*args):
+            planning.append(1)
+            try:
+                return real(*args)
+            finally:
+                planning.pop()
+
+        return build
+
+    monkeypatch.setattr(GraphicMatroid, "_span_kernel", building(real_kernel))
+    monkeypatch.setattr(Matroid, "_circuit_plan", building(real_plan))
+
+
 def test_graphic_labels_of_a_once_per_a_mask(monkeypatch):
     # One counter (one link) labels A's components once per distinct A,
-    # and every block of rows once.  The columns are dependent, so each
-    # distinct A's circuit plan labels A and its 37 one-row groups in 6
-    # blocks once, finds them dependent, and leaves the rows to the kernel.
+    # when it builds A's kernel, and every block of rows once.  The columns
+    # are dependent, so each distinct A's circuit plan labels its 37
+    # one-row groups in 6 blocks once, finds them dependent, and leaves the
+    # rows to the same kernel.
     theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
     labellings, planning = {False: 0, True: 0}, []
-    real_labels, real_plan = matroids._component_labels, Matroid._circuit_plan
+    real_labels = matroids._component_labels
 
     def labels(*args):
         labellings[bool(planning)] += 1
         return real_labels(*args)
 
-    def plan(*args):
-        planning.append(1)
-        try:
-            return real_plan(*args)
-        finally:
-            planning.pop()
-
     monkeypatch.setattr(matroids, "_component_labels", labels)
-    monkeypatch.setattr(Matroid, "_circuit_plan", plan)
+    _spy_plan_builds(monkeypatch, planning)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 300)  # 7 rows per block
     cols = np.arange(3, 39, dtype=np.int64)
     rows = np.random.default_rng(2).random((20, len(cols))) < 0.3
@@ -864,7 +886,7 @@ def test_graphic_labels_of_a_once_per_a_mask(monkeypatch):
     for a_mask in a_masks:
         expected = _span_reference(theta, cols, rows, a_mask)
         assert count(rows, a_mask).tolist() == expected.tolist()
-    assert labellings == {False: 3 * len(a_masks) + 2, True: 2 * (1 + 6)}
+    assert labellings == {False: 3 * len(a_masks), True: 2 * (1 + 6)}
 
 
 def test_graphic_label_chunks_are_equal(monkeypatch):
@@ -957,22 +979,15 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
     q = 41
     runs = _record_runs(monkeypatch)
     labellings, planning = [], []
-    real_labels, real_plan = matroids._component_labels, Matroid._circuit_plan
+    real_labels = matroids._component_labels
 
     def labels(*args):
         if not planning:
             labellings.append(1)
         return real_labels(*args)
 
-    def plan(*args):
-        planning.append(1)
-        try:
-            return real_plan(*args)
-        finally:
-            planning.pop()
-
     monkeypatch.setattr(matroids, "_component_labels", labels)
-    monkeypatch.setattr(Matroid, "_circuit_plan", plan)
+    _spy_plan_builds(monkeypatch, planning)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
     for m, x, threshold in cases:
         labellings.clear()
@@ -1321,16 +1336,77 @@ def test_selectability_builds_one_link_estimator(monkeypatch):
     assert again.to_jsonable() == first.to_jsonable()
 
 
-def test_rows_estimators_are_not_kept(monkeypatch):
+def _arrays_in(value):
+    """The numpy arrays in ``value``, looking into dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays_in(v)]
+    return []
+
+
+def test_plan_shares_its_rows_estimator(monkeypatch):
     # U_{70,140} has 140 elements in the support: its first link runs the
-    # rows path, whose estimator the plan must not hold.
+    # rows path, and the plan holds that estimator as on any other path, so
+    # the first link builds none and each later link builds its own.
     m = UniformMatroid(70, 140)
-    x = as_marginals([0.25] * 140)
     built = _count_estimators(monkeypatch)
-    plan = chain_plan(m, x, 0.7, 0.05, ParamOverrides(q=50, eta=4, zeta=3))
-    assert plan.first_estimator is None
-    plan.sample(RngStream(0).generator())
-    assert "rows" in built
+    plan = chain_plan(m, as_marginals([0.25] * 140), 0.7, 0.05, ParamOverrides(q=50, eta=4, zeta=3))
+    assert built == ["rows"] and plan.first_estimator.path == "rows"
+    plan.link(RngStream(0).generator())
+    assert built == ["rows"]
+    _, trace = plan.sample(RngStream(1).generator())
+    assert len(built) == len(trace.sampled)
+
+    # The theta-39 path instance of the report pins: sampling its chains
+    # from the one shared estimator, on several threads under a short
+    # switch interval, gives the chains, traces and generator states of a
+    # fresh estimator per chain.  Whole iterations go in batches, or, with
+    # smaller row blocks, in decided row blocks, on two workers when a
+    # single trial leaves the helpers free.
+    theta = _theta(19)
+    x = np.full(39, 0.263)
+    x[0] = 0.0
+    states = {}
+    real_map = workers.map_trials
+
+    def map_trials(trials, stream, fn):
+        def traced(t, rng):
+            out = fn(t, rng)
+            states[t] = _state_of(rng)
+            return out
+
+        return real_map(trials, stream, traced)
+
+    monkeypatch.setattr(workers, "map_trials", map_trials)
+    stream = RngStream(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block_values in (chains.ROW_BLOCK_VALUES, 38 * 300):
+            monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", block_values)
+            plan = chain_plan(theta, x, 0.7, 0.05, ParamOverrides(q=200))
+            est = plan.first_estimator
+            expected = []
+            for t in range(3):
+                fresh = dataclasses.replace(
+                    plan, first_estimator=_SpanCountEstimator(theta, plan.x, 200)
+                )
+                rng = stream.substream(t).generator()
+                expected.append((fresh.sample(rng), _state_of(rng)))
+            for cpus, trials in ((1, 3), (2, 3), (3, 3), (3, 1)):
+                monkeypatch.setattr(workers, "cpus", lambda: cpus)
+                states.clear()
+                got = plan.sample_trials(trials, stream)
+                assert list(zip(got, [states[t] for t in range(trials)])) == expected[:trials]
+            assert plan.first_estimator is est and est.path == "rows"
+            # No row block or other q x s array outlives a call.
+            held = [a.size for key, v in vars(est).items() if key != "law" for a in _arrays_in(v)]
+            assert max(held) < 200 * 38
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- chain plan ---------------------------------------------------------------

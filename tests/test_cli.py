@@ -123,14 +123,19 @@ def test_parse_config_requires_json_numbers(tmp_path, capsys):
         {"family": "uniform", "n": 4},
         {"family": "graphic", "n_vertices": 3, "edges": [1, 2]},
         {"family": "graphic", "n_vertices": 2 * 10**6, "edges": [[0, 1]]},
+        {"family": "uniform", "k": 2, "n": 4, "capacity": 3},
     ],
-    ids=["float-k", "string-k", "float-capacity", "missing-k", "flat-edges", "huge-graph"],
+    ids=[
+        "float-k", "string-k", "float-capacity", "missing-k", "flat-edges", "huge-graph",
+        "unknown-key",
+    ],
 )
 def test_parse_config_rejects_bad_matroid_descriptor(desc, tmp_path, capsys, monkeypatch):
     # These used to run (a 2.9 k ran U_{2,4} and echoed 2.9; "2" and 1.5
-    # were read as integers), end in a KeyError or TypeError traceback, or
-    # cost 1.6 s and 76 MiB per rank call (2 * 10^6 vertices).  Each is now
-    # a config error found without building the matroid, and exits 1.
+    # were read as integers; a key the schema forbids was echoed into the
+    # report), end in a KeyError or TypeError traceback, or cost 1.6 s and
+    # 76 MiB per rank call (2 * 10^6 vertices).  Each is now a config error
+    # found without building the matroid, and exits 1.
     monkeypatch.setattr(cli, "matroid_from_descriptor", lambda d: pytest.fail("built"))
     with pytest.raises(ConfigError, match="matroid"):
         parse_config(base_config(matroid=desc))
@@ -138,6 +143,22 @@ def test_parse_config_rejects_bad_matroid_descriptor(desc, tmp_path, capsys, mon
     cfg_path.write_text(json.dumps(base_config(matroid=desc)))
     assert main(["--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_descriptor_fields_are_the_schema_properties():
+    # The schema allows no key beyond each family's properties, and
+    # parse_config checks exactly the keys of _DESCRIPTOR_FIELDS.
+    schema = json.loads(
+        (Path(cli.__file__).parent / "schemas" / "matroid_descriptor.schema.json").read_text()
+    )
+    properties = {
+        alt["properties"]["family"]["const"]: set(alt["properties"]) - {"family"}
+        for alt in schema["oneOf"]
+    }
+    assert all(alt["additionalProperties"] is False for alt in schema["oneOf"])
+    assert properties == {
+        family: {key for key, _ in fields} for family, fields in cli._DESCRIPTOR_FIELDS.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -725,15 +746,15 @@ THETA39 = {
 def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
     # Past n = 20 the CLI takes only basis-indicator marginals, so the drawn
     # columns stay independent in M/A in every iteration and the circuit
-    # counter counts every row.  Each distinct A costs one family-kernel
-    # call on its |D| + 1 one-row groups, which also decides independence,
-    # with no rank call, and no span() call on the graphic matroid; the
-    # laminar kernel spans one row at a time.  The family kernel counts no
-    # sample row
-    # (no per-row span(), no component labels outside a plan), and the
-    # report equals the family kernels' one.  The first link counts on the
-    # family itself and later links on minors, whose kernels call the
-    # family's.
+    # counter counts every row.  Each distinct A costs one family kernel
+    # bound to A, which labels A's components on the graphic matroid, and
+    # one call of it on the |D| + 1 one-row groups, which also decides
+    # independence, with no rank call, and no span() call on the graphic
+    # matroid; the laminar kernel spans one row at a time.  The family
+    # kernel counts no sample row (no per-row span(), no component labels
+    # outside a plan build), and the report equals the family kernels' one.
+    # The first link counts on the family itself and later links on minors,
+    # whose kernels call the family's.
     from chainocrs import matroids
     from chainocrs.matroids import Matroid
 
@@ -756,10 +777,10 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
 
         return call
 
-    def plan(self, cols, a_mask):
+    def plan(self, cols, a_mask, kernel):
         inside().append({"span": 0, "rank": 0, "kernel": []})
         try:
-            built = real_plan(self, cols, a_mask)
+            built = real_plan(self, cols, a_mask, kernel)
         finally:
             calls = inside().pop()
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
@@ -770,7 +791,12 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         return built
 
     def kernel(self, cols, a_mask):
-        count = real_kernel(self, cols, a_mask)
+        # Binding the kernel to A is part of building A's plan.
+        inside().append({"span": 0, "rank": 0, "kernel": []})
+        try:
+            count = real_kernel(self, cols, a_mask)
+        finally:
+            inside().pop()
 
         def counted(rows, bar=None):
             if not inside():

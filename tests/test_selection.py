@@ -5,7 +5,6 @@ import pytest
 
 from chainocrs import workers
 from chainocrs import (
-    OcrsState,
     PartitionMatroid,
     RngStream,
     SpanningChain,
@@ -13,7 +12,6 @@ from chainocrs import (
     as_marginals,
     chain_ocrs_trial,
     element_last_accepts,
-    greedy_step,
     run_selection,
     selectability_experiment,
     worst_case_order,
@@ -45,18 +43,17 @@ def reference_greedy(m, chain, order):
 
 def test_greedy_rank_one(u12):
     chain = SpanningChain((0b11, 0))
-    state = OcrsState(matroid=u12, chain=chain)
-    ok_a, state = greedy_step(state, 0)
-    ok_b, state = greedy_step(state, 1)
-    assert ok_a and not ok_b
-    assert state.accepted_mask == 0b01
+    assert run_selection(u12, chain, 0b11, [0, 1]) == 0b01
+    assert run_selection(u12, chain, 0b11, [1, 0]) == 0b10
 
 
 def test_greedy_first_arrival_outside_next_span(k3):
     chain = SpanningChain((0b111, 0b100, 0))
-    state = OcrsState(matroid=k3, chain=chain)
-    ok, state = greedy_step(state, 0)  # edge 0 not spanned by {edge 2}
-    assert ok
+    # Edge 0 is not spanned by C_1 = {edge 2}; edge 1 is rejected at level
+    # 0, since {0, 1} is dependent over C_1, and edge 2 is accepted alone at
+    # level 1.
+    assert run_selection(k3, chain, 0b001, [0]) == 0b001
+    assert run_selection(k3, chain, 0b111, [0, 1, 2]) == 0b101
 
 
 def test_greedy_triangle(k3):
