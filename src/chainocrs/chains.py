@@ -52,9 +52,9 @@ classification.
   from A and counts the rest of the batch again under the new A, from the
   same draws: the counter ignores the columns of A's elements, so rows are
   drawn against the same marginals under every A.  A larger iteration is
-  drawn in reused row blocks and counted block by block.  The estimator
-  builds the marginals' ``sampling.RowLaw`` once, the threshold words of a
-  full batch and the flags of the columns with x = 1, and every batch and
+  drawn in row blocks and counted block by block.  The estimator builds
+  the marginals' ``sampling.RowLaw`` once, the threshold words of a full
+  batch and the flags of the columns with x = 1, and every batch and
   block is drawn against it.
 * Compact tail (``BuildTrace``): the absorbing tail is one record, its
   cutoffs and two masks, instead of one ``LinkTrace`` per link;
@@ -431,6 +431,8 @@ class _SpanCountEstimator:
         sup_ids = [e for e in iter_ids(self.ground) if x[e] > 0.0]
         self.sup_ids = np.array(sup_ids, dtype=np.int64)
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
+        # The empty path needs no span table, and a plan builds its
+        # estimator even when no element can activate.
         self.lookup = m.span_lookup() if 0 < len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         # Ground-order columns of a count row; all of them on M itself.
         self._of_ground = self.ground_ids if len(self.ground_ids) < m.n_universe else slice(None)

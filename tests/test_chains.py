@@ -1409,6 +1409,16 @@ def test_plan_shares_its_rows_estimator(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_plan_without_support_builds_no_span_table():
+    # With no element able to activate, the plan's estimator is on the
+    # empty path, which reads span(∅) only: no dense table is built.
+    m = UniformMatroid(2, 4)
+    plan = chain_plan(m, np.zeros(4), 0.7, 0.05, FAST)
+    assert plan.first_estimator.path == "empty" and m._tables is None
+    chain, _ = plan.sample(RngStream(0).generator())
+    assert chain.links == (0b1111,) + (0,) * (FAST.zeta + 1) and m._tables is None
+
+
 # -- chain plan ---------------------------------------------------------------
 
 
