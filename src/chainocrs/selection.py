@@ -47,11 +47,11 @@ def run_selection(
 
     An arriving element e of level i is accepted iff it stays independent
     in the level minor (M | C_i) / C_{i+1} with the level's prior accepts.
-    The candidate lies in C_i \\ C_{i+1}, where it is independent in that
-    minor iff r(candidate ∪ C_{i+1}) - r(C_{i+1}) = |candidate| in M, so no
-    minor is built.  The order must be a permutation of the active set.
-    The accepted set is checked to stay independent in M after every
-    arrival.
+    That candidate set, e and those accepts, lies in C_i \\ C_{i+1}, where
+    it is independent in the minor iff r(candidate ∪ C_{i+1}) - r(C_{i+1})
+    = |candidate| in M, so no minor is built.  The order must be a
+    permutation of the active set.  The accepted set is checked to stay
+    independent in M after every arrival.
     """
     if sorted(order) != ids_of(actives):
         raise ValueError("order must be a permutation of the active set")
