@@ -69,11 +69,13 @@ classification.
   ``LinkParams``.
 * Plan-held first link (``ChainPlan.first_estimator``): every chain's
   first link runs on M itself, so the plan holds its estimator, on every
-  path, and every trial of an experiment shares it; a chain builds none
-  for it.  An estimator is a value fixed by (matroid, x, q): it holds no
-  generator state and no row block, only tables and caches that every
-  thread fills alike, so the trials can share it on several threads
-  (``workers.map_trials``).  A later link builds its estimator per link.
+  path, and every chain built from the plan shares it, across the trials
+  of an experiment and, since the CLI keeps its last plan, across
+  ``chain`` reports; a chain builds none for it.  An estimator is a value
+  fixed by (matroid, x, q): it holds no generator state and no row block,
+  only tables and caches that every thread fills alike, so the trials can
+  share it on several threads (``workers.map_trials``).  A later link
+  builds its estimator per link.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
   too large for a batch is cut into row blocks, claimed in increasing
   order by the calling thread, which draws from the caller's generator,
@@ -682,8 +684,10 @@ def single_ocrs_link(
 class ChainPlan:
     """What is fixed for every chain of one (M, x, tau, eps, overrides).
 
-    Built once by ``chain_plan``; ``sample`` builds one chain per call and
-    ``link`` one first link.
+    Built by ``chain_plan`` and valid for as long as it is kept: for one
+    experiment, or, in the CLI, for every ``chain`` report on the same
+    instance until another one runs.  ``sample`` builds one chain per call
+    and ``link`` one first link.
     rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
     ``params``.  ``x`` is a read-only copy, so a caller that later edits
     its own array cannot change the plan's chains.  Every chain's first
@@ -766,8 +770,8 @@ def chain_plan(
     eps: float,
     overrides: ParamOverrides | None = None,
 ) -> ChainPlan:
-    """Run every input check once and fix what all chains of an experiment
-    share, the first link's estimator among them.
+    """Run every input check once and fix what all chains of (M, x, tau,
+    eps, overrides) share, the first link's estimator among them.
 
     No other code derives rho or the link parameters: the CLI, the
     selection trials and the verify checks read them from a plan.

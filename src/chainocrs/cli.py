@@ -15,13 +15,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .bitset import iter_ids, mask_of
-from .chains import ParamOverrides, chain_plan
+from .chains import ChainPlan, ParamOverrides, chain_plan
 from .matroids import SPAN_TABLE_MAX, Matroid, UniformMatroid, matroid_from_descriptor
 from .sampling import RngStream, as_marginals, in_scaled_polytope
 from .selection import ADVERSARIES, selectability_experiment
@@ -477,26 +478,55 @@ _SCALAR_TEXT = {
 
 
 def run(config: ExperimentConfig) -> tuple[ExperimentReport, int]:
-    """Dispatch one experiment; returns (report, exit_code)."""
+    """Dispatch one experiment; returns (report, exit_code).
+
+    The matroid, its marginals and, in the ``chain`` mode, its chain plan
+    are those of the last call with the same instance (``_instance``), so a
+    process that runs many reports on one instance builds it once.
+    """
     t0 = time.monotonic()
     if config.mode == "audit":
         report, code = _run_audit(config)
     else:
-        m = matroid_from_descriptor(config.matroid)
-        x = generate_marginal(config.marginal, m, config.lam)
-        runner = {"chain": _run_chain, "ocrs": _run_ocrs}.get(config.mode, _run_verify)
-        report, code = runner(config, m, x)
+        key = json.dumps([config.matroid, config.marginal, config.lam], sort_keys=True)
+        if config.mode == "chain":
+            plan = _instance_plan(key, _chain_tau(config), config.eps, config.overrides)
+            report, code = _run_chain(config, plan)
+        else:
+            runner = _run_ocrs if config.mode == "ocrs" else _run_verify
+            report, code = runner(config, *_instance(key))
     report.wall_clock_seconds = time.monotonic() - t0
     return report, code
+
+
+@lru_cache(maxsize=1)
+def _instance(key: str) -> tuple[Matroid, np.ndarray]:
+    """The matroid and read-only marginals of ``key``, the JSON text of a
+    config's matroid descriptor, marginal spec and lambda.
+
+    Only the last instance is kept, and a build that raises is not, so a
+    custom marginal outside lambda * P_M fails on every call.  The builders
+    are looked up in this module when an instance is built.
+    """
+    desc, spec, lam = json.loads(key)
+    m = matroid_from_descriptor(desc)
+    x = generate_marginal(spec, m, lam)
+    x.flags.writeable = False
+    return m, x
+
+
+@lru_cache(maxsize=1)
+def _instance_plan(key: str, tau: float, eps: float, overrides: ParamOverrides) -> ChainPlan:
+    """The chain plan of instance ``key`` (see ``_instance``) at tau, eps and
+    overrides; only the last one is kept, with its first link's estimator."""
+    return chain_plan(*_instance(key), tau, eps, overrides)
 
 
 def _chain_tau(config: ExperimentConfig) -> float:
     return config.tau if config.tau is not None else config.lam + 4.0 * config.eps
 
 
-def _run_chain(config, m, x):
-    tau = _chain_tau(config)
-    plan = chain_plan(m, x, tau, config.eps, config.overrides)
+def _run_chain(config, plan):
     per_trial = []
     total_draws = 0
     empty_final = 0
@@ -513,7 +543,7 @@ def _run_chain(config, m, x):
             }
         )
     results = {
-        "tau": tau,
+        "tau": _chain_tau(config),
         "trials": config.trials,
         "c_zeta_empty_rate": empty_final / config.trials,
         "total_draw_count": total_draws,

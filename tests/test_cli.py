@@ -45,6 +45,13 @@ def base_config(**kw):
     return cfg
 
 
+def cold_run(config):
+    """``run`` with no instance or chain plan kept from an earlier call."""
+    cli._instance.cache_clear()
+    cli._instance_plan.cache_clear()
+    return run(config)
+
+
 # -- config validation ----------------------------------------------------------
 
 
@@ -503,6 +510,136 @@ def test_report_determinism_byte_identical():
     assert r1.to_json() == r2.to_json()
 
 
+K3_DESC = {"family": "graphic", "n_vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+U24_DESC = {"family": "uniform", "k": 2, "n": 4}
+# Edge (0, 1) plus 19 two-edge 0-1 paths through 2, ..., 20 (n = 39).
+THETA39 = {
+    "family": "graphic",
+    "n_vertices": 21,
+    "edges": [[0, 1]] + [e for w in range(2, 21) for e in ([0, w], [w, 1])],
+}
+
+#: One config of each kind ``run`` keeps an instance for: a chain on
+#: theta-39 at q = 100 and lambda = 0.1, ocrs on K3 and verify-inlink on
+#: U_{2,4}, with the marginals of the benchmark's workloads.
+MIXED = (
+    base_config(matroid=THETA39, trials=1, overrides={"q": 100}, **{"lambda": 0.1}),
+    base_config(mode="ocrs", matroid=K3_DESC, trials=20, overrides={},
+                marginal={"kind": "custom", "values": [1 / 3] * 3}),
+    base_config(mode="verify-inlink", matroid=U24_DESC, trials=30, overrides={}, tau=0.54,
+                marginal={"kind": "custom", "values": [0.25] * 4}),
+)
+
+
+def _texts(configs):
+    out = []
+    for raw in configs:
+        report, code = run(parse_config(raw))
+        out.append((report.to_json(), code))
+    return out
+
+
+def test_warm_reports_equal_cold_ones():
+    # Whatever ran before it in the process, on one thread or on three at
+    # once that interleave at a 1 us switch interval, a report is the one a
+    # run with nothing kept gives.
+    sequence = [{**raw, "seed": seed} for seed in (3, 4, 3) for raw in MIXED]
+    cold = [(r.to_json(), code) for r, code in map(cold_run, map(parse_config, sequence))]
+    for _ in range(2):
+        assert _texts(sequence) == cold
+        assert _texts(sequence[::-1]) == cold[::-1]
+    shifts = (0, 4, 8)
+    results = [None] * len(shifts)
+
+    def worker(i):
+        shift = shifts[i]
+        results[i] = _texts(sequence[shift:] + sequence[:shift])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(shifts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [cold[shift:] + cold[:shift] for shift in shifts]
+
+
+#: A chain on K3 plus an isolated vertex, at x = lambda on its greedy basis,
+#: whose first link is N at tau = 0.5 and empty at tau = 1, and an ocrs run
+#: on it.
+KEY_CHAIN = base_config(
+    matroid={**K3_DESC, "n_vertices": 4}, trials=2, seed=5, tau=0.5,
+    overrides={"q": 100, "zeta": 3}, **{"lambda": 0.8},
+)
+KEY_OCRS = {**KEY_CHAIN, "mode": "ocrs", "trials": 30, "overrides": {"q": 60, "zeta": 3},
+            "marginal": {"kind": "custom", "values": [0.4, 0.4, 0.4]}}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (KEY_CHAIN, {**KEY_CHAIN, "eps": 0.04}),
+        (KEY_CHAIN, {**KEY_CHAIN, "tau": 1.0}),
+        (KEY_CHAIN, {**KEY_CHAIN, "lambda": 0.3}),
+        (KEY_CHAIN, {**KEY_CHAIN, "overrides": {"q": 120, "zeta": 3}}),
+        (KEY_OCRS, {**KEY_OCRS, "marginal": {"kind": "custom", "values": [0.4, 0.4, 0.2]}}),
+        (KEY_OCRS, {**KEY_OCRS, "matroid": {**K3_DESC, "n_vertices": 4,
+                                            "edges": [[0, 1], [1, 2], [2, 3]]}}),
+    ],
+    ids=["eps", "tau", "lambda", "q", "custom-value", "edge"],
+)
+def test_instance_is_rebuilt_when_one_field_differs(first, second):
+    # The two configs differ in one field and their reports in more than
+    # the echo of the config and of tau, so a run that kept the other
+    # config's instance or plan would give the other results.
+    cold = [cold_run(parse_config(raw))[0] for raw in (first, second)]
+    drawn = [({k: v for k, v in r.results.items() if k != "tau"}, r.verdicts) for r in cold]
+    assert drawn[0] != drawn[1]
+    cold = [r.to_json() for r in cold]
+    assert [t for t, _ in _texts([first, second, first])] == [*cold, cold[0]]
+    assert [t for t, _ in _texts([second, first, second])] == [cold[1], *cold]
+
+
+def test_marginals_outside_the_polytope_fail_after_a_valid_config(tmp_path, capsys):
+    # A failing build is not kept: the bad config raises on every call, and
+    # the valid config's instance, built before it, still serves reports.
+    good = {**KEY_OCRS, "marginal": {"kind": "custom", "values": [0.4, 0.4, 0.4]}}
+    bad = {**KEY_OCRS, "marginal": {"kind": "custom", "values": [0.8, 0.8, 0.8]}}
+    expected = cold_run(parse_config(good))[0].to_json()
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="lambda \\* P_M"):
+            run(parse_config(bad))
+        assert run(parse_config(good))[0].to_json() == expected
+    cfg_path = tmp_path / "cfg.json"
+    for raw, code in ((good, 0), (bad, 1), (good, 0), (bad, 1)):
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == code
+    assert "error: marginals are not in lambda * P_M" in capsys.readouterr().err
+
+
+def test_kept_marginals_are_read_only(monkeypatch):
+    # Code that writes into the kept x raises instead of changing the
+    # reports of later calls.
+    config = parse_config(KEY_OCRS)
+    expected = cold_run(config)[0].to_json()
+    real = cli.selectability_experiment
+
+    def writes(m, x, *args):
+        x[0] = 0.9
+        return real(m, x, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "selectability_experiment", writes)
+        with pytest.raises(ValueError, match="read-only"):
+            run(config)
+    assert run(config)[0].to_json() == expected
+
+
 def _plain_for_json(obj):
     """The values json.dumps takes, as the report writer reads ``obj``: dict
     keys as str(key), numpy scalars as Python ones, arrays as lists."""
@@ -724,12 +861,6 @@ LAMINAR24 = {
              [18, 19, 20]],
     "capacities": [9, 4, 1, 2, 3, 1],
 }
-# Edge (0, 1) plus 19 two-edge 0-1 paths through 2, ..., 20 (n = 39).
-THETA39 = {
-    "family": "graphic",
-    "n_vertices": 21,
-    "edges": [[0, 1]] + [e for w in range(2, 21) for e in ([0, w], [w, 1])],
-}
 
 
 @pytest.mark.parametrize(
@@ -815,9 +946,9 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         patch.setattr(Matroid, "_circuit_plan", plan)
         patch.setattr(family, "_span_kernel", kernel)
         patch.setattr(matroids, "_component_labels", labels)
-        report, code = run(config)
+        report, code = cold_run(config)
     assert code == 0
     assert all(built and cheap for _, built, cheap in plans), plans
     assert len({a for a, _, _ in plans}) > 1
     monkeypatch.setattr(Matroid, "_circuit_plan", lambda *a: None)
-    assert run(config)[0].to_json() == report.to_json()
+    assert cold_run(config)[0].to_json() == report.to_json()
