@@ -13,8 +13,9 @@ can activate, ``multinomial`` on small supports, where the counts are
 drawn directly from the corresponding multinomial law instead of
 materializing every sample (the output distribution is identical and the
 draw accounting unchanged), and ``rows`` otherwise, where sample rows are
-drawn and the matroid counts them: by fundamental circuits when the drawn
-columns are independent after A, else with the kernel of its family.
+drawn.  On both, the matroid's span counter counts the outcome or sample
+rows, by fundamental circuits when the drawn columns are independent after
+A, else with the kernel of its family, and alone builds any dense table.
 
 The known-marginals baseline link (``minimal_link_construction``) reads
 its probabilities from the package's one spanning-probability oracle in
@@ -73,7 +74,7 @@ classification.
   of an experiment and, since the CLI keeps its last plan, across
   ``chain`` reports; a chain builds none for it.  An estimator is a value
   fixed by (matroid, x, q): it holds no generator state and no row block,
-  only tables and caches that every thread fills alike, so the trials can
+  only caches that every thread fills alike, so the trials can
   share it on several threads (``workers.map_trials``).  A later link
   builds its estimator per link.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
@@ -392,18 +393,18 @@ class _SpanCountEstimator:
     The path is fixed per (matroid, marginals) pair at construction:
 
     * ``empty``       -- no element can activate; counts are q * [e ∈ span(A)].
-    * ``multinomial`` -- support <= MULTINOMIAL_MAX_SUPPORT and a dense span
-                         table exists: draw outcome counts for the 2^s
-                         realizations directly (counts are the sufficient
-                         statistic of the q samples).
+    * ``multinomial`` -- support <= MULTINOMIAL_MAX_SUPPORT and n <=
+                         SPAN_TABLE_MAX: draw outcome counts for the 2^s
+                         realizations directly (the sufficient statistic of
+                         the q samples); ``span_counter`` counts their spans.
     * ``rows``        -- draw the q sample rows in blocks and count each
                          block with the matroid's ``span_counter``
                          (fundamental circuits, or the kernel of its
                          family), until the counts decide every element.
 
     An estimator is a value fixed by (matroid, x, q): it keeps no
-    generator and no row block between calls, only tables and caches
-    that any thread fills alike, so several threads may share one.
+    generator and no row block between calls, only caches that any
+    thread fills alike, so several threads may share one.
 
     ``link_sets`` runs a whole link and is exact against h̄ iterations that
     each draw one multinomial or one (q, s) block of rows and count it in
@@ -433,27 +434,20 @@ class _SpanCountEstimator:
         sup_ids = [e for e in iter_ids(self.ground) if x[e] > 0.0]
         self.sup_ids = np.array(sup_ids, dtype=np.int64)
         self.sup_x = x[sup_ids] if sup_ids else np.empty(0)
-        # The empty path needs no span table, and a plan builds its
-        # estimator even when no element can activate.
-        self.lookup = m.span_lookup() if 0 < len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT else None
         # Ground-order columns of a count row; all of them on M itself.
         self._of_ground = self.ground_ids if len(self.ground_ids) < m.n_universe else slice(None)
         self._member_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._a_cache: dict[int, np.ndarray] = {}
         if not sup_ids:
             self.path = "empty"
-        elif self.lookup is not None:
+            return
+        self.count = m.span_counter(self.sup_ids)
+        if len(sup_ids) <= MULTINOMIAL_MAX_SUPPORT and m.n_universe <= SPAN_TABLE_MAX:
             self.path = "multinomial"
-            # Outcome j realizes the support elements of the set bits of j.
-            outcomes = np.arange(1 << len(sup_ids), dtype=np.int64)
-            self.outcome_masks = ((outcomes[:, None] >> np.arange(len(sup_ids))) & 1) @ (
-                np.int64(1) << self.sup_ids
-            )
             pvals = realization_weights(self.sup_x)
             self.pvals = pvals / pvals.sum()
         else:
             self.path = "rows"
-            self.count = m.span_counter(self.sup_ids)
 
     @cached_property
     def per_batch(self) -> int:
@@ -544,8 +538,10 @@ class _SpanCountEstimator:
         and A's membership flags in ground order."""
         cached = self._member_cache.get(a_mask)
         if cached is None:
-            spans = self.lookup(self.outcome_masks | np.int64(a_mask))
-            member = ((spans[:, None] >> self.ground_ids[None, :]) & 1).astype(np.float64)
+            # Outcome j, a group of one row, flags the support's set bits of j.
+            s = len(self.sup_ids)
+            outcomes = (np.arange(1 << s)[:, None, None] >> np.arange(s) & 1).astype(bool)
+            member = self.count(outcomes, a_mask)[:, self._of_ground].astype(np.float64)
             cached = member, self._in_a(a_mask)
             self._member_cache[a_mask] = cached
         return cached

@@ -22,8 +22,8 @@ import numpy as np
 
 from .bitset import bits_of, full_mask, ids_of, iter_ids, mask_of, submasks
 
-#: Largest universe for which dense rank/span tables are built, and so the
-#: limit of every exact 2^n enumeration, which reads them.
+#: Largest universe for which dense rank/span tables are built: by the exact
+#: 2^n enumerations and for dependent sample rows (``_build_row_tables``).
 SPAN_TABLE_MAX = 20
 
 #: Largest universe on which exhaustive axiom validation is allowed.
@@ -155,7 +155,8 @@ class Matroid:
         (``_circuit_plan``).  Otherwise the family's kernel bound to A
         (``_span_kernel``) counts the rows exactly, whatever the bar.  Per
         distinct A the counter builds that kernel once, hands it to the
-        circuit plan, and keeps the plan, or the kernel when D is dependent.
+        circuit plan, and keeps the plan, or, when D is dependent, the kernel,
+        bound again to read the dense tables if ``_build_row_tables`` builds them.
         """
         cols = np.asarray(cols, dtype=np.int64)
         plans: dict = {}
@@ -169,7 +170,9 @@ class Matroid:
                     plan = plans.get(a_mask)
                     if plan is None:
                         kernel = self._span_kernel(cols, a_mask)
-                        plan = self._circuit_plan(cols, a_mask, kernel) or kernel
+                        plan = self._circuit_plan(cols, a_mask, kernel) or (
+                            self._span_kernel(cols, a_mask) if self._build_row_tables() else kernel
+                        )
                         plans[a_mask] = plan
             return plan(rows, bar)
 
@@ -264,19 +267,19 @@ class Matroid:
     def _span_kernel(self, cols: np.ndarray, a_mask: int):
         """The family's ``count(rows, bar=None)`` bound to A = ``a_mask`` (see
         ``span_counter``), exact at any bar.  The dense span table does the
-        lookup when ``span_lookup`` exists, else each row costs one ``span``
-        call.  Families override this with a kernel for all rows at once:
-        the cardinality rule (uniform) and component labels (graphic, n > 20).
+        lookup if built (never here), else each row costs one ``span`` call.
+        Families override this with a kernel for all rows at once: the
+        cardinality rule (uniform) and component labels (graphic, no table).
         """
         n = self.n_universe
-        lookup = self.span_lookup()
-        if lookup is not None:
+        if self._tables is not None:
+            span_t = self._tables[1]
             weights = np.int64(1) << cols
             ids = np.arange(n, dtype=np.int64)
             a = np.int64(a_mask)
 
             def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
-                spans = lookup(rows @ weights | a)
+                spans = span_t[rows @ weights | a]
                 return ((spans[..., None] >> ids) & 1).sum(axis=-2)
 
             return count
@@ -297,6 +300,12 @@ class Matroid:
             return out.reshape(rows.shape[:-2] + (n,))
 
         return count
+
+    def _build_row_tables(self) -> bool:
+        """Build the dense tables if dependent rows are counted from them; True if so."""
+        if self.n_universe <= SPAN_TABLE_MAX:
+            self._dense_tables()
+        return self._tables is not None
 
     def span_lookup(self):
         """Vectorized span oracle, or None when the universe is too large.
@@ -380,6 +389,9 @@ class UniformMatroid(Matroid):
 
         return count
 
+    def _build_row_tables(self) -> bool:
+        return False
+
     def __repr__(self):
         return f"UniformMatroid(k={self.k}, n={self.n_universe})"
 
@@ -419,11 +431,10 @@ class GraphicMatroid(Matroid):
     an edge outside the set is spanned iff its ends share a root.  Span counts
     over sample rows (``span_counter``) whose drawn edges are independent
     after A, as those of basis-indicator marginals stay, come from their
-    fundamental circuits.  Other rows use the dense table up to
-    ``SPAN_TABLE_MAX`` edges; beyond it they label the connected components
-    of every row's graph S_r, contracted by A, at once in numpy, and edge
-    (u, v) is spanned in a row iff the A-components of u and v share a
-    label there.
+    fundamental circuits.  Other rows use the dense table once built, else
+    they label the connected components of every row's graph S_r,
+    contracted by A, at once in numpy, and edge (u, v) is spanned in a row
+    iff the A-components of u and v share a label there.
     """
 
     def __init__(self, n_vertices: int, edges: list[tuple[int, int]]):
@@ -474,7 +485,7 @@ class GraphicMatroid(Matroid):
         return out
 
     def _span_kernel(self, cols: np.ndarray, a_mask: int):
-        if self.n_universe <= SPAN_TABLE_MAX:
+        if self._tables is not None:
             return super()._span_kernel(cols, a_mask)
         nv, n = self.n_vertices, self.n_universe
         tail, head = self._ends
@@ -685,6 +696,9 @@ class MinorMatroid(Matroid):
             return counts
 
         return count
+
+    def _build_row_tables(self) -> bool:
+        return self.base._build_row_tables()
 
     def span_lookup(self):
         base_lookup = self.base.span_lookup()

@@ -35,7 +35,7 @@ from chainocrs.matroids import Matroid, MinorMatroid
 from chainocrs.sampling import RowLaw, draw_rows, realization_weights
 from chainocrs.stats import bonferroni_z
 from chainocrs.verify import verify_in_link_loss, verify_progress
-from conftest import chain_freeness, random_explicit_matroid, small_corpus
+from conftest import chain_freeness, explicit_corpus, random_explicit_matroid, small_corpus
 
 FAST = ParamOverrides(q=150, eta=8, zeta=6)
 
@@ -1417,6 +1417,69 @@ def test_plan_without_support_builds_no_span_table():
     assert plan.first_estimator.path == "empty" and m._tables is None
     chain, _ = plan.sample(RngStream(0).generator())
     assert chain.links == (0b1111,) + (0,) * (FAST.zeta + 1) and m._tables is None
+
+
+def test_outcome_membership_matches_the_span_table():
+    # The multinomial path classifies by the span counter's counts of the
+    # 2^s outcome rows, built with no table; the dense span table read at
+    # outcome | A gives the same 0/1 membership, on every corpus matroid,
+    # on K6 at s = 12, and on a minor of each, under A = ∅ and two more.
+    rng = np.random.default_rng(9)
+    k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    for base in small_corpus() + explicit_corpus() + [k6]:
+        for m in (base, base.contract(1 << ids_of(base.ground_mask)[-1])):
+            ids = ids_of(m.ground_mask)
+            x = np.zeros(m.n_universe)
+            x[ids[:12]] = rng.uniform(0.1, 0.9, len(ids[:12]))
+            est = _SpanCountEstimator(m, x, 50)
+            assert est.path == "multinomial"
+            a_masks = [0, 1 << ids[0], mask_of(e for e in ids if rng.random() < 0.5) | 1 << ids[-1]]
+            got = [est._member(a) for a in a_masks]
+            s = len(est.sup_ids)
+            outcome_masks = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1) @ (
+                np.int64(1) << est.sup_ids
+            )
+            lookup = m.span_lookup()
+            for a, (member, in_a) in zip(a_masks, got):
+                spans = lookup(outcome_masks | np.int64(a))
+                expected = (spans[:, None] >> est.ground_ids[None, :]) & 1
+                assert member.tolist() == expected.tolist(), (m, a)
+                assert in_a.tolist() == [bool(a >> e & 1) for e in ids]
+
+
+def test_dependent_rows_build_the_tables_once(monkeypatch):
+    # A direct-API chain with custom marginals on seven pairs at capacity 1
+    # (s = 14, the rows path) and no polytope check: the drawn pairs are
+    # dependent, so the counter builds the dense tables once, on the base,
+    # and every later link's minor reads them.  Rows are counted from the
+    # tables: the only span() calls are the 15 one-row groups of the first
+    # circuit plan, built before them, and a few outside the counter,
+    # where counting by span() would make one per row, q per iteration.
+    # A restriction of U_{3,16} counts its dependent rows by cardinality
+    # and builds none.
+    builds, spans = [], []
+    real, real_span = Matroid._dense_tables, Matroid.span
+
+    def dense_tables(self):
+        builds.append((self, self._tables is None))
+        return real(self)
+
+    monkeypatch.setattr(Matroid, "_dense_tables", dense_tables)
+    monkeypatch.setattr(Matroid, "span", lambda self, s: spans.append(s) or real_span(self, s))
+    pairs = PartitionMatroid([[2 * i, 2 * i + 1] for i in range(7)], [1] * 7)
+    plan = chain_plan(pairs, as_marginals([0.4] * 14), 0.6, 0.05, FAST)
+    assert plan.first_estimator.path == "rows"
+    chain, trace = plan.sample(RngStream(0).generator())
+    assert len(set(chain.links)) > 2
+    assert [m for m, built in builds if built] == [pairs]
+    assert len(builds) > 1
+    assert len(spans) < FAST.q < trace.draw_count
+    builds.clear()
+    u = UniformMatroid(3, 16).restrict(full_mask(16) & ~0b11)
+    plan = chain_plan(u, as_marginals([0.0, 0.0] + [0.15] * 14), 0.6, 0.05, FAST)
+    assert plan.first_estimator.path == "rows"
+    plan.sample(RngStream(0).generator())
+    assert not builds
 
 
 # -- chain plan ---------------------------------------------------------------

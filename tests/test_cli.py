@@ -863,35 +863,63 @@ LAMINAR24 = {
 }
 
 
+#: The n = 20 basis-indicator chains at lambda = 0.5, eps = 0.05, q = 100:
+#: a 20-edge path, ten pairs at capacity 1, and the same pairs under two
+#: halves at capacity 5.
+PATH20 = {"family": "graphic", "n_vertices": 21, "edges": [[i, i + 1] for i in range(20)]}
+PAIRS20 = [[2 * i, 2 * i + 1] for i in range(10)]
+PARTITION20 = {"family": "partition", "blocks": PAIRS20, "capacities": [1] * 10}
+LAMINAR20 = {
+    "family": "laminar",
+    "n": 20,
+    "sets": PAIRS20 + [list(range(10)), list(range(10, 20))],
+    "capacities": [1] * 10 + [5, 5],
+}
+N20 = {"trials": 1, "seed": 1, "overrides": {"q": 100}}
+EVEN20 = sum(1 << e for e in range(0, 20, 2))
+
+
+def _pairs_met(mask):
+    """Rank of PARTITION20 and LAMINAR20, whose halves never bind: the
+    number of pairs that ``mask`` meets."""
+    return ((mask | mask >> 1) & EVEN20).bit_count()
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, rank",
     [
-        {"matroid": LAMINAR24, "tau": 0.5, "trials": 2, "seed": 0,
-         "overrides": {"q": 60, "eta": 6, "zeta": 4}},
+        ({"matroid": LAMINAR24, "tau": 0.5, "trials": 2, "seed": 0,
+          "overrides": {"q": 60, "eta": 6, "zeta": 4}}, None),
         # The pinned benchmark chain whose first link grows to C_1 = {f}.
-        {"matroid": THETA39, "lambda": 0.1, "trials": 1, "seed": (10 << 24) | 4,
-         "overrides": {"q": 100}},
+        ({"matroid": THETA39, "lambda": 0.1, "trials": 1, "seed": (10 << 24) | 4,
+          "overrides": {"q": 100}}, None),
+        # A forest: every edge set is independent.
+        (dict(N20, matroid=PATH20), int.bit_count),
+        (dict(N20, matroid=PARTITION20), _pairs_met),
+        (dict(N20, matroid=LAMINAR20), _pairs_met),
     ],
-    ids=["laminar-24", "theta-39"],
+    ids=["laminar-24", "theta-39", "path-20", "partition-20", "laminar-20"],
 )
-def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
-    # Past n = 20 the CLI takes only basis-indicator marginals, so the drawn
-    # columns stay independent in M/A in every iteration and the circuit
-    # counter counts every row.  Each distinct A costs one family kernel
-    # bound to A, which labels A's components on the graphic matroid, and
-    # one call of it on the |D| + 1 one-row groups, which also decides
-    # independence, with no rank call, and no span() call on the graphic
-    # matroid; the laminar kernel spans one row at a time.  The family
-    # kernel counts no sample row (no per-row span(), no component labels
-    # outside a plan build), and the report equals the family kernels' one.
-    # The first link counts on the family itself and later links on minors,
-    # whose kernels call the family's.
+def test_basis_indicator_chains_count_rows_by_circuits(overrides, rank, monkeypatch):
+    # Basis-indicator marginals, the only kind the CLI takes past n = 20,
+    # keep the drawn columns independent in M/A in every iteration, so the
+    # circuit counter counts every row.  Each distinct A costs one family
+    # kernel bound to A, which labels A's components on the graphic
+    # matroid, and one call of it on the |D| + 1 one-row groups, which also
+    # decides independence, with no rank call, and no span() call on the
+    # graphic matroid; the laminar and partition kernels span one row at a
+    # time.  The family kernel counts no sample row (no per-row span(), no
+    # component labels outside a plan build), no dense table is built, also
+    # at n = 20, and the report equals the family kernels' one and, at
+    # n = 20, the one counted from tables built first.  The first link
+    # counts on the family itself and later links on minors, whose kernels
+    # call the family's.
     from chainocrs import matroids
     from chainocrs.matroids import Matroid
 
     config = parse_config(base_config(**overrides))
     family = type(matroid_from_descriptor(config.matroid))
-    plans, local = [], threading.local()
+    plans, local, tables = [], threading.local(), []
 
     def inside():
         # The plan builds open on this thread: the trials run on several.
@@ -915,7 +943,7 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         finally:
             calls = inside().pop()
         d_size = sum(not (a_mask >> int(e)) & 1 for e in cols)
-        per_row = overrides["matroid"] is LAMINAR24
+        per_row = overrides["matroid"]["family"] != "graphic"
         spans_ok = calls["span"] == 0 or per_row
         cheap = calls["rank"] == 0 and calls["kernel"] == [d_size + 1] and spans_ok
         plans.append((a_mask, built is not None, cheap))
@@ -946,9 +974,23 @@ def test_basis_indicator_chains_count_rows_by_circuits(overrides, monkeypatch):
         patch.setattr(Matroid, "_circuit_plan", plan)
         patch.setattr(family, "_span_kernel", kernel)
         patch.setattr(matroids, "_component_labels", labels)
+        real_tables = Matroid._dense_tables
+        patch.setattr(Matroid, "_dense_tables", lambda self: tables.append(self) or real_tables(self))
         report, code = cold_run(config)
     assert code == 0
     assert all(built and cheap for _, built, cheap in plans), plans
     assert len({a for a, _, _ in plans}) > 1
+    assert not tables
+    if rank is not None:
+        # The tables are built from the rank's closed form: the oracle
+        # loop over 2^20 masks takes seconds per family.
+        m = matroid_from_descriptor(config.matroid)
+        masks = np.random.default_rng(0).integers(1 << 20, size=300).tolist()
+        assert [rank(s) for s in masks] == [m.rank(s) for s in masks]
+        m._rank_masked = rank
+        m.rank_table()
+        del m._rank_masked
+        monkeypatch.setattr(cli, "matroid_from_descriptor", lambda desc: m)
+        assert cold_run(config)[0].to_json() == report.to_json()
     monkeypatch.setattr(Matroid, "_circuit_plan", lambda *a: None)
     assert cold_run(config)[0].to_json() == report.to_json()
