@@ -17,11 +17,11 @@ drawn.  On both, the matroid's span counter counts the outcome or sample
 rows, by fundamental circuits when the drawn columns are independent after
 A, else with the kernel of its family, and alone builds any dense table.
 
-The known-marginals baseline link (``minimal_link_construction``) reads
-its probabilities from the package's one spanning-probability oracle in
-``sampling``, through the exact branch's per-element entry
-``spanned_weight``, because its base differs per element.  The freeness of
-an element at its level is read from the same oracle by ``verify``.
+The known-marginals baseline link (``minimal_link_construction``) iterates
+the package's one spanning-probability oracle, ``sampling.span_probabilities``:
+Pr[e ∈ span(A ∪ R(x))], the probability whose sample frequency the link
+builder compares with its bar.  The freeness of an element at its level is
+read from the same oracle by ``verify``.
 
 Eight shortcuts save time without changing any output or the generator
 state after a build.  The first three rest on two facts.  numpy draws the
@@ -30,11 +30,10 @@ same stream whether values come one call at a time or in one batched call:
 ``rng.multinomial(q, p, size=h)`` equals h calls of ``rng.multinomial(q, p)``,
 and ``sampling.draw_rows`` over consecutive row blocks, or over a (g, q, s)
 batch, flags what that many calls of ``rng.random((q, s)) < x`` flag: it
-compares the 53-bit integers k of the doubles k * 2^-53, drawn as 64-bit
-words for the bit generators that make doubles from one word, with
-ceil(x * 2^53).  And an iteration whose set equals A_{h-1} leaves the next
-iteration where it was, so only the iterations that change A need a new
-classification.
+compares the 53-bit integers k of the doubles k * 2^-53, drawn as Philox's
+64-bit words, with ceil(x * 2^53).  And an iteration whose set equals
+A_{h-1} leaves the next iteration where it was, so only the iterations that
+change A need a new classification.
 
 * Absorbing tail (``ChainPlan.sample``): once a link's ground set C holds no
   element with a positive marginal, the link's estimates are
@@ -79,22 +78,19 @@ classification.
   builds its estimator per link.
 * Decided row blocks (``_SpanCountEstimator._row_flags``): an iteration
   too large for a batch is cut into row blocks, claimed in increasing
-  order by the calling thread, which draws from the caller's generator,
-  and, for a Philox generator on k CPUs, by one helper thread per extra
-  CPU (``chainocrs.workers``); numpy fills and compares them without the
-  interpreter lock.  Running totals decide an element once its count must
-  end above the bar, or cannot, whatever the rows not yet counted hold, and
-  once every element is decided no further block is drawn.  Each call
-  gives every worker its own row block, and every helper its own Philox
-  copy of the caller's generator as it stood when the call began; the
-  copy jumps to its block's offset in the iteration (``advance`` by whole
-  4-value steps, the rest drawn), so each block holds the values one full
-  draw puts there, and the integer totals do not depend on which worker
-  summed a row.  The caller's generator then skips to the end of the
-  iteration, by offset or by drawing, so the sets, the accounted draws
-  and the generator state are those of counting all q rows.  Another bit
-  generator, one CPU, or an iteration of at most a k-th of a row block
-  runs the loop on the calling thread alone.
+  order by the calling thread and, on k CPUs, by one helper thread per
+  extra CPU (``chainocrs.workers``); numpy fills and compares them without
+  the interpreter lock.  Running totals decide an element once its count
+  must end above the bar, or cannot, whatever the rows not yet counted
+  hold, and once every element is decided no further block is drawn.  Each
+  call gives every worker its own row block, and its own copy of the
+  caller's generator (``sampling.philox_copy``), which jumps to its
+  block's offset in the iteration (``sampling.skip_doubles``), so each
+  block holds the values one full draw puts there, and the integer totals
+  do not depend on which worker summed a row.  The caller's generator then
+  skips the iteration, so the sets, the accounted draws and the generator
+  state are those of counting all q rows.  One CPU, or an iteration of at
+  most a k-th of a row block, runs the loop on the calling thread alone.
 * Independent rows (``Matroid.span_counter``): when the drawn columns left
   after A are independent in M/A, every count, in a batch, a row block or
   the sampled oracle, is column sums and one matmul against the
@@ -129,8 +125,10 @@ from .sampling import (
     RowLaw,
     as_marginals,
     draw_rows,
+    philox_copy,
     realization_weights,
-    spanned_weight,
+    skip_doubles,
+    span_probabilities,
     universe_marginals,
 )
 
@@ -417,10 +415,10 @@ class _SpanCountEstimator:
     ``rng.random((q, s))`` calls, so the stream is that of one full draw
     per iteration, and the rest of a batch is counted again only after an
     iteration whose set differs from A.  The blocks of a larger iteration
-    are drawn and counted, on every CPU from a Philox generator, each block
-    from its own offset in that stream, and drawing stops once the running
-    totals decide every element; the generator still ends after the
-    iteration's q rows.
+    are drawn and counted on every CPU, each block from its own offset in
+    that stream, and drawing stops once the running totals decide every
+    element; the generator still ends after the iteration's q rows.  Rows
+    are drawn only from a Philox generator (``sampling.draw_rows``).
     """
 
     def __init__(self, m: Matroid, x: np.ndarray, q: int):
@@ -557,35 +555,32 @@ class _SpanCountEstimator:
     def _row_flags(self, a_mask: int, bar: float, rng: np.random.Generator) -> np.ndarray:
         """Flags, in ground order, of the elements spanned in more than
         ``bar`` of q fresh rows given A = a_mask, from as few rows as decide
-        every element, on one worker per CPU for a Philox generator, else one.
+        every element, on one worker per CPU.
 
         Workers claim row blocks in increasing order, each into a block of its
-        own made for this call.  Worker 0 draws from ``rng``, and each helper
-        makes a Philox copy of ``rng`` as it stood before any block was drawn
-        and moves it to its block's offset in the iteration, so every block
-        flags the values one ``rng.random((q, s))`` call puts there.  Under
-        the claim lock a worker adds its block's counts to the running totals
-        and decides what they settle: after ``done`` rows an element is in
-        once its total exceeds ``bar``, and out once its total plus the
-        q - done rows not yet counted does not.  A row moves either margin
-        by at most one, so no element is decided before ``needed`` rows:
-        blocks up to that row hold up to a k-th of ROW_BLOCK_VALUES values,
-        and blocks past it a DECIDE_SPLIT-th of that.  Once every element is
-        decided no block is claimed, and ``rng`` skips to the end of the
-        iteration; after an error it is left where worker 0 stopped.
+        own made for this call.  Each worker draws from its own copy of
+        ``rng``, which it moves to its block's offset in the iteration, so
+        every block flags the values one ``rng.random((q, s))`` call puts
+        there.  Under the claim lock a worker adds its block's counts to the
+        running totals and decides what they settle: after ``done`` rows an
+        element is in once its total exceeds ``bar``, and out once its total
+        plus the q - done rows not yet counted does not.  A row moves either
+        margin by at most one, so no element is decided before ``needed``
+        rows: blocks up to that row hold up to a k-th of ROW_BLOCK_VALUES
+        values, and blocks past it a DECIDE_SPLIT-th of that.  Once every
+        element is decided no block is claimed, and ``rng`` skips the
+        iteration's q rows; after an error it is left where it stood.
         """
         q, s = self.q, len(self.sup_ids)
         in_a = self._in_a(a_mask)
         if q <= bar:
             # No count can exceed the bar.
-            workers.skip_doubles(rng, q * s)
+            skip_doubles(rng, q * s)
             return np.zeros(len(in_a), dtype=bool)
-        k = workers.cpus() if isinstance(rng.bit_generator, np.random.Philox) else 1
+        k = workers.cpus()
         rows = max(1, ROW_BLOCK_VALUES // (k * s))
         k = min(k, -(-q // rows))
         small = max(1, rows // DECIDE_SPLIT)
-        # Worker 0 moves rng while the helpers copy it, so they copy this.
-        start_state = rng.bit_generator.state
         claim = threading.Lock()
         total = np.zeros(self.m.n_universe, dtype=np.int64)
         # Elements of A are spanned by every row, so q > bar puts them in.
@@ -594,12 +589,9 @@ class _SpanCountEstimator:
         needed = min(bar, q - bar)
         failed = False
 
-        def work(i: int) -> int:
+        def work(_: int) -> None:
             nonlocal undecided, done, claimed, needed, failed
-            gen = rng
-            if i:
-                gen = np.random.Generator(np.random.Philox(key=0))
-                gen.bit_generator.state = start_state
+            gen = philox_copy(rng)
             active = np.empty((rows, s), dtype=bool)
             counts = None
             at = 0
@@ -615,19 +607,19 @@ class _SpanCountEstimator:
                         needed = done + np.minimum(to_in, to_out)[open_].max(initial=0)
                     start = claimed
                     if failed or not len(undecided) or start == q:
-                        return at
+                        return
                     b = min(max(int(needed) - start, small), rows, q - start)
                     claimed += b
                 try:
-                    workers.skip_doubles(gen, (start - at) * s)
+                    skip_doubles(gen, (start - at) * s)
                     at = start + b
                     counts = self.count(draw_rows(gen, self.law, (b, s), out=active[:b]), a_mask)
                 except BaseException:
                     failed = True
                     raise
 
-        at = workers.run_workers(k, work)[0]
-        workers.skip_doubles(rng, (q - at) * s)
+        workers.run_workers(k, work)
+        skip_doubles(rng, q * s)
         return (total[self.ground_ids] > bar) | in_a
 
 
@@ -713,7 +705,9 @@ class ChainPlan:
         return self._loops[0]
 
     def sample(self, rng: np.random.Generator) -> tuple[SpanningChain, BuildTrace]:
-        """One spanning chain; the links C_1, ..., C_zeta are drawn from ``rng``."""
+        """One spanning chain; the links C_1, ..., C_zeta are drawn from
+        ``rng``, a Philox generator wherever a link draws sample rows
+        (``sampling.draw_rows`` raises ``TypeError`` for any other)."""
         m, zeta, params = self.m, self.zeta, self.params
         links = [m.ground_mask]
         sampled: list[LinkTrace] = []
@@ -832,28 +826,23 @@ def ocrs_chain(
 
 
 def minimal_link_construction(m: Matroid, x: np.ndarray, tau: float) -> int:
-    """Known-marginals baseline link: fixed point of the exact iteration
+    """Known-marginals baseline link: the exact counterpart of the sampled
+    link, iterated from A_0 = ∅ until the set repeats,
 
-        A_i = {e : Pr[e ∈ span((R(x) ∪ A_{i-1}) \\ {e})] > tau}.
+        A_i = {e : Pr[e ∈ span(A_{i-1} ∪ R(x))] > tau}.
 
-    Uses exact probabilities, so it is limited to small ground sets.
+    Every realization spans A_{i-1}, so the sets grow to a fixed point.  The
+    probabilities are exact (``span_probabilities``), so it is limited to
+    small ground sets.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     x = universe_marginals(m, x)
     if m.n_universe > SPAN_TABLE_MAX:
         raise ValueError(f"the minimal link is exact and limited to n <= {SPAN_TABLE_MAX}")
-    w = realization_weights(x)
-    lookup = m.span_lookup()
-    idx = np.arange(len(w), dtype=np.int64)
     a = 0
     while True:
-        new = 0
-        for e in iter_ids(m.ground_mask):
-            # Clearing e's bit reads every realization as (R(x) ∪ A) \ {e}.
-            spans = lookup((idx | np.int64(a)) & ~np.int64(1 << e))
-            if spanned_weight(w, spans, e) > tau:
-                new |= 1 << e
+        new = mask_of(np.flatnonzero(span_probabilities(m, x, a) > tau).tolist())
         if new == a:
             return a
         a = new

@@ -12,8 +12,9 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream)``: trial i uses stream id i, so its draws do not depend
 on any other trial.  ``RngStream.rekey`` moves an existing generator to the
 start of a stream, so a loop over trials builds one generator, not one per
-trial.  Every block of sample rows is drawn by ``draw_rows``,
-which compares 53-bit integers where the bit generator allows it.
+trial.  Only this module knows Philox's word layout: ``draw_rows`` draws
+every block of sample rows as raw 64-bit words and ``skip_doubles`` moves a
+generator by a counter jump, and both refuse any other bit generator.
 """
 
 from __future__ import annotations
@@ -78,6 +79,48 @@ class RngStream:
         return RngStream(self.seed, self.stream * 0x9E3779B97F4A7C15 + i + 1)
 
 
+def _philox(gen: np.random.Generator) -> np.random.Philox:
+    """The bit generator of ``gen``, which must be a Philox."""
+    bg = gen.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        raise TypeError(f"a Philox generator is required, got {type(bg).__name__}")
+    return bg
+
+
+def skip_doubles(gen: np.random.Generator, d: int) -> None:
+    """Move the Philox generator ``gen``, state and all, as d ``gen.random()``
+    calls would.
+
+    Philox makes 4 values per counter step and buffers them.  ``advance``
+    moves the counter by whole steps past the buffered values, but drops
+    the buffer and the saved 32-bit half-word, so it stops short of the
+    last 1-4 values, which are drawn to fill the buffer, and the half-word
+    is put back.
+    """
+    bg = _philox(gen)
+    if not d:
+        return
+    state = bg.state
+    buffered = 4 - state["buffer_pos"]
+    if d > buffered:
+        steps = (d - buffered - 1) // 4
+        bg.advance(steps)
+        d -= buffered + 4 * steps
+        if state["has_uint32"]:
+            after = bg.state
+            after["has_uint32"], after["uinteger"] = 1, state["uinteger"]
+            bg.state = after
+    gen.random(d)
+
+
+def philox_copy(gen: np.random.Generator) -> np.random.Generator:
+    """A new generator at the state of the Philox generator ``gen``."""
+    # A fixed seed: an unseeded Philox draws OS entropy that the state replaces.
+    out = np.random.Generator(np.random.Philox(0))
+    out.bit_generator.state = _philox(gen).state
+    return out
+
+
 def as_marginals(values: Sequence[float]) -> np.ndarray:
     """Validate and convert per-element activation probabilities."""
     x = np.asarray(values, dtype=np.float64)
@@ -102,7 +145,7 @@ def sample_active_set(x: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class RowLaw:
-    """Marginals ``x`` of s row columns, prepared once for ``draw_rows``.
+    """Marginals x of s row columns, prepared once for ``draw_rows``.
 
     ``below`` holds the 64-bit word thresholds ceil(x * 2^53) * 2^11 in
     ``rows`` equal rows, and ``ones`` flags the columns with x = 1, or is
@@ -111,10 +154,9 @@ class RowLaw:
     does faster than broadcasting one row; a larger draw broadcasts it.
     """
 
-    __slots__ = ("x", "below", "ones")
+    __slots__ = ("below", "ones")
 
     def __init__(self, x: np.ndarray, rows: int = 1):
-        self.x = x
         # ceil(x * 2^53) * 2^11 wraps to 0 at x = 1 only; draw_rows sets
         # those columns after the compare.
         below = np.ceil(np.multiply(x, 2.0**53)).astype(np.uint64) << np.uint64(11)
@@ -127,24 +169,19 @@ def draw_rows(
     rng: np.random.Generator, law: RowLaw, shape: tuple, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Row flags ``rng.random(shape) < x`` for the marginals x of ``law``,
-    with the same generator state after.  A caller that draws repeatedly
-    builds the law once.
+    with the same generator state after, from the Philox generator ``rng``.
+    A caller that draws repeatedly builds the law once.
 
-    ``random()`` returns k * 2^-53 for an integer k < 2^53, and
-    k * 2^-53 < x iff k < ceil(x * 2^53).  Philox, PCG64, PCG64DXSM and
-    SFC64 make k as ``next_uint64 >> 11``, so for them the raw words w are
-    drawn and compared with the law's thresholds without a float block:
-    for x < 1, w >> 11 < t iff w < t * 2^11, which fits in 64 bits; x = 1
-    flags every row.  MT19937, which builds its doubles from two 32-bit
-    words, and any other bit generator draw the doubles.  ``out`` takes the
-    flags.
+    ``random()`` returns k * 2^-53 for the integer k = ``next_uint64 >> 11``,
+    and k * 2^-53 < x iff k < ceil(x * 2^53), so the raw words w are drawn
+    and compared with the law's thresholds without a float block: for
+    x < 1, w >> 11 < t iff w < t * 2^11, which fits in 64 bits; x = 1 flags
+    every row.  ``out`` takes the flags.
     """
-    one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
-    if not isinstance(rng.bit_generator, one_word):
-        return np.less(rng.random(shape), law.x, out=out)
+    bg = _philox(rng)
     rows = math.prod(shape[:-1])
     below = law.below[:rows].reshape(shape) if rows <= len(law.below) else law.below[0]
-    flags = np.less(rng.bit_generator.random_raw(shape), below, out=out)
+    flags = np.less(bg.random_raw(shape), below, out=out)
     if law.ones is not None:
         np.logical_or(flags, law.ones, out=flags)
     return flags
@@ -195,8 +232,9 @@ def span_probabilities(
 
     Up to ``SPAN_TABLE_MAX`` elements the probabilities are exact, summed
     over all 2^n realizations.  Beyond, they are frequencies over
-    ``samples`` rows of D(x) drawn from ``rng``, which must then be given.
-    Only the ground set of ``m`` counts: R(x) is read as R(x) ∩ ground.
+    ``samples`` rows of D(x) drawn from ``rng``, which must then be given,
+    as a Philox generator (``draw_rows``).  Only the ground set of ``m``
+    counts: R(x) is read as R(x) ∩ ground.
     """
     x = universe_marginals(m, x)
     if base & ~m.ground_mask:
@@ -211,13 +249,8 @@ def span_probabilities(
     spans = m.span_lookup()(np.arange(len(w), dtype=np.int64) | np.int64(base))
     probs = np.zeros(m.n_universe)
     for e in iter_ids(m.ground_mask):
-        probs[e] = spanned_weight(w, spans, e)
+        probs[e] = w @ ((spans >> np.int64(e)) & 1)
     return probs
-
-
-def spanned_weight(w: np.ndarray, spans: np.ndarray, e: int) -> float:
-    """Exact Pr[e ∈ span]: weights ``w[r]`` of the realizations r with e in ``spans[r]``."""
-    return float(w @ ((spans >> np.int64(e)) & 1))
 
 
 def _sampled_span_probabilities(

@@ -8,8 +8,7 @@ once.  ``run_workers`` runs ``work(0)`` on the calling thread
 and ``work(1)``, ..., ``work(k-1)`` on daemon helper threads.  Helpers are
 a process-wide resource: they start on first use, one per worker beyond
 the first, and then wait for the next call.  Importing this module starts
-no thread.  ``skip_doubles`` moves a generator forward by a number of
-draws, so that each worker can draw from its own offset of one stream.
+no thread.
 
 ``map_trials`` runs the independent trials of an experiment on the same
 helpers: trial t draws only from its own substream, so the trials can run
@@ -38,40 +37,6 @@ def cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-#: Doubles drawn per call when skipping on a generator without ``advance``.
-SKIP_CHUNK = 1 << 16
-
-
-def skip_doubles(gen: np.random.Generator, d: int) -> None:
-    """Move ``gen``, state and all, as d ``gen.random()`` calls would.
-
-    A bit generator other than Philox draws the d values and drops them,
-    at most ``SKIP_CHUNK`` at a time.  Philox makes 4 values per counter
-    step and buffers them.  ``advance`` moves the counter by whole steps
-    past the buffered values, but drops the buffer and the saved 32-bit
-    half-word, so it stops short of the last 1-4 values, which are drawn
-    to fill the buffer, and the half-word is put back.
-    """
-    if not d:
-        return
-    bg = gen.bit_generator
-    if not isinstance(bg, np.random.Philox):
-        for start in range(0, d, SKIP_CHUNK):
-            gen.random(min(SKIP_CHUNK, d - start))
-        return
-    state = bg.state
-    buffered = 4 - state["buffer_pos"]
-    if d > buffered:
-        steps = (d - buffered - 1) // 4
-        bg.advance(steps)
-        d -= buffered + 4 * steps
-        if state["has_uint32"]:
-            after = bg.state
-            after["has_uint32"], after["uinteger"] = 1, state["uinteger"]
-            bg.state = after
-    gen.random(d)
 
 
 class _Helper:

@@ -32,7 +32,13 @@ from chainocrs import chains, cli, matroids, workers
 from chainocrs.bitset import full_mask, ids_of, iter_ids, mask_of
 from chainocrs.chains import _SpanCountEstimator
 from chainocrs.matroids import Matroid, MinorMatroid
-from chainocrs.sampling import RowLaw, draw_rows, realization_weights
+from chainocrs.sampling import (
+    RowLaw,
+    draw_rows,
+    realization_weights,
+    skip_doubles,
+    span_probabilities,
+)
 from chainocrs.stats import bonferroni_z
 from chainocrs.verify import verify_in_link_loss, verify_progress
 from conftest import chain_freeness, explicit_corpus, random_explicit_matroid, small_corpus
@@ -744,7 +750,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
     # change of A.  On theta the circuit matmul is skipped for some groups
     # of a batch and run for others.  One case has a support column at
     # x = 1, whose threshold word wraps to 0 and is flagged after the
-    # compare, and one draws from MT19937, whose rows are drawn as doubles.
+    # compare.
     theta = _theta(19)
     x_theta = np.zeros(39)
     x_theta[[0] + list(range(1, 39, 2))] = 0.3  # on a spanning tree
@@ -758,7 +764,6 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         (theta, x_theta, 0.29, 100),  # circuits, bar 28.999999999999996
         (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
         (UniformMatroid(4, 30), [1.0] + [0.5] + [0.1] * 28, 0.7, 40),  # x = 1
-        (theta, x_theta, 0.28, 40, np.random.MT19937),  # double draws
     ]
     per_batch = 3
     batch_calls, counted_groups, batch_groups = [], [], []
@@ -783,7 +788,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
 
     monkeypatch.setattr(_SpanCountEstimator, "__init__", init)
     monkeypatch.setattr(matroids, "ROW_BLOCK_VALUES", 250)
-    for m, x, threshold, q, *bit_generator in cases:
+    for m, x, threshold, q in cases:
         x = as_marginals(x)
         s = sum(x[e] > 0 for e in iter_ids(m.ground_mask))
         monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", chains.BATCH_SPLIT * per_batch * q * s)
@@ -793,10 +798,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         counted_groups.clear()
         batch_groups.clear()
         for seed in range(8):
-            if bit_generator:
-                rng, ref_rng = (np.random.Generator(bit_generator[0](seed)) for _ in range(2))
-            else:
-                rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
+            rng, ref_rng = RngStream(seed).generator(), RngStream(seed).generator()
             batch_calls.clear()
             link = single_ocrs_link(m, x, params, rng)
             calls = list(batch_calls)
@@ -1058,28 +1060,26 @@ def test_decided_rows_stop_at_the_first_deciding_row(monkeypatch):
     assert at_threshold == 1
 
 
-def test_block_loop_runs_on_the_calling_thread_without_philox_or_a_second_cpu(monkeypatch):
-    # PCG64 and MT19937 generators, an iteration of at most a k-th of
-    # ROW_BLOCK_VALUES values on k CPUs, and any iteration on one CPU run
-    # the block loop on this thread alone, drawing from the caller's
-    # generator and starting no thread; the non-Philox iterations span
-    # many row blocks.  A larger Philox iteration on two CPUs runs on both
-    # even when it fits in one row block, as criterion 10's rho = 8
-    # iterations (0.82 of one) do.  Every set and generator state is the
-    # full count's, and far from the threshold (every element is spanned
-    # by about 0.57 or 0.71 of the rows, the bar is 0.3) fewer than q rows
-    # are counted.
+def test_block_loop_runs_on_the_calling_thread_without_a_second_cpu(monkeypatch):
+    # An iteration of at most a k-th of ROW_BLOCK_VALUES values on k CPUs,
+    # and any iteration on one CPU, run the block loop on this thread
+    # alone, starting no thread; on one CPU an iteration spans many row
+    # blocks.  A larger iteration on two CPUs runs on both even when it
+    # fits in one row block, as criterion 10's rho = 8 iterations (0.82 of
+    # one) do.  Every set and generator state is the full count's, and far
+    # from the threshold (every element is spanned by about 0.57 or 0.71 of
+    # the rows, the bar is 0.3) fewer than q rows are counted.
     m = UniformMatroid(4, 30)
     x = as_marginals([0.5] * 2 + [0.1] * 28)
     runs = _record_runs(monkeypatch)
 
-    def check(q, generator, cpus, block_rows):
+    def check(q, cpus, block_rows):
         monkeypatch.setattr(workers, "cpus", lambda: cpus)
         monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", block_rows * 30)
         est = _SpanCountEstimator(m, x, q)
         real_count, drawn = est.count, []
         est.count = lambda rows, a_mask: drawn.append(len(rows)) or real_count(rows, a_mask)
-        rng, ref_rng = generator(), generator()
+        rng, ref_rng = RngStream(0).generator(), RngStream(0).generator()
         flags = est._row_flags(0, 0.3 * q, rng)
         est.count = real_count
         assert flags.tolist() == _full_count_flags(est, 0, 0.3 * q, ref_rng).tolist()
@@ -1087,19 +1087,14 @@ def test_block_loop_runs_on_the_calling_thread_without_philox_or_a_second_cpu(mo
         assert sum(drawn) < q
         return drawn
 
-    pcg, philox = (lambda: np.random.default_rng(0)), RngStream(0).generator
-    mt = lambda: np.random.Generator(np.random.MT19937(0))  # noqa: E731
     threads = threading.active_count()
-    for generator in (pcg, mt):
-        assert len(check(400, generator, 2, 24)) > 2
-        assert runs == [(1, 1)]
-        runs.clear()
-    check(400, philox, 2, 800)
-    check(41, philox, 1, 24)
-    assert runs == [(1, 1)] * 2
+    assert len(check(400, 1, 24)) > 2
+    check(400, 2, 800)
+    check(41, 1, 24)
+    assert runs == [(1, 1)] * 3
     assert threading.active_count() == threads
     runs.clear()
-    check(400, philox, 2, 480)
+    check(400, 2, 480)
     assert runs == [(2, 2)]
     # Pinned to one CPU (this thread only, restored after).
     if not hasattr(os, "sched_setaffinity"):
@@ -1122,13 +1117,19 @@ def test_block_loop_runs_on_the_calling_thread_without_philox_or_a_second_cpu(mo
     "bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox]
 )
 def test_skip_doubles_matches_single_draws(bit_generator, pre):
-    # From any buffer position, and with a saved 32-bit half-word, skipping
-    # d doubles leaves the generator as d random() calls do, also for d
-    # past one SKIP_CHUNK of the draw-and-discard loop.
-    for d in (0, 1, 5, workers.SKIP_CHUNK + 7):
+    # From any Philox buffer position, and with a saved 32-bit half-word,
+    # skipping d doubles leaves the generator as d random() calls do, also
+    # for d past 2^16.  The skip rests on Philox's counter, so every other
+    # bit generator is refused by name and left where it stood.
+    for d in (0, 1, 5, (1 << 16) + 7):
         rng = _at_buffer_position(np.random.Generator(bit_generator(3)), pre)
         ref_rng = _at_buffer_position(np.random.Generator(bit_generator(3)), pre)
-        workers.skip_doubles(rng, d)
+        if bit_generator is not np.random.Philox:
+            with pytest.raises(TypeError, match=bit_generator.__name__):
+                skip_doubles(rng, d)
+            assert _state_of(rng) == _state_of(ref_rng)
+            continue
+        skip_doubles(rng, d)
         for _ in range(d):
             ref_rng.random()
         assert _state_of(rng) == _state_of(ref_rng)
@@ -1148,13 +1149,22 @@ def test_draw_rows_matches_double_draws(bit_generator, pre):
     # the column itself, its neighbours k * 2^-53 on either side, and the
     # point halfway to the next one.  Each is drawn against a RowLaw of one
     # threshold row, which the compare broadcasts, and of as many rows as
-    # the draw or more, a prefix of which the compare reads.
+    # the draw or more, a prefix of which the compare reads.  The words are
+    # Philox's, so every other bit generator is refused by name and left
+    # where it stood.
     step = 2.0**-53
     fixed = [0.0, step, 0.25, 1 / 3, 1 - step, 1.0]
     shape = (2, 9, len(fixed) + 8)
 
     def fresh():
         return _at_buffer_position(np.random.Generator(bit_generator(11)), pre)
+
+    if bit_generator is not np.random.Philox:
+        rng, ref = fresh(), fresh()
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            draw_rows(rng, RowLaw(np.array(fixed)), (3, len(fixed)))
+        assert _state_of(rng) == _state_of(ref)
+        return
 
     drawn = fresh().random(shape)
     # Below 1/2, k + 1/2 steps is a double.
@@ -1173,6 +1183,27 @@ def test_draw_rows_matches_double_draws(bit_generator, pre):
         flags = draw_rows(rng, RowLaw(x[:6], law_rows), (5, 6))
         assert flags.tolist() == (ref.random((5, 6)) < x[:6]).tolist()
         assert _state_of(rng) == _state_of(ref)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.MT19937]
+)
+def test_row_draws_refuse_other_bit_generators(bit_generator, monkeypatch):
+    # Sample rows come only from Philox words: a rows-path first link on
+    # theta-39 with marginals on a spanning tree, whether its iterations
+    # are batched or drawn in decided row blocks, and the sampled branch of
+    # the oracle raise TypeError naming the bit generator.
+    theta = _theta(19)
+    x = np.zeros(39)
+    x[[0] + list(range(1, 39, 2))] = 0.3
+    for row_block_values in (chains.ROW_BLOCK_VALUES, 40 * 20):
+        monkeypatch.setattr(chains, "ROW_BLOCK_VALUES", row_block_values)
+        plan = chain_plan(theta, x, 0.5, 0.05, ParamOverrides(q=40, eta=4, zeta=3))
+        assert plan.first_estimator.path == "rows"
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            plan.link(np.random.Generator(bit_generator(5)))
+    with pytest.raises(TypeError, match=bit_generator.__name__):
+        span_probabilities(theta, x, 0, np.random.Generator(bit_generator(5)), 100)
 
 
 def test_parallel_row_blocks_under_thread_switching(monkeypatch):
@@ -1770,18 +1801,15 @@ def test_minimal_link_fixed_point_and_monotone_iteration(u24, k3):
     ]
     for m, x, tau in w_cases:
         out = minimal_link_construction(m, x, tau)
-        # re-derive the iteration: A grows monotonically and out is its limit
+        # Re-derive the iteration over every realization r, with weight w[r]:
+        # A grows monotonically and out is its limit.
         w = realization_weights(x)
-        lookup = m.span_lookup()
-        idx = np.arange(len(w), dtype=np.int64)
 
         def step(a_mask):
             new = 0
-            for e in range(m.n_universe):
-                if not (m.ground_mask >> e) & 1:
-                    continue
-                spans = lookup((idx | np.int64(a_mask)) & ~np.int64(1 << e))
-                if float(w @ ((spans >> np.int64(e)) & 1)) > tau:
+            for e in iter_ids(m.ground_mask):
+                p = sum(w[r] for r in range(len(w)) if (m.span(r | a_mask) >> e) & 1)
+                if p > tau:
                     new |= 1 << e
             return new
 
@@ -1795,6 +1823,18 @@ def test_minimal_link_fixed_point_and_monotone_iteration(u24, k3):
             seen = nxt
         assert seen == out
         assert step(out) == out  # stabilized set is a fixed point
+
+
+def test_minimal_link_counts_active_elements_as_spanned(u24):
+    # On U_{2,4} at x = 0.25, Pr[e ∈ span(R)] = 0.3671875, and 0.578125
+    # once A holds another element; e counts as spanned whenever it is
+    # active, as in the sampled link.  So the link is N at tau = 0.36 and ∅
+    # at tau = 0.37; Pr[e ∈ span(R \ {e})] = 0.15625 would give ∅ at both.
+    x = as_marginals([0.25] * 4)
+    assert span_probabilities(u24, x, 0).tolist() == [0.3671875] * 4
+    assert span_probabilities(u24, x, 0b1)[1:].tolist() == [0.578125] * 3
+    assert minimal_link_construction(u24, x, 0.36) == 0b1111
+    assert minimal_link_construction(u24, x, 0.37) == 0
 
 
 # -- freeness ----------------------------------------------------------------

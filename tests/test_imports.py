@@ -97,3 +97,33 @@ def test_unread_definition_is_found():
 def test_every_definition_is_read_or_exported():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources) == []
+
+
+def philox_uses(source: str) -> list[str]:
+    """Places where ``source`` names ``Philox`` or reads ``.bit_generator``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in ("Philox", "bit_generator"):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_philox_use_is_found():
+    source = "import numpy as np\ng = np.random.Philox(0)\nstate = rng.bit_generator.state\n"
+    assert philox_uses(source) == ["Philox (line 2)", "bit_generator (line 3)"]
+
+
+# Row draws and skips rest on Philox's word and counter layout, so only
+# ``sampling`` may build a Philox or reach behind a generator for its bit
+# generator; every other module draws through ``sampling``.
+def test_only_sampling_knows_the_bit_generator():
+    uses = {
+        p.name: philox_uses(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "sampling.py"
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
