@@ -194,10 +194,9 @@ class LinkParams:
 
     ``threshold`` is used verbatim in the strict comparison P̂r[...] >
     threshold; callers that follow the chain recipe pass (1-eps)*tau here.
-    ``q`` and ``eta`` default to their formula values; ``conforming`` is
-    False whenever either was overridden.  h̄ lies in {1, ..., eta}, with
-    Pr[h̄=1] = (1+eps)^(1-eta) and Pr[h̄=h] = eps * Pr[h̄<h] for h >= 2,
-    equivalently Pr[h̄<=h] = (1+eps) * Pr[h̄<=h-1].
+    ``q`` and ``eta`` default to their formula values.  h̄ lies in
+    {1, ..., eta}, with Pr[h̄=1] = (1+eps)^(1-eta) and Pr[h̄=h] =
+    eps * Pr[h̄<h] for h >= 2, equivalently Pr[h̄<=h] = (1+eps) * Pr[h̄<=h-1].
     """
 
     rho: int
@@ -205,7 +204,6 @@ class LinkParams:
     eps: float
     q: int
     eta: int
-    conforming: bool = True
 
     def __post_init__(self):
         self._check_ranges(self.rho, self.threshold, self.eps)
@@ -233,13 +231,12 @@ class LinkParams:
         cls._check_ranges(rho, threshold, eps)
         q = math.ceil(6.0 / (threshold * eps**2) * math.log(math.log(rho) / eps))
         eta = formula_eta(eps, rho)
-        conforming = True
         if overrides is not None:
             if overrides.q is not None:
-                q, conforming = overrides.q, False
+                q = overrides.q
             if overrides.eta is not None:
-                eta, conforming = overrides.eta, False
-        return cls(rho=rho, threshold=threshold, eps=eps, q=q, eta=eta, conforming=conforming)
+                eta = overrides.eta
+        return cls(rho=rho, threshold=threshold, eps=eps, q=q, eta=eta)
 
     @property
     def pmf(self) -> np.ndarray:
@@ -677,10 +674,11 @@ class ChainPlan:
     instance until another one runs.  ``sample`` builds one chain per call
     and ``link`` one first link.
     rho, q, eta, the threshold (1-eps)*tau and the cutoff law are in
-    ``params``.  ``x`` is a read-only copy, so a caller that later edits
-    its own array cannot change the plan's chains.  Every chain's first
-    link runs on ``m`` with ``first_estimator``, its estimator, which every
-    chain of the plan shares.
+    ``params``; ``conforming`` is False when an override set q, eta or
+    zeta, and every trace copies it.  ``x`` is a read-only copy, so a
+    caller that later edits its own array cannot change the plan's chains.
+    Every chain's first link runs on ``m`` with ``first_estimator``, its
+    estimator, which every chain of the plan shares.
     """
 
     m: Matroid
@@ -774,9 +772,8 @@ def chain_plan(
     # LinkParams checks eps, so it is built before zeta divides by eps.
     params = LinkParams.from_formula(max(m.full_rank(), 3), (1.0 - eps) * tau, eps, overrides)
     zeta = math.ceil(math.log(params.rho / eps) / eps)
-    conforming = True
     if overrides is not None and overrides.zeta is not None:
-        zeta, conforming = overrides.zeta, False
+        zeta = overrides.zeta
         if zeta < 1:
             raise ValueError(f"zeta must be positive, got {zeta}")
 
@@ -787,7 +784,7 @@ def chain_plan(
         m=m,
         x=x,
         zeta=zeta,
-        conforming=conforming and params.conforming,
+        conforming=overrides is None or not overrides.any_set,
         params=params,
         positive=positive,
         first_estimator=_SpanCountEstimator(m, x, params.q),

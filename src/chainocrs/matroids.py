@@ -2,10 +2,14 @@
 
 A matroid lives on a *universe* of element ids ``[0, n_universe)`` and
 exposes a ground set that is a subset of the universe (a proper subset for
-minors).  Minors are lightweight views that delegate to the base oracle:
-for a restriction to ``C`` and contraction of ``A``,
+minors).  The minors are restrictions: M|C is a lightweight view on ground
+set C that delegates to the base oracle,
 
-    rank(S) = rank_base(S | A) - rank_base(A),     ground = C \\ A.
+    rank(S) = rank_base(S),     span(S) = span_base(S) ∩ C,
+
+and a restriction of a view is a view of the same base.  A chain builds
+link i on M|C_{i-1}; the level minor (M|C_i)/C_{i+1} of selection and
+freeness is never built, its tests condition on C_{i+1} in M instead.
 
 All set arguments are bitmasks, see :mod:`chainocrs.bitset`.
 """
@@ -122,15 +126,7 @@ class Matroid:
         """Matroid induced on ``keep_mask`` (same ranks on its subsets)."""
         if keep_mask & ~self.ground_mask:
             raise ValueError("restriction set outside the ground set")
-        return MinorMatroid(self, restricted_to=keep_mask, contracted=0)
-
-    def contract(self, away_mask: int) -> "Matroid":
-        """Minor on ground \\ away with rank(S) = rank(S | away) - rank(away)."""
-        if away_mask & ~self.ground_mask:
-            raise ValueError("contraction set outside the ground set")
-        return MinorMatroid(
-            self, restricted_to=self.ground_mask & ~away_mask, contracted=away_mask
-        )
+        return MinorMatroid(self, keep_mask)
 
     # -- fast-path hooks ---------------------------------------------------
 
@@ -649,45 +645,31 @@ class ExplicitMatroid(Matroid):
 
 
 class MinorMatroid(Matroid):
-    """Restriction/contraction view over a base matroid."""
+    """Restriction view M|C over a base matroid M: ground set C, the base's
+    ranks, and spans cut to C."""
 
-    def __init__(self, base: Matroid, restricted_to: int, contracted: int):
-        if restricted_to & contracted:
-            raise ValueError("restriction and contraction sets must be disjoint")
+    def __init__(self, base: Matroid, restricted_to: int):
         super().__init__(base.n_universe, restricted_to)
         self.base = base
-        self.contracted = contracted
-        self._r_contracted = base._rank_masked(contracted) if contracted else 0
 
     def _rank_masked(self, mask: int) -> int:
-        if not self.contracted:
-            return self.base._rank_masked(mask)
-        return self.base._rank_masked(mask | self.contracted) - self._r_contracted
+        return self.base._rank_masked(mask)
 
     def restrict(self, keep_mask: int) -> "Matroid":
         if keep_mask & ~self.ground_mask:
             raise ValueError("restriction set outside the ground set")
-        return MinorMatroid(self.base, restricted_to=keep_mask, contracted=self.contracted)
-
-    def contract(self, away_mask: int) -> "Matroid":
-        if away_mask & ~self.ground_mask:
-            raise ValueError("contraction set outside the ground set")
-        return MinorMatroid(
-            self.base,
-            restricted_to=self.ground_mask & ~away_mask,
-            contracted=self.contracted | away_mask,
-        )
+        return MinorMatroid(self.base, keep_mask)
 
     def span(self, mask: int) -> int:
-        # span_{(M|C)/A}(S) = span_M(S ∪ A) ∩ (C \ A)
+        # span_{M|C}(S) = span_M(S) ∩ C
         if mask & ~self.ground_mask:
             raise ValueError("set outside the ground set")
-        return self.base.span(mask | self.contracted) & self.ground_mask
+        return self.base.span(mask) & self.ground_mask
 
     def _span_kernel(self, cols: np.ndarray, a_mask: int):
-        # Same identity as span: count in the base with A ∪ contracted, then
-        # zero the columns off this minor's ground set.
-        base_count = self.base._span_kernel(cols, a_mask | self.contracted)
+        # Same identity as span: count in the base, then zero the columns
+        # off this minor's ground set.
+        base_count = self.base._span_kernel(cols, a_mask)
         off = np.flatnonzero(~bits_of(self.ground_mask, self.n_universe))
 
         def count(rows: np.ndarray, bar: float | None = None) -> np.ndarray:
@@ -700,23 +682,8 @@ class MinorMatroid(Matroid):
     def _build_row_tables(self) -> bool:
         return self.base._build_row_tables()
 
-    def span_lookup(self):
-        base_lookup = self.base.span_lookup()
-        if base_lookup is None:
-            return None
-        contracted = np.int64(self.contracted)
-        ground = np.int64(self.ground_mask)
-
-        def lookup(masks: np.ndarray) -> np.ndarray:
-            return base_lookup((masks & ground) | contracted) & ground
-
-        return lookup
-
     def __repr__(self):
-        return (
-            f"MinorMatroid({self.base!r}, restricted_to={ids_of(self.ground_mask)}, "
-            f"contracted={ids_of(self.contracted)})"
-        )
+        return f"MinorMatroid({self.base!r}, restricted_to={ids_of(self.ground_mask)})"
 
 
 # ---------------------------------------------------------------------------

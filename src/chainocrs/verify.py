@@ -175,7 +175,10 @@ def verify_progress(
     overrides: ParamOverrides | None = None,
 ) -> VerifyReport:
     """Check: E[rank(A)] <= (1 + lambda - (1-3 eps) tau) * rank(M), for the
-    link of ``chain_plan(m, x, tau, eps, overrides)``."""
+    link of ``chain_plan(m, x, tau, eps, overrides)``.
+
+    x ∈ lambda * P_M is checked only at n <= SPAN_TABLE_MAX (20); beyond
+    it the check is skipped and x is taken as given."""
     if not lam < tau <= 1.0:
         raise ValueError("need lambda < tau <= 1")
     plan = chain_plan(m, x, tau, eps, overrides)
@@ -206,7 +209,10 @@ def verify_spanning(
     seed_stream: RngStream,
     overrides: ParamOverrides | None = None,
 ) -> VerifyReport:
-    """Check: the second-to-last chain link C_zeta is empty w.p. >= 1 - eps."""
+    """Check: the second-to-last chain link C_zeta is empty w.p. >= 1 - eps.
+
+    x ∈ lambda * P_M is checked only at n <= SPAN_TABLE_MAX (20); beyond
+    it the check is skipped and x is taken as given."""
     plan = scheme_plan(m, x, lam, eps, overrides)
     if m.n_universe <= SPAN_TABLE_MAX and not in_scaled_polytope(m, plan.x, lam):
         raise ValueError("marginals are not in lambda * P_M")
@@ -407,13 +413,16 @@ def t_alpha_bullets_hold(
     Second (for a given Q disjoint from T):
     E[r(Q ∩ span(T ∪ R) | T)] <= alpha * r(Q | T).
     """
-    return _bullets_hold(m, _exact_tables(m, x), result, q_mask)
+    tables = _exact_tables(m, x)
+    first = _first_bullet(tables, result)
+    if q_mask is None:
+        return first, None
+    return first, _second_bullet(tables, result, _t_spans(m, tables, result.t_mask), q_mask)
 
 
-def _bullets_hold(
-    m: Matroid, tables: _ExactTables, result: TAlphaResult, q_mask: int | None
-) -> tuple[bool, bool | None]:
-    """``t_alpha_bullets_hold`` from tables built once per verdict."""
+def _first_bullet(tables: _ExactTables, result: TAlphaResult) -> bool:
+    """E[r(T | B ∪ R)] <= (1-alpha) * r(T | B), from tables built once per
+    verdict."""
     masks, nums, denom, rank_t = tables
     a_num, a_den = result.alpha.numerator, result.alpha.denominator
     b, t = result.b_mask, result.t_mask
@@ -421,16 +430,27 @@ def _bullets_hold(
         n_r * (rank_t[t | r_mask] - rank_t[b | r_mask])
         for r_mask, n_r in zip(masks, nums)
     )
-    first = a_den * lhs1 <= (a_den - a_num) * denom * (rank_t[t] - rank_t[b])
-    if q_mask is None:
-        return first, None
+    return a_den * lhs1 <= (a_den - a_num) * denom * (rank_t[t] - rank_t[b])
+
+
+def _t_spans(m: Matroid, tables: _ExactTables, t: int) -> list[int]:
+    """span(T ∪ R) for every realization R of ``tables``."""
+    return m.span_lookup()(np.array(tables[0], dtype=np.int64) | np.int64(t)).tolist()
+
+
+def _second_bullet(
+    tables: _ExactTables, result: TAlphaResult, spans: list[int], q_mask: int
+) -> bool:
+    """E[r(Q ∩ span(T ∪ R) | T)] <= alpha * r(Q | T), with ``spans`` from
+    ``_t_spans``, which depend on T only and serve every Q."""
+    _, nums, denom, rank_t = tables
+    a_num, a_den = result.alpha.numerator, result.alpha.denominator
+    t = result.t_mask
     if q_mask & t:
         raise ValueError("Q must be disjoint from T")
     r_t = rank_t[t]
-    spans = m.span_lookup()(np.array(masks, dtype=np.int64) | np.int64(t)).tolist()
     lhs2 = sum(n_r * (rank_t[(q_mask & span) | t] - r_t) for span, n_r in zip(spans, nums))
-    second = a_den * lhs2 <= a_num * denom * (rank_t[q_mask | t] - r_t)
-    return first, second
+    return a_den * lhs2 <= a_num * denom * (rank_t[q_mask | t] - r_t)
 
 
 def verify_t_alpha(
@@ -443,7 +463,7 @@ def verify_t_alpha(
 ) -> VerifyReport:
     """Build T_alpha(B) and check both guarantees, the second over random Q."""
     result, tables = _brute_force_T_alpha(m, x, b_mask, alpha)
-    first, _ = _bullets_hold(m, tables, result, None)
+    first = _first_bullet(tables, result)
     checks = [
         VerifyCheck(
             name="contains-B",
@@ -455,14 +475,14 @@ def verify_t_alpha(
     ]
     outside = m.ground_mask & ~result.t_mask
     out_ids = ids_of(outside)
+    spans = _t_spans(m, tables, result.t_mask)
     failures = 0
     for _ in range(q_trials):
         q_mask = 0
         for e in out_ids:
             if rng.random() < 0.5:
                 q_mask |= 1 << e
-        _, second = _bullets_hold(m, tables, result, q_mask)
-        if not second:
+        if not _second_bullet(tables, result, spans, q_mask):
             failures += 1
     checks.append(
         VerifyCheck(name="overlap-bound-failures", measured=float(failures),

@@ -120,12 +120,18 @@ def test_link_params_formula_values():
     p = LinkParams.from_formula(3, (1 - 0.05) * 0.7, 0.05)
     assert p.q == math.ceil(6 / (0.665 * 0.05**2) * math.log(math.log(3) / 0.05))
     assert p.eta == 188
-    assert p.conforming
+    # A plan without overrides, or with none set, is conforming.
+    u24 = UniformMatroid(2, 4)
+    assert chain_plan(u24, np.zeros(4), 0.7, 0.05).conforming
+    assert chain_plan(u24, np.zeros(4), 0.7, 0.05, ParamOverrides()).conforming
 
 
 def test_link_params_overrides_flag():
     p = LinkParams.from_formula(3, 0.5, 0.05, ParamOverrides(q=10))
-    assert p.q == 10 and not p.conforming
+    assert p.q == 10
+    # Overriding any one of q, eta and zeta makes a plan non-conforming.
+    for overrides in (ParamOverrides(q=10), ParamOverrides(eta=5), ParamOverrides(zeta=2)):
+        assert not chain_plan(UniformMatroid(2, 4), np.zeros(4), 0.7, 0.05, overrides).conforming
     with pytest.raises(ValueError):
         LinkParams.from_formula(2, 0.5, 0.05)
     with pytest.raises(ValueError):
@@ -228,21 +234,18 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
     multi = _multigraph()
     u = UniformMatroid(6, 30)
     lam = _laminar()
+    keep = full_mask(24) & ~0b111
     cases = [
         (u, "uniform"),
         (u.restrict(full_mask(30) & ~0b111), "uniform"),
-        (u.contract(0b1011), "uniform"),
-        (u.contract(full_mask(8)), "uniform"),
         (k5, "table"),
-        (k5.contract(0b11), "table"),
         (k5.restrict(0b1111110), "table"),
         (theta, "labels"),
-        (theta.contract(0b110), "labels"),
+        (theta.restrict(full_mask(39) & ~0b110), "labels"),
         (multi, "labels"),
         (multi.restrict(mask_of(range(0, 45, 3)) | 0b11110), "labels"),
-        (multi.contract(mask_of([3, 7, 11, 30])), "labels"),
         (lam, "span"),
-        (lam.restrict(full_mask(24) & ~mask_of([5, 17])).contract(mask_of([0, 12])), "span"),
+        (lam.restrict(keep).restrict(keep & ~mask_of([5, 17])), "span"),
     ]
     calls = []
     real_span = Matroid.span
@@ -258,6 +261,7 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
     rng = np.random.default_rng(5)
     group_rng = np.random.default_rng(6)
     a_flagged = fallbacks = 0
+    minor_kernels_with_a = set()
     for m, kernel in cases:
         assert (m.span_lookup() is not None) == (kernel == "table")
         ground = ids_of(m.ground_mask)
@@ -269,6 +273,8 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             rows = rng.random((41, len(cols))) < 0.3
             rows[0], rows[1] = False, True
             a_flagged += bool(rows[:, (a_mask >> cols) & 1 == 1].any())
+            if a_mask and isinstance(m, MinorMatroid):
+                minor_kernels_with_a.add(kernel)
             expected = _span_reference(m, cols, rows, a_mask)
             # Only the per-row kernel makes span() calls, one per row: |D| + 1
             # for the circuit plan's one-row groups, and, when D is dependent
@@ -299,6 +305,8 @@ def test_span_counter_kernels_match_span_reference(monkeypatch):
             _check_bar_counts(m.span_counter(cols)(groups, a_mask, 4.0), expected, 4.0)
     assert a_flagged > len(cases)
     assert fallbacks > 0
+    # Every kernel kind counts a restriction under some A ≠ ∅.
+    assert minor_kernels_with_a == {"uniform", "table", "labels", "span"}
 
 
 def _check_bar_counts(got, counts, bar):
@@ -333,12 +341,12 @@ def test_circuit_counter_matches_span_reference(monkeypatch):
     k5 = GraphicMatroid(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     explicit = random_explicit_matroid(np.random.default_rng(3), 8)
     cases = [
-        u, u.restrict(full_mask(30) & ~0b111), u.contract(0b1011), UniformMatroid(20, 30),
-        part, part.contract(mask_of([0, 5, 6, 14])),
-        lam, lam.restrict(full_mask(24) & ~mask_of([5, 17])).contract(mask_of([0, 12])),
+        u, u.restrict(full_mask(30) & ~0b111), UniformMatroid(20, 30),
+        part, part.restrict(full_mask(24) & ~mask_of([0, 5, 6, 14])),
+        lam, lam.restrict(full_mask(24) & ~mask_of([5, 17])),
         multi, multi.restrict(mask_of(range(0, 45, 3)) | 0b11110),
-        multi.contract(mask_of([3, 7, 11, 30])), _theta(19), _theta(19).contract(0b110),
-        k5, k5.contract(0b11), explicit, explicit.restrict(0b11101110),
+        _theta(19), _theta(19).restrict(full_mask(39) & ~0b110),
+        k5, k5.restrict(0b1111110), explicit, explicit.restrict(0b11101110),
     ]
     built, planning, plan_spans = [], [], []
     real_plan, real_span = Matroid._circuit_plan, Matroid.span
@@ -499,8 +507,10 @@ def test_bar_counter_is_exact_above_the_bar():
     part = PartitionMatroid([range(0, 5), range(5, 14), range(14, 24)], [2, 4, 1])
     wheel, theta = _wheel(8), _theta(19)
     cases = [
-        u, u.contract(0b1011), part, part.contract(mask_of([0, 5, 6, 14])), _laminar(),
-        theta, theta.contract(0b110), wheel, wheel.contract(mask_of([0, 9])),
+        u, u.restrict(full_mask(30) & ~0b1011), part,
+        part.restrict(full_mask(24) & ~mask_of([0, 5, 6, 14])), _laminar(),
+        theta, theta.restrict(full_mask(39) & ~0b110), wheel,
+        wheel.restrict(wheel.ground_mask & ~mask_of([0, 9])),
     ]
     rng = np.random.default_rng(21)
     seen = {"A empty": 0, "A nonempty": 0, "skipped": 0, "counted": 0, "fallback": 0}
@@ -576,9 +586,9 @@ def test_graphic_span_matches_rank_span(monkeypatch):
     graphs += [k5, theta, multi]
     minors = [
         theta.restrict(full_mask(39) & ~0b110),
-        theta.contract(0b1011),
-        multi.contract(mask_of([0, 3, 7, 11, 30])),
-        multi.restrict(mask_of(range(0, 45, 3)) | 0b11110).contract(0b110),
+        theta.restrict(full_mask(39) & ~0b1011),
+        multi.restrict(full_mask(45) & ~mask_of([0, 3, 7, 11, 30])),
+        multi.restrict(mask_of(range(0, 45, 3)) | 0b11110).restrict(mask_of(range(0, 45, 3))),
     ]
     rng = np.random.default_rng(11)
     for m in graphs + minors:
@@ -588,11 +598,11 @@ def test_graphic_span_matches_rank_span(monkeypatch):
             mask = mask_of(e for e in ground if rng.random() < p)
             assert m.span(mask) == Matroid._span_masked(m, mask)
     # One union-find per query: no rank query per element.
-    minor = theta.contract(0b1)
+    minor = theta.restrict(full_mask(39) & ~0b1)
     monkeypatch.setattr(GraphicMatroid, "_rank_masked", lambda *a: pytest.fail("rank query"))
     assert theta.span(0b111) == 0b111
     assert multi.span(0) == mask_of(e for e, (u, v) in enumerate(multi.edges) if u == v)
-    assert minor.span(0b10) == 0b110
+    assert minor.span(0b1110) == 0b11110
     with pytest.raises(ValueError, match="outside the ground set"):
         theta.span(1 << 39)
     with pytest.raises(ValueError):
@@ -702,14 +712,16 @@ def test_fast_paths_match_sequential_reference(k3, u24, k4, monkeypatch):
             traces = _assert_chain_matches(looped, as_marginals(x), 0.7, seed, small)
             assert traces[-1].a_sets[-1] == 0b100
 
-    # A minor with a contraction: contracting edges (0,1) and (1,2) of K4
-    # turns edge (0,2) into a loop and leaves parallel pairs.
-    minor = k4.contract(0b1001)
+    # A restriction of K4 plus a loop (3, 3), without edges (0, 1) and
+    # (1, 2): every link is a restriction of a restriction, and the
+    # absorbing tail is the loop.
+    k4_looped = GraphicMatroid(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 3)])
+    minor = k4_looped.restrict(0b1110110)
     assert isinstance(minor, MinorMatroid)
-    x_minor = as_marginals([0.0, 0.0, 0.3, 0.0, 0.3, 0.0])
+    x_minor = as_marginals([0.0, 0.0, 0.3, 0.0, 0.3, 0.0, 0.0])
     for seed in range(3):
         traces = _assert_chain_matches(minor, x_minor, 0.7, seed, small)
-        assert traces[-1].a_sets[-1] == 0b10
+        assert traces[-1].a_sets[-1] == 0b1000000
 
     # Rows path through the cardinality kernel, in small row blocks so a
     # draw spans several of them.  The likely elements enter A and the rest
@@ -760,7 +772,7 @@ def test_batched_row_iterations_match_sequential_reference(monkeypatch):
         (k6, [1 / 6] * 15, 0.3, 40),  # span table
         (theta, x_theta, 0.28, 40),  # circuits
         (_multigraph(), [0.2] * 45, 0.3, 40),  # labels: dependent columns
-        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # circuits, minor
+        (theta.restrict(full_mask(39) - 1), np.r_[0.0, x_theta[1:]], 0.28, 40),  # circuits, minor
         (theta, x_theta, 0.29, 100),  # circuits, bar 28.999999999999996
         (_laminar(), [0.3] * 24, 0.6, 20),  # one span() call per row
         (UniformMatroid(4, 30), [1.0] + [0.5] + [0.1] * 28, 0.7, 40),  # x = 1
@@ -974,7 +986,7 @@ def test_parallel_row_blocks_match_sequential_loop(monkeypatch):
         (UniformMatroid(4, 30), [0.5] * 2 + [0.1] * 28, 0.7),  # cardinality
         (k6, [1 / 6] * 15, 0.3),  # span table
         (theta, x_theta, 0.28),  # circuits
-        (theta.contract(0b1), np.r_[0.0, x_theta[1:]], 0.28),  # circuits, minor
+        (theta.restrict(full_mask(39) - 1), np.r_[0.0, x_theta[1:]], 0.28),  # circuits, minor
         (multigraph, [0.2] * 45, 0.3),  # labels: dependent columns
         (_laminar(), [0.3] * 24, 0.6),  # one span() call per row
     ]
@@ -1458,7 +1470,7 @@ def test_outcome_membership_matches_the_span_table():
     rng = np.random.default_rng(9)
     k6 = GraphicMatroid(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
     for base in small_corpus() + explicit_corpus() + [k6]:
-        for m in (base, base.contract(1 << ids_of(base.ground_mask)[-1])):
+        for m in (base, base.restrict(base.ground_mask & ~(1 << ids_of(base.ground_mask)[-1]))):
             ids = ids_of(m.ground_mask)
             x = np.zeros(m.n_universe)
             x[ids[:12]] = rng.uniform(0.1, 0.9, len(ids[:12]))
@@ -1534,7 +1546,7 @@ def test_chain_plan_samples_match_ocrs_chain(k3, u24, k4):
     cases = [
         (k3, [1 / 6] * 3, 0.7, None, True),
         (u24, [0.25] * 4, 0.37, ParamOverrides(q=60, eta=20, zeta=6), True),
-        (k4.contract(0b1001), [0.0, 0.0, 0.3, 0.0, 0.3, 0.0], 0.7, FAST, True),
+        (k4.restrict(0b110110), [0.0, 0.3, 0.3, 0.0, 0.3, 0.0], 0.7, FAST, True),
         (theta, x_theta, 0.3, ParamOverrides(q=100), False),
     ]
     for m, x, tau, overrides, reference in cases:

@@ -127,3 +127,55 @@ def test_only_sampling_knows_the_bit_generator():
         p.name: philox_uses(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "sampling.py"
     }
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def unread_public_members(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public methods and properties of the classes in ``sources`` (file
+    name to text) whose name no module of ``readers`` reads as an
+    attribute, as ``Class.name``."""
+    read = {
+        node.attr
+        for text in readers.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = []
+    for name, text in sorted(sources.items()):
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unread += [
+                f"{cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and node.name not in read
+            ]
+    return unread
+
+
+def test_unread_public_member_is_found():
+    sources = {
+        "a.py": "class A:\n    def f(self):\n        return self._g()\n"
+        "    def _g(self):\n        pass\n    @property\n    def p(self):\n        pass\n"
+        "    def h(self):\n        pass\n",
+    }
+    readers = {**sources, "run.py": "import a\nprint(a.A().f, getattr(a.A(), 'h'))\n"}
+    assert unread_public_members(sources, readers) == ["A.p", "A.h"]
+
+
+BENCH = PACKAGE.parents[1] / "bench"
+
+# Public members kept although no package or benchmark module reads them.
+UNREAD_PUBLIC_ALLOWED = {
+    "LinkParams.pmf": "the exact law of the draw count convolves it over the links",
+    "BuildTrace.link_traces": "tests compare the compact tail with the per-link reference builder",
+}
+
+
+# A public method or property that nothing outside the tests reads is dead
+# API: it is deleted, or its reason is given above.
+def test_every_public_member_is_read_or_allowed():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = {**sources, **{f"bench/{p.name}": p.read_text() for p in BENCH.glob("*.py")}}
+    assert sorted(unread_public_members(sources, readers)) == sorted(UNREAD_PUBLIC_ALLOWED)

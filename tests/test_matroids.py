@@ -19,7 +19,7 @@ from chainocrs import (
     matroid_from_descriptor,
     validate_axioms,
 )
-from chainocrs.bitset import full_mask, ids_of, submasks
+from chainocrs.bitset import bits_of, full_mask, ids_of, mask_of, submasks
 from chainocrs.matroids import MinorMatroid
 
 from conftest import explicit_corpus, random_explicit_matroid, small_corpus
@@ -96,12 +96,13 @@ def test_greedy_basis_matches_the_independence_loop():
     # Every family's greedy basis is the loop that keeps, in id order, each
     # element independent of those kept, and is a basis; the graphic
     # override reads it from one union-find, also with loops, parallel
-    # edges and isolated vertices, and on a minor the loop runs.
+    # edges and isolated vertices, and on a restriction the loop runs.
     multigraph = GraphicMatroid(
         7, [(0, 0), (1, 2), (2, 1), (3, 4), (4, 5), (3, 5), (5, 5), (1, 4), (0, 6)]
     )
     theta = GraphicMatroid(21, [(0, 1)] + [e for w in range(2, 21) for e in ((0, w), (w, 1))])
-    corpus = small_corpus() + explicit_corpus() + [multigraph, theta, theta.contract(0b110)]
+    minor = theta.restrict(theta.ground_mask & ~0b110)
+    corpus = small_corpus() + explicit_corpus() + [multigraph, theta, minor]
     for m in corpus:
         basis = m.greedy_basis()
         assert basis == Matroid.greedy_basis(m), m
@@ -135,26 +136,6 @@ def test_restrict_k4_triangle_matches_k3(k4, k3):
         assert r.rank(mask) == k3.rank(image)
 
 
-def test_contract_empty_is_identity(u24):
-    c = u24.contract(0)
-    for mask in submasks(u24.ground_mask):
-        assert c.rank(mask) == u24.rank(mask)
-
-
-def test_contract_uniform():
-    u24 = UniformMatroid(2, 4)
-    c = u24.contract(0b0001)
-    assert c.ground_mask == 0b1110
-    for mask in submasks(0b1110):
-        assert c.rank(mask) == min(mask.bit_count(), 1)
-
-
-def test_contract_triangle_edge_makes_parallel(k3):
-    c = k3.contract(0b001)
-    assert c.rank(0b110) == 1
-    assert c.rank(0b010) == 1
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0), st.data())
 def test_minor_rank_identities(seed, data):
@@ -162,40 +143,60 @@ def test_minor_rank_identities(seed, data):
     m = corpus[seed % len(corpus)]
     g = m.ground_mask
     c_mask = data.draw(st.integers(min_value=0, max_value=g)) & g
-    a_mask = data.draw(st.integers(min_value=0, max_value=g)) & c_mask
-    s_mask = data.draw(st.integers(min_value=0, max_value=g)) & (c_mask & ~a_mask)
+    c2_mask = data.draw(st.integers(min_value=0, max_value=g)) & c_mask
+    s_mask = data.draw(st.integers(min_value=0, max_value=g)) & c2_mask
     restricted = m.restrict(c_mask)
-    assert restricted.rank(s_mask | a_mask) == m.rank(s_mask | a_mask)
-    contracted = m.contract(a_mask)
-    assert contracted.rank(s_mask) == m.rank(s_mask | a_mask) - m.rank(a_mask)
-    # restrict-then-contract composes into the level minor
-    minor = m.restrict(c_mask).contract(a_mask)
-    assert minor.rank(s_mask) == m.rank(s_mask | a_mask) - m.rank(a_mask)
+    assert restricted.rank(s_mask) == m.rank(s_mask)
+    # A restriction of a restriction is the restriction (M|C)|C' = M|C'.
+    nested = restricted.restrict(c2_mask)
+    assert nested.ground_mask == c2_mask and nested.base is m
+    assert nested.rank(s_mask) == m.restrict(c2_mask).rank(s_mask) == m.rank(s_mask)
 
 
-def test_minor_span_identity(k4):
-    minor = k4.restrict(0b011111).contract(0b000011)
-    for mask in submasks(minor.ground_mask):
-        expected = k4.span(mask | 0b000011) & minor.ground_mask
-        assert minor.span(mask) == expected
+def _nested_restrictions(seed):
+    """(M, (M|C)|C', M|C') over the small corpus, three nested pairs
+    C' ⊆ C per matroid, one of them C' = C = N."""
+    rng = np.random.default_rng(seed)
+    for m in small_corpus():
+        ground = ids_of(m.ground_mask)
+        for t in range(3):
+            c = sum(1 << e for e in ground if t == 0 or rng.random() < 0.8)
+            c2 = sum(1 << e for e in ids_of(c) if t == 0 or rng.random() < 0.7)
+            yield m, m.restrict(c).restrict(c2), m.restrict(c2)
 
 
-def test_minor_span_lookup_reads_masks_modulo_the_ground_set(u24, k4):
+def test_minor_span_identity():
+    # On (M|C)|C', span and the span counter under every A ⊆ C' equal those
+    # of M|C' and M's, cut to C' (0 off the ground set).
+    rng = np.random.default_rng(4)
+    for m, nested, flat in _nested_restrictions(1):
+        c2 = nested.ground_mask
+        for mask in submasks(c2):
+            assert nested.span(mask) == flat.span(mask) == m.span(mask) & c2
+        cols = np.array(ids_of(c2), dtype=np.int64)
+        rows = rng.random((2, 9, len(cols))) < 0.4
+        off = ~bits_of(c2, m.n_universe)
+        for a_mask in (0, mask_of(e for e in ids_of(c2) if rng.random() < 0.4), c2):
+            got = nested.span_counter(cols)(rows, a_mask)
+            expected = m.span_counter(cols)(rows, a_mask)
+            expected[..., off] = 0
+            assert got.tolist() == flat.span_counter(cols)(rows, a_mask).tolist()
+            assert got.tolist() == expected.tolist(), (nested, a_mask)
+
+
+def test_minor_span_lookup_reads_masks_modulo_the_ground_set():
     # lookup(m) == span(m & ground) for every universe mask, also masks that
-    # hold ids outside the minor's ground set.
-    minors = [
-        u24.restrict(0b0111),
-        u24.contract(0b0001),
-        u24.restrict(0b1110).contract(0b0100),
-        k4.restrict(0b011111),
-        k4.contract(0b000011),
-        k4.restrict(0b111011).contract(0b100000),
-    ]
-    for minor in minors:
-        masks = np.arange(1 << minor.n_universe, dtype=np.int64)
-        expected = [minor.span(int(mk) & minor.ground_mask) for mk in masks]
-        assert minor.span_lookup()(masks).tolist() == expected, minor
-    assert u24.restrict(0b0111).span_lookup()(np.array([0b1010]))[0] == 0b0010
+    # hold ids outside the minor's ground set; a nested restriction reads
+    # as M|C' and as M's lookup cut to C'.
+    for m, nested, flat in _nested_restrictions(2):
+        c2 = nested.ground_mask
+        masks = np.arange(1 << m.n_universe, dtype=np.int64)
+        expected = [nested.span(int(mk) & c2) for mk in masks]
+        got = nested.span_lookup()(masks)
+        assert got.tolist() == expected, nested
+        assert got.tolist() == flat.span_lookup()(masks).tolist()
+        assert got.tolist() == (m.span_lookup()(masks & c2) & c2).tolist()
+    assert UniformMatroid(2, 4).restrict(0b0111).span_lookup()(np.array([0b1010]))[0] == 0b0010
 
 
 def test_dense_tables_are_built_once_across_threads():
@@ -242,7 +243,7 @@ def test_span_and_rank_read_built_tables_as_the_oracle_gives(monkeypatch):
         raise AssertionError("oracle called although the tables exist")
 
     k4 = small_corpus()[5]
-    matroids = small_corpus() + explicit_corpus() + [k4.restrict(0b111011).contract(0b000001)]
+    matroids = small_corpus() + explicit_corpus() + [k4.restrict(0b111011).restrict(0b110011)]
     for m in matroids:
         masks = list(submasks(m.ground_mask))
         ranks = [m._rank_masked(s) for s in masks]
@@ -261,9 +262,9 @@ def test_span_and_rank_never_build_the_tables(monkeypatch, k4):
         raise AssertionError("tables built")
 
     monkeypatch.setattr(Matroid, "_dense_tables", boom)
-    minor = k4.restrict(0b111011).contract(0b000001)
+    minor = k4.restrict(0b110111)
     assert k4.span(0b000011) == 0b001011 and k4.rank(0b001011) == 2
-    assert minor.span(0b000010) == 0b001010 and minor.rank(0b001010) == 1
+    assert minor.span(0b000101) == 0b010101 and minor.rank(0b010101) == 2
     assert k4._tables is None and minor._tables is None
 
 

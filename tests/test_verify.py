@@ -351,8 +351,9 @@ def test_t_alpha_random_explicit_instance():
 
 
 def test_verify_t_alpha_builds_its_tables_once(monkeypatch):
-    # One verdict runs the realization loop and reads the rank table once,
-    # whatever q_trials, and gives the verdict of the per-call checks.
+    # One verdict runs the realization loop, reads the rank table, checks
+    # the first bullet and looks up the spans of T ∪ R once, whatever
+    # q_trials, and gives the verdict of the per-call checks.
     from chainocrs import verify
 
     m, x, b_mask, alpha = UniformMatroid(4, 10), [0.3] * 10, 0b11, Fraction(1, 5)
@@ -365,8 +366,12 @@ def test_verify_t_alpha_builds_its_tables_once(monkeypatch):
     builds = []
     real = verify.realization_products
     monkeypatch.setattr(verify, "realization_products", lambda *a: builds.append(1) or real(*a))
+    firsts, lookups = [], []
+    real_first, real_lookup = verify._first_bullet, m.span_lookup
+    monkeypatch.setattr(verify, "_first_bullet", lambda *a: firsts.append(1) or real_first(*a))
+    monkeypatch.setattr(m, "span_lookup", lambda: lookups.append(1) or real_lookup())
     rep = verify_t_alpha(m, x, b_mask, alpha, 20, rng)
-    assert len(builds) == 1
+    assert len(builds) == len(firsts) == len(lookups) == 1
     assert rep.meta["T"] == ids_of(res.t_mask)
     assert rep.checks[1].measured == float(not t_alpha_bullets_hold(m, x, res)[0])
     assert rep.checks[2].measured == failures
